@@ -19,9 +19,15 @@
 //
 // Zeroing contract: huge-eligible allocations (bytes >= kHugeThreshold) are
 // returned zero-filled on every path — anonymous mmap pages are zeroed by
-// the kernel, and the fall-back memsets to match.  Sub-threshold operator
-// new allocations are NOT zeroed; callers that need zeroed directories use
-// alloc_zeroed().
+// the kernel on first touch, and the fall-back memsets to match.
+// Sub-threshold operator new allocations are NOT zeroed; callers that need
+// zeroed memory at every size use alloc_zeroed(), and return a block to all
+// zeros with zero(), which hands mmap-backed pages back to the kernel
+// instead of rewriting them.  Two users rely on the contract: the packed
+// store's directories and leaves (a zero word is an absent entry) and the
+// fixed-size signature's slot array (an all-zero Slot is an empty slot),
+// which is never constructed — each of its pages is zeroed once, by the
+// kernel, on the thread that first writes it.
 
 #include <atomic>
 #include <cstddef>
@@ -73,6 +79,10 @@ struct FallbackRegistry {
   bool erase(void* p) {
     std::lock_guard lock(mu);
     return blocks.erase(p) != 0;
+  }
+  bool contains(void* p) {
+    std::lock_guard lock(mu);
+    return blocks.count(p) != 0;
   }
 };
 
@@ -137,31 +147,29 @@ inline void free(void* p, std::size_t bytes) {
 #endif
 
 /// alloc() with a zero-fill guarantee at every size — page-table directories
-/// (PackedShadowStore) read pointer slots before ever writing them.
+/// (PackedShadowStore) and signature slot arrays are read before ever being
+/// written.
 inline void* alloc_zeroed(std::size_t bytes) {
   void* p = alloc(bytes);
   if (bytes < kHugeThreshold) std::memset(p, 0, bytes);
   return p;
 }
 
+/// Returns a block from alloc()/alloc_zeroed() to all-zero bytes.  An
+/// mmap-backed block drops its pages (MADV_DONTNEED), so the cost is one
+/// syscall plus a kernel zero-fill of each page written again.
+/// Sub-threshold and fall-back blocks are heap memory whose first and last
+/// pages may hold other objects, so they are memset.
+inline void zero(void* p, std::size_t bytes) {
+#if defined(__linux__)
+  if (bytes >= kHugeThreshold &&
+      !detail::FallbackRegistry::instance().contains(p) &&
+      ::madvise(p, bytes, MADV_DONTNEED) == 0)
+    return;
+#endif
+  std::memset(p, 0, bytes);
+}
+
 }  // namespace huge
-
-/// std::allocator drop-in backing large arrays with transparent huge pages.
-template <typename T>
-struct HugePageAllocator {
-  using value_type = T;
-
-  HugePageAllocator() = default;
-  template <typename U>
-  HugePageAllocator(const HugePageAllocator<U>&) {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(huge::alloc(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) { huge::free(p, n * sizeof(T)); }
-
-  template <typename U>
-  bool operator==(const HugePageAllocator<U>&) const { return true; }
-};
 
 }  // namespace depprof

@@ -11,9 +11,12 @@
 // false-positive/false-negative trade quantified in Table I and modelled by
 // formula 2 (see fpr_model.hpp).
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <vector>
+#include <type_traits>
 
 #include "common/hash.hpp"
 #include "common/huge_alloc.hpp"
@@ -35,20 +38,44 @@ namespace depprof {
 /// randomizes partners; the sighash ablation quantifies the difference.
 enum class SigHash { kModulo, kMix };
 
+namespace detail {
+
+/// True when a value-initialized T is all-zero bytes (so zeroed memory
+/// already holds T{}).  Not a constant expression, and so a compile error
+/// in a static_assert, if T has padding bytes.
+template <typename T>
+constexpr bool value_init_is_zero_bytes() {
+  for (const unsigned char b :
+       std::bit_cast<std::array<unsigned char, sizeof(T)>>(T{}))
+    if (b != 0) return false;
+  return true;
+}
+
+}  // namespace detail
+
 template <typename Slot>
 class Signature {
+  // The slot array is zeroed memory that is never constructed into: a slot
+  // must be usable as raw bytes, and all-zero bytes must be the empty slot.
+  static_assert(std::is_trivially_copyable_v<Slot> &&
+                std::is_trivially_destructible_v<Slot>);
+  static_assert(detail::value_init_is_zero_bytes<Slot>(),
+                "Slot{} must be all-zero bytes");
+
  public:
   using slot_type = Slot;
 
-  /// Creates a signature with `slot_count` slots (>= 1).  Memory is charged
-  /// against MemComponent::kSignatures for Figures 7/8 accounting.
+  /// Creates a signature with `slot_count` slots (>= 1).  The configured
+  /// bytes are charged against MemComponent::kSignatures for Figures 7/8
+  /// accounting, though only the pages slots are written to become resident.
   explicit Signature(std::size_t slot_count, SigHash hash = SigHash::kModulo)
       : hash_(hash),
-        slots_(slot_count ? slot_count : 1),
-        mask_((slots_.size() & (slots_.size() - 1)) == 0 ? slots_.size() - 1
-                                                         : 0),
+        size_(slot_count ? slot_count : 1),
+        slots_(static_cast<Slot*>(huge::alloc_zeroed(bytes())),
+               BlockFree{bytes()}),
+        mask_((size_ & (size_ - 1)) == 0 ? size_ - 1 : 0),
         charge_(MemComponent::kSignatures,
-                static_cast<std::int64_t>(sizeof(Slot) * (slot_count ? slot_count : 1))) {}
+                static_cast<std::int64_t>(bytes())) {}
 
   /// Membership check: returns the recorded slot for `addr`, or nullptr if
   /// the slot is empty.  Note that a non-empty slot may have been written by
@@ -97,24 +124,30 @@ class Signature {
   /// occupied in both signatures.  An address inserted into both is
   /// guaranteed to be counted.
   std::size_t intersect_count(const Signature& other) const {
-    const std::size_t n = std::min(slots_.size(), other.slots_.size());
+    const std::size_t n = std::min(size_, other.size_);
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i)
       if (!slots_[i].empty() && !other.slots_[i].empty()) ++count;
     return count;
   }
 
+  /// Empties every slot (every sampling burst mark).  The slot pages go back
+  /// to the kernel rather than being rewritten: the mark costs a syscall,
+  /// and each page the next burst writes is faulted in and zeroed again.
+  /// A burst that writes into every 2 MiB page pays more than a memset
+  /// would; sampled runs of the workload suite touch few pages per burst
+  /// (DESIGN.md, "Signature memory lifecycle").
   void clear() {
-    for (auto& s : slots_) s = Slot{};
+    huge::zero(slots_.get(), bytes());
     occupied_ = 0;
   }
 
-  std::size_t slot_count() const { return slots_.size(); }
+  std::size_t slot_count() const { return size_; }
   std::size_t occupied() const { return occupied_; }
   double load_factor() const {
-    return static_cast<double>(occupied_) / static_cast<double>(slots_.size());
+    return static_cast<double>(occupied_) / static_cast<double>(size_);
   }
-  std::size_t bytes() const { return slots_.size() * sizeof(Slot); }
+  std::size_t bytes() const { return size_ * sizeof(Slot); }
 
  private:
   std::size_t index(std::uint64_t addr) const {
@@ -123,14 +156,21 @@ class Signature {
     // up to five times per event (find/find/insert plus two prefetches in
     // the batched kernel), so sparing the 64-bit division matters.
     if (mask_ != 0) return static_cast<std::size_t>(h & mask_);
-    return static_cast<std::size_t>(h % slots_.size());
+    return static_cast<std::size_t>(h % size_);
   }
 
+  struct BlockFree {
+    std::size_t bytes;
+    void operator()(Slot* p) const { huge::free(p, bytes); }
+  };
+
   SigHash hash_;
+  std::size_t size_;
   /// Slot array on transparent huge pages: at profiler sizes (hundreds of
   /// MB) hashed probing misses the dTLB on every access with 4 KiB pages,
   /// and the page-walk stalls would defeat the batched kernel's prefetches.
-  std::vector<Slot, HugePageAllocator<Slot>> slots_;
+  /// The block arrives zero-filled, which is every slot empty.
+  std::unique_ptr<Slot[], BlockFree> slots_;
   std::uint64_t mask_;  ///< size - 1 when size is a power of two, else 0
   std::size_t occupied_ = 0;
   ScopedMemCharge charge_;

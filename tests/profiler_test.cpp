@@ -326,7 +326,8 @@ TEST(SerialProfiler, BatchedKernelCountersTrack) {
   cfg.batched_detect = true;
   auto batched = make_serial_profiler(cfg);
   replay(t, *batched);
-  const obs::StageSnapshot* d = batched->stats().stages.find("detect[0]");
+  const ProfilerStats batched_stats = batched->stats();
+  const obs::StageSnapshot* d = batched_stats.stages.find("detect[0]");
   ASSERT_NE(d, nullptr);
   EXPECT_GT(d->kernel_batches, 0u);
   EXPECT_GT(d->prefetches, 0u);
@@ -336,7 +337,8 @@ TEST(SerialProfiler, BatchedKernelCountersTrack) {
   cfg.batched_detect = false;
   auto per_event = make_serial_profiler(cfg);
   replay(t, *per_event);
-  const obs::StageSnapshot* e = per_event->stats().stages.find("detect[0]");
+  const ProfilerStats per_event_stats = per_event->stats();
+  const obs::StageSnapshot* e = per_event_stats.stages.find("detect[0]");
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->kernel_batches, 0u);
   EXPECT_EQ(e->prefetches, 0u);

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <array>
+#include <bit>
 #include <cmath>
+#include <fstream>
+#include <optional>
 #include <set>
 
 #include "common/huge_alloc.hpp"
@@ -105,6 +111,29 @@ TEST(Signature, ZeroSlotCountClampsToOne) {
   EXPECT_EQ(sig.slot_count(), 1u);
   sig.insert(1, slot_at(1));
   EXPECT_NE(sig.find(999), nullptr);  // everything shares the single slot
+}
+
+/// Resident set of this process in bytes, or nullopt without /proc.
+std::optional<std::int64_t> resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t total_pages = 0, resident_pages = 0;
+  if (!(statm >> total_pages >> resident_pages)) return std::nullopt;
+  return resident_pages * static_cast<std::int64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(Signature, ConstructionTouchesNoSlotMemory) {
+  // The kernel zero-fills slot pages on first write; the constructor must
+  // not write them itself.  MemStats still charges the configured bytes.
+  const std::optional<std::int64_t> before = resident_bytes();
+  if (!before) GTEST_SKIP() << "/proc/self/statm unavailable";
+  const std::int64_t charged =
+      MemStats::instance().bytes(MemComponent::kSignatures);
+  Signature<SeqSlot> sig(std::size_t{1} << 20);  // 40 MiB
+  const std::optional<std::int64_t> after = resident_bytes();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_LT(*after - *before, static_cast<std::int64_t>(sig.bytes() / 4));
+  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures) - charged,
+            static_cast<std::int64_t>(sig.bytes()));
 }
 
 TEST(Signature, MemoryAccountingCharged) {
@@ -436,6 +465,67 @@ TEST(HugeAlloc, PackedStoreSurvivesForcedFallback) {
     EXPECT_EQ(store.page_count(), 2u);
   }
   huge::set_force_fallback(false);
+}
+
+// ------------------------------------------------- Signature zero-fill
+//
+// The slot array is never constructed: the allocator's zero-fill is what
+// makes every slot empty, fresh and after clear(), on each allocation path.
+// Under modulo hashing word i < slot_count maps to slot i, so find() over
+// [0, n) visits every slot.
+
+template <typename Slot>
+class SignatureZeroFill : public ::testing::Test {
+ protected:
+  /// Slots in the smallest block that takes the mmap path.
+  static constexpr std::size_t kHugeSlots =
+      huge::kHugeThreshold / sizeof(Slot) + 1;
+
+  static void check(std::size_t n) {
+    Signature<Slot> sig(n, SigHash::kModulo);
+    for (std::uint64_t i = 0; i < n; ++i)
+      ASSERT_EQ(sig.find(i), nullptr) << "fresh slot " << i;
+    std::array<unsigned char, sizeof(Slot)> bytes;
+    bytes.fill(0xA5);
+    const Slot full = std::bit_cast<Slot>(bytes);  // every byte non-zero
+    for (std::uint64_t i = 0; i < n; ++i) sig.insert(i, full);
+    ASSERT_EQ(sig.occupied(), n);
+    sig.clear();
+    EXPECT_EQ(sig.occupied(), 0u);
+    for (std::uint64_t i = 0; i < n; ++i)
+      ASSERT_EQ(sig.find(i), nullptr) << "cleared slot " << i;
+    sig.insert(n / 2, full);
+    ASSERT_NE(sig.find(n / 2), nullptr);
+    EXPECT_EQ(sig.find(n / 2)->ctx, full.ctx);
+    EXPECT_EQ(sig.occupied(), 1u);
+  }
+};
+
+using SlotTypes = ::testing::Types<SeqSlot, MtSlot>;
+TYPED_TEST_SUITE(SignatureZeroFill, SlotTypes);
+
+TYPED_TEST(SignatureZeroFill, MmapBlock) {
+  const std::uint64_t before = huge::fallback_count();
+  TestFixture::check(TestFixture::kHugeSlots);
+  EXPECT_EQ(huge::fallback_count(), before);
+}
+
+TYPED_TEST(SignatureZeroFill, OperatorNewBlock) {
+  static_assert(1000 * sizeof(TypeParam) < huge::kHugeThreshold);
+  TestFixture::check(1000);
+}
+
+TYPED_TEST(SignatureZeroFill, FallbackBlock) {
+  struct ForceFallback {
+    ForceFallback() { huge::set_force_fallback(true); }
+    ~ForceFallback() { huge::set_force_fallback(false); }
+  };
+  const std::uint64_t before = huge::fallback_count();
+  {
+    ForceFallback force;
+    TestFixture::check(TestFixture::kHugeSlots);
+  }
+  EXPECT_EQ(huge::fallback_count(), before + 1);
 }
 
 // ------------------------------------------------------ HashTableRecorder
