@@ -6,7 +6,7 @@
 // and the resulting page walks serialize on the handful of hardware walkers
 // — a stall that software prefetching cannot hide (prefetches are dropped
 // on a TLB miss).  Backing the slot array with 2 MiB pages keeps the whole
-// array TLB-resident, which is what makes the batched kernel's slot
+// array TLB-resident, which is what makes the detect kernel's slot
 // prefetches effective (see DESIGN.md, "Batched detect kernel").
 //
 // Allocations below kHugeThreshold, or on platforms without mmap/madvise,

@@ -1,5 +1,5 @@
 #pragma once
-// Software prefetch wrappers for the batched detect kernel.
+// Software prefetch wrappers for the detect kernel.
 //
 // The detect hot loop is a chain of dependent loads: slot index -> slot line
 // -> compare/update.  Issuing the slot lines K events ahead of the compare

@@ -55,12 +55,6 @@ void DepMap::add(const DepKey& key, std::uint8_t flags,
   apply_dep_instance(it->second, flags, at);
 }
 
-void DepMap::add_many(const DepKey& key, std::uint64_t n) {
-  DepInfo info;
-  info.count = n;
-  fold(key, info);
-}
-
 namespace {
 
 void fold_info(DepInfo& into, const DepInfo& info) {

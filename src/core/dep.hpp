@@ -154,7 +154,7 @@ struct DepInfo {
 };
 
 /// The per-instance update rule: count, flags, and the level bucket of the
-/// instance's attribution.  Shared by DepMap::add and the batched kernel's
+/// instance's attribution.  Shared by DepMap::add and the detect kernel's
 /// stack accumulator so the two paths cannot drift apart.  Note the level
 /// buckets key on *depth*: two different static loops at the same depth
 /// under one DepKey share a row (the loop id max-joins) — rare in practice,
@@ -217,15 +217,9 @@ class DepMap {
   void add(const DepKey& key, std::uint8_t flags,
            const DepAttribution& at = {});
 
-  /// Records `n` unqualified instances of `key` in one map probe — exactly
-  /// equivalent to calling add(key, 0) n times.  The batched detect kernel
-  /// uses this to fold a batch's INIT records (which carry no flags or
-  /// attribution) into the map once per distinct key instead of per event.
-  void add_many(const DepKey& key, std::uint64_t n);
-
   /// Folds a pre-aggregated record (`info.count` instances) into the map in
   /// one probe, with exactly the result of add()ing those instances one at a
-  /// time.  The batched detect kernel accumulates each batch's records in a
+  /// time.  The detect kernel accumulates each batch's records in a
   /// small local table and folds one entry per distinct key.
   void fold(const DepKey& key, const DepInfo& info);
 

@@ -160,32 +160,26 @@ class DetectorCore {
   DetectorCore(Store sig_read, Store sig_write)
       : sig_read_(std::move(sig_read)), sig_write_(std::move(sig_write)) {}
 
-  /// Processes one access in program order (Algorithm 1).
-  void process(const AccessEvent& ev, DepMap& deps) {
-    process_one(ev, [&](const DepKey& k, std::uint8_t flags,
-                        const DepAttribution& at) { deps.add(k, flags, at); });
-  }
-
   /// Distance (in events) between a prefetch and its consuming compare.
   /// Far enough to cover an LLC miss at ~4 events' work per miss, small
   /// enough that the prefetched lines are still resident when reached.
   static constexpr std::size_t kPrefetchDistance = 8;
 
-  /// Batched Algorithm 1: identical results to calling process() per event,
-  /// with the two batch-only optimizations of the hot path:
+  /// Algorithm 1 over one batch of accesses in program order.  Two
+  /// optimizations keep the loop memory-bound rather than latency-bound:
   ///
   ///  - the read/write store slots of the event kPrefetchDistance ahead are
-  ///    software-prefetched (write intent) before each compare/update,
-  ///    overlapping the slot misses of the per-event kernel;
+  ///    software-prefetched (write intent) before each compare/update, so
+  ///    the slot misses of consecutive events overlap;
   ///  - dependence records — which repeat the same few (sink, source, var)
   ///    keys throughout a batch — are aggregated in a small stack table and
   ///    folded into the map once per distinct key (DepMap::fold) instead of
   ///    one map probe per event.
   ///
   /// Returns the number of prefetch pairs issued (obs accounting).
-  std::size_t process_batch(const AccessEvent* events, std::size_t count,
-                            DepMap& deps) {
-    DepBatch batch;
+  std::size_t process(const AccessEvent* events, std::size_t count,
+                      DepMap& deps) {
+    DepBatch batch(deps);
     std::size_t prefetched = 0;
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t ahead = i + kPrefetchDistance;
@@ -194,12 +188,9 @@ class DetectorCore {
         sig_write_.prefetch(events[ahead].addr);
         ++prefetched;
       }
-      process_one(events[i], [&](const DepKey& k, std::uint8_t flags,
-                                 const DepAttribution& at) {
-        if (!batch.accumulate(k, flags, at)) deps.add(k, flags, at);
-      });
+      process_one(events[i], batch);
     }
-    batch.flush(deps);
+    batch.flush();
     return prefetched;
   }
 
@@ -233,12 +224,10 @@ class DetectorCore {
   }
 
  private:
-  /// Algorithm 1 for one access.  Every dependence record (including INIT)
-  /// goes through `sink(key, flags, attribution)` instead of touching the
-  /// map directly, so the batch kernel can aggregate records per batch while
-  /// the per-event kernel adds them straight to the map.
-  template <typename Sink>
-  void process_one(const AccessEvent& ev, Sink&& sink) {
+  struct DepBatch;
+
+  /// Algorithm 1 for one access.
+  void process_one(const AccessEvent& ev, DepBatch& batch) {
     if (ev.is_burst_mark()) {
       // Overhead-budget sampling: accesses were dropped before this point.
       // Forget every recorded last access so no dependence is attributed
@@ -257,19 +246,19 @@ class DetectorCore {
     }
     if (ev.is_write()) {
       if (const Slot* w = sig_write_.find(ev.addr)) {
-        emit(ev, *w, DepType::kWaw, sink);
+        emit(ev, *w, DepType::kWaw, batch);
       } else {
-        sink(init_key(ev), 0, DepAttribution{});
+        batch.add(init_key(ev), 0, DepAttribution{});
       }
       if (const Slot* r = sig_read_.find(ev.addr)) {
-        emit(ev, *r, DepType::kWar, sink);
+        emit(ev, *r, DepType::kWar, batch);
       }
       sig_write_.insert(ev.addr, make_slot<Slot>(ev));
     } else {
       // RAR dependences are ignored (Sec. III-B): most analyses do not need
       // them, so reads only consult the write signature.
       if (const Slot* w = sig_write_.find(ev.addr)) {
-        emit(ev, *w, DepType::kRaw, sink);
+        emit(ev, *w, DepType::kRaw, batch);
       }
       sig_read_.insert(ev.addr, make_slot<Slot>(ev));
     }
@@ -280,9 +269,10 @@ class DetectorCore {
   /// Flushing folds each entry into the map with DepMap::fold, whose result
   /// is exactly that of replaying the instances one add() at a time (every
   /// per-key update is a commutative join: flags OR, count sum, per-level
-  /// loop max and bucket sums).  Occupancy sentinel is count == 0.  Probes are capped; a record
-  /// that finds neither its key nor a free slot within the cap goes straight
-  /// to the map, which keeps the table loss-free and bounded.
+  /// loop max and bucket sums).  Occupancy sentinel is count == 0.  Probes
+  /// are capped; a record that finds neither its key nor a free slot within
+  /// the cap goes straight to the map, which keeps the table loss-free and
+  /// bounded.
   struct DepBatch {
     // Power of two (the probe sequence masks); sized for the instantaneous
     // key set of a hot loop (tens of keys), not the whole program's map.
@@ -293,13 +283,15 @@ class DetectorCore {
       DepKey key;
       DepInfo info;  ///< info.count == 0 = slot free
     };
+    explicit DepBatch(DepMap& map) : deps(map) {}
+
+    DepMap& deps;
     std::array<Entry, kSlots> entries{};
 
-    /// Applies one instance; false if the record must go to the map.
-    bool accumulate(const DepKey& key, std::uint8_t flags,
-                    const DepAttribution& at) {
+    /// Records one dependence instance (INIT included).
+    void add(const DepKey& key, std::uint8_t flags, const DepAttribution& at) {
       // A throwaway 128-slot table does not need DepKeyHash's full-strength
-      // mixing — one multiply per field keeps the accumulate cheaper than
+      // mixing — one multiply per field keeps this lookup cheaper than
       // the map probe it replaces; collisions just fall through to the map.
       std::size_t i =
           (key.sink_loc * 0x9E3779B9u + key.src_loc * 0x85EBCA6Bu +
@@ -315,20 +307,19 @@ class DetectorCore {
         if (e.info.count == 0) e.key = key;
         // The exact same per-instance update DepMap::add applies.
         apply_dep_instance(e.info, flags, at);
-        return true;
+        return;
       }
-      return false;
+      deps.add(key, flags, at);  // no room within the probe cap
     }
 
-    void flush(DepMap& deps) {
+    void flush() {
       for (const Entry& e : entries)
         if (e.info.count != 0) deps.fold(e.key, e.info);
     }
   };
 
-  template <typename Sink>
   void emit(const AccessEvent& sink_ev, const Slot& src, DepType type,
-            Sink&& sink) {
+            DepBatch& batch) {
     DepAttribution at;
     const std::uint8_t flags = classify_dep(src, sink_ev, at);
     DepKey k;
@@ -339,7 +330,7 @@ class DetectorCore {
     if constexpr (std::is_same_v<Slot, MtSlot>)
       k.src_tid = static_cast<std::uint16_t>(src.tid);
     k.type = type;
-    sink(k, flags, at);
+    batch.add(k, flags, at);
   }
 
   static DepKey init_key(const AccessEvent& sink) {

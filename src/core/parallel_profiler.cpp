@@ -139,8 +139,7 @@ class ParallelProfiler final : public IProfiler {
     detectors_.reserve(w);
     for (unsigned i = 0; i < w; ++i) {
       detectors_.push_back(std::make_unique<DetectStage<Store>>(
-          std::move(read_sigs[i]), std::move(write_sigs[i]), obs_.detect(i),
-          cfg_.batched_detect));
+          std::move(read_sigs[i]), std::move(write_sigs[i]), obs_.detect(i)));
       queues_.push_back(make_queue<Chunk*>(qk, cfg_.queue_capacity));
     }
     for (std::uint32_t i = 0; i < kMailboxCount; ++i)

@@ -530,11 +530,8 @@ class RouteStage {
 template <AccessStore Store>
 class DetectStage {
  public:
-  DetectStage(Store sig_read, Store sig_write, obs::StageStats& stats,
-              bool batched = true)
-      : core_(std::move(sig_read), std::move(sig_write)),
-        stats_(&stats),
-        batched_(batched) {}
+  DetectStage(Store sig_read, Store sig_write, obs::StageStats& stats)
+      : core_(std::move(sig_read), std::move(sig_write)), stats_(&stats) {}
 
   void process(const AccessEvent* events, std::size_t count) {
     // Both clock domains (see obs/stage_stats.hpp): wall busy_ns pairs with
@@ -542,12 +539,7 @@ class DetectStage {
     // excludes preemption and feeds the simulated parallel time.
     const std::uint64_t w0 = WallTimer::now();
     const std::uint64_t c0 = ThreadCpuTimer::now();
-    if (batched_) {
-      stats_->add_prefetches(core_.process_batch(events, count, deps_));
-      stats_->add_kernel_batches(1);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) core_.process(events[i], deps_);
-    }
+    stats_->add_prefetches(core_.process(events, count, deps_));
     stats_->add_cpu_ns(ThreadCpuTimer::now() - c0);
     stats_->add_busy_ns(WallTimer::now() - w0);
     stats_->add_events(count);
@@ -578,7 +570,6 @@ class DetectStage {
   DetectorCore<Store> core_;
   DepMap deps_;
   obs::StageStats* stats_;
-  bool batched_;
 };
 
 /// Merge stage: folds one worker-local map into the global map.  "Merging

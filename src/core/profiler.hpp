@@ -81,11 +81,6 @@ struct ProfilerConfig {
   /// Route addresses to workers with the paper's plain modulo (formula 1)
   /// instead of the mixed hash; exercised by the load-balance ablation.
   bool modulo_routing = false;
-  /// Detect-stage kernel: process whole chunks with signature-slot
-  /// prefetching K events ahead (DetectorCore::process_batch) instead of one
-  /// event at a time.  The dependence maps are byte-identical either way;
-  /// the flag exists for the hotpath ablation and the depfuzz kernel axis.
-  bool batched_detect = true;
   /// Front-end redundancy elision: exact repeats of an access (same word,
   /// kind, loc, var, tid, loop context) are run-length encoded before they
   /// enter the pipeline (on_batch_rle), so the produce/route/queue path

@@ -20,10 +20,9 @@ template <AccessStore Store>
 class SerialProfiler final : public IProfiler {
  public:
   SerialProfiler(Store sig_read, Store sig_write, std::size_t signature_bytes,
-                 bool batched, std::uint64_t hugepage_baseline)
+                 std::uint64_t hugepage_baseline)
       : obs_(1),
-        detect_(std::move(sig_read), std::move(sig_write), obs_.detect(0),
-                batched),
+        detect_(std::move(sig_read), std::move(sig_write), obs_.detect(0)),
         merge_(obs_.merge()),
         signature_bytes_(signature_bytes),
         hugepage_baseline_(hugepage_baseline) {}
@@ -125,7 +124,7 @@ class SerialProfiler final : public IProfiler {
   }
 
  private:
-  // Matches Chunk capacity: bigger batches amortize the batched kernel's
+  // Matches Chunk capacity: bigger batches amortize the detect kernel's
   // per-batch record-table flush over more events (the INIT key space is
   // small, so instances-per-key grows with the batch).
   static constexpr std::size_t kUnitBatch = 1024;
@@ -164,7 +163,7 @@ std::unique_ptr<IProfiler> make_serial_profiler(const ProfilerConfig& config) {
         Store w = make_store<Store>(config);
         const std::size_t bytes = r.bytes() + w.bytes();
         return std::make_unique<SerialProfiler<Store>>(
-            std::move(r), std::move(w), bytes, config.batched_detect, hp0);
+            std::move(r), std::move(w), bytes, hp0);
       });
 }
 

@@ -7,8 +7,9 @@
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <tuple>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "queue/queues.hpp"
@@ -17,61 +18,20 @@
 namespace depprof {
 namespace {
 
-// v2 added the front-end reduction axes and hard-requires their keys: a
-// repro that omits dedup=/pack= would silently replay under whatever the
-// current defaults are, which is exactly the ambiguity the corpus lint
-// exists to reject.  v1 files predate the axes and replay with both off —
-// the semantics they were recorded under.  v3 replaced the three fixed
-// (loop, entry, iter) triples per event with interned nest-context ids
-// (`nest` directives + ctx=/iters= keys); v1/v2 files still parse, their
-// triples re-interned into an equivalent nest chain.
-constexpr std::string_view kVersionLineV1 = "depfuzz-repro v1";
-constexpr std::string_view kVersionLineV2 = "depfuzz-repro v2";
-constexpr std::string_view kVersionLineV3 = "depfuzz-repro v3";
-// v4 adds the deterministic-schedule section (`sched` + `sstep` lines);
-// v1-v3 files parse with the section absent.
-constexpr std::string_view kVersionLineV4 = "depfuzz-repro v4";
-// v5 adds the overhead-budget sampling axes and hard-requires their keys
-// (budget=/burst=/skip=) for the same reason v2 hard-required dedup=/pack=:
-// a repro that omits them would silently replay under whatever the current
-// sampling defaults are.  v1-v4 files parse with sampling off.
-constexpr std::string_view kVersionLineV5 = "depfuzz-repro v5";
-// v6 adds the first-class race mode and hard-requires its key (races=).
-// A races=1 config that also samples (budget<1 or skip>0) or profiles a
-// sequential target (mt=0) is a parse error, mirroring races_config_ok():
-// the profiler factories refuse such configs, so a repro claiming one
-// could never have been recorded and must not lint clean.  v1-v5 files
-// parse with race mode off.
-constexpr std::string_view kVersionLineV6 = "depfuzz-repro v6";
-// v7 adds the packed paged exact store (`storage=packed`); the name is an
-// unknown storage value below v7 so a repro recorded against the packed
-// backend cannot silently replay as a hash-table one under an old grammar.
-// A v7 file inherits every v5/v6 hard-required key (budget=/burst=/skip=/
-// races=) regardless of whether the run sampled or raced.
-constexpr std::string_view kVersionLineV7 = "depfuzz-repro v7";
-
-/// File-scoped nest state threaded through event parsing.
-struct NestParseState {
-  /// v3: file-local nest id -> process forest id (id 0 preseeded to root).
-  std::unordered_map<std::uint32_t, std::uint32_t> id_map{{0, 0}};
-  /// v1/v2 compat: (parent forest id, loop, entry) -> forest id, so the
-  /// same dynamic entry named by several events re-interns to one node.
-  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-           std::uint32_t>
-      legacy_chain;
-};
+// The one grammar.  There is no version ladder: a file in any other version
+// is rejected rather than replayed under reinterpreted semantics.
+constexpr std::string_view kVersionLine = "depfuzz-repro v8";
 
 const char* sig_hash_name(SigHash h) {
   return h == SigHash::kModulo ? "modulo" : "mix";
 }
 
-bool parse_storage(std::string_view v, int version, StorageKind& out) {
+bool parse_storage(std::string_view v, StorageKind& out) {
   if (v == "signature") out = StorageKind::kSignature;
   else if (v == "perfect") out = StorageKind::kPerfect;
   else if (v == "shadow") out = StorageKind::kShadow;
   else if (v == "hashtable") out = StorageKind::kHashTable;
-  // v7-only backend; an unknown storage value below v7.
-  else if (v == "packed" && version >= 7) out = StorageKind::kPacked;
+  else if (v == "packed") out = StorageKind::kPacked;
   else return false;
   return true;
 }
@@ -112,6 +72,106 @@ bool parse_bool(std::string_view v, bool& out) {
   else if (v == "1") out = true;
   else return false;
   return true;
+}
+
+/// One key of a keyed directive line (config, lb, sched): how format_repro
+/// writes the field of `Target` and how parse_repro reads it back.
+template <typename Target>
+struct KeySpec {
+  std::string_view name;
+  void (*write)(std::ostream&, const Target&);
+  bool (*read)(std::string_view, Target&);
+};
+
+/// KeySpec for a bool or numeric member; bools are written 0/1.
+template <typename Target, auto Field>
+constexpr KeySpec<Target> field(std::string_view name) {
+  using T = std::remove_cvref_t<decltype(std::declval<Target&>().*Field)>;
+  return {
+      name,
+      [](std::ostream& os, const Target& t) {
+        if constexpr (std::is_same_v<T, bool>) os << (t.*Field ? 1 : 0);
+        else os << t.*Field;
+      },
+      [](std::string_view v, Target& t) {
+        if constexpr (std::is_same_v<T, bool>) {
+          return parse_bool(v, t.*Field);
+        } else if constexpr (std::is_floating_point_v<T>) {
+          return parse_double(v, t.*Field);
+        } else {
+          std::uint64_t u = 0;
+          if (!parse_u64(v, u)) return false;
+          t.*Field = static_cast<T>(u);
+          return true;
+        }
+      }};
+}
+
+using Cfg = ProfilerConfig;
+
+// Every key is written by format_repro and required by parse_repro: a
+// repro that could omit one would replay under whatever that default later
+// becomes.  Table order is the on-disk key order.
+constexpr KeySpec<Cfg> kConfigKeys[] = {
+    {"storage",
+     [](std::ostream& os, const Cfg& c) { os << storage_kind_name(c.storage); },
+     [](std::string_view v, Cfg& c) { return parse_storage(v, c.storage); }},
+    field<Cfg, &Cfg::slots>("slots"),
+    {"sighash",
+     [](std::ostream& os, const Cfg& c) { os << sig_hash_name(c.sig_hash); },
+     [](std::string_view v, Cfg& c) { return parse_sig_hash(v, c.sig_hash); }},
+    field<Cfg, &Cfg::mt_targets>("mt"),
+    field<Cfg, &Cfg::workers>("workers"),
+    {"queue",
+     [](std::ostream& os, const Cfg& c) { os << queue_kind_name(c.queue); },
+     [](std::string_view v, Cfg& c) { return parse_queue(v, c.queue); }},
+    {"wait",
+     [](std::ostream& os, const Cfg& c) { os << wait_kind_name(c.wait); },
+     [](std::string_view v, Cfg& c) {
+       return parse_wait_kind(std::string(v).c_str(), c.wait);
+     }},
+    field<Cfg, &Cfg::chunk_size>("chunk"),
+    field<Cfg, &Cfg::queue_capacity>("qcap"),
+    field<Cfg, &Cfg::modulo_routing>("modulo_routing"),
+    field<Cfg, &Cfg::dedup>("dedup"),
+    field<Cfg, &Cfg::pack>("pack"),
+    field<Cfg, &Cfg::budget>("budget"),
+    field<Cfg, &Cfg::sampling_burst>("burst"),
+    field<Cfg, &Cfg::sampling_skip>("skip"),
+    field<Cfg, &Cfg::races>("races"),
+};
+
+using Lb = LoadBalanceConfig;
+
+constexpr KeySpec<Lb> kLbKeys[] = {
+    field<Lb, &Lb::enabled>("enabled"),
+    field<Lb, &Lb::sample_shift>("sample_shift"),
+    field<Lb, &Lb::eval_interval_chunks>("interval"),
+    field<Lb, &Lb::imbalance_threshold>("threshold"),
+    field<Lb, &Lb::top_k>("top_k"),
+    field<Lb, &Lb::max_rounds>("max_rounds"),
+};
+
+constexpr KeySpec<ReproCase> kSchedKeys[] = {
+    field<ReproCase, &ReproCase::sched_seed>("seed"),
+    {"algo",
+     [](std::ostream& os, const ReproCase& r) {
+       os << sched::algo_name(r.sched_algo);
+     },
+     [](std::string_view v, ReproCase& r) {
+       return sched::parse_algo(std::string(v).c_str(), r.sched_algo);
+     }},
+};
+
+template <typename Target, std::size_t N>
+void format_keyed_line(std::ostream& os, std::string_view directive,
+                       const KeySpec<Target> (&keys)[N], const Target& t) {
+  os << directive;
+  for (const KeySpec<Target>& k : keys) {
+    os << ' ' << k.name << '=';
+    k.write(os, t);
+  }
+  os << '\n';
 }
 
 /// Splits one whitespace-separated token into key and value at '='.
@@ -160,134 +220,44 @@ bool note_key(std::vector<std::string_view>& seen, std::string_view key,
   return true;
 }
 
-/// Which hard-required config keys the line actually carried (checked
-/// against the file's version by the caller).
-struct ConfigKeysSeen {
-  bool dedup = false;
-  bool pack = false;
-  bool budget = false;
-  bool burst = false;
-  bool skip = false;
-  bool races = false;
-};
-
-bool parse_config_line(const std::vector<std::string_view>& toks, int version,
-                       ProfilerConfig& cfg, ConfigKeysSeen& saw,
-                       std::string& err) {
-  std::vector<std::string_view> keys;
+/// Parses `toks` (toks[0] is the directive) against `keys`: every token is
+/// a known key with a well-formed value, no key repeats, and every key of
+/// the table is present.
+template <typename Target, std::size_t N>
+bool parse_keyed_line(const std::vector<std::string_view>& toks,
+                      const KeySpec<Target> (&keys)[N], Target& t,
+                      std::string& err) {
+  const std::string directive(toks[0]);
+  std::vector<std::string_view> seen;
   for (std::size_t i = 1; i < toks.size(); ++i) {
     std::string_view key, value;
-    if (!split_kv(toks[i], key, value)) {
-      err = "bad config token '" + std::string(toks[i]) + "'";
+    const bool split = split_kv(toks[i], key, value);
+    if (split && !note_key(seen, key, err)) return false;
+    const auto spec = std::find_if(
+        std::begin(keys), std::end(keys),
+        [&](const KeySpec<Target>& k) { return k.name == key; });
+    if (!split || spec == std::end(keys) || !spec->read(value, t)) {
+      err = "bad " + directive + " token '" + std::string(toks[i]) + "'";
       return false;
     }
-    if (!note_key(keys, key, err)) return false;
-    std::uint64_t u = 0;
-    bool ok;
-    if (key == "storage") ok = parse_storage(value, version, cfg.storage);
-    else if (key == "slots") ok = parse_u64(value, u), cfg.slots = u;
-    else if (key == "sighash") ok = parse_sig_hash(value, cfg.sig_hash);
-    else if (key == "mt") ok = parse_bool(value, cfg.mt_targets);
-    else if (key == "workers")
-      ok = parse_u64(value, u), cfg.workers = static_cast<unsigned>(u);
-    else if (key == "queue") ok = parse_queue(value, cfg.queue);
-    else if (key == "wait") ok = parse_wait_kind(std::string(value).c_str(), cfg.wait);
-    else if (key == "chunk") ok = parse_u64(value, u), cfg.chunk_size = u;
-    else if (key == "qcap") ok = parse_u64(value, u), cfg.queue_capacity = u;
-    else if (key == "modulo_routing") ok = parse_bool(value, cfg.modulo_routing);
-    // Written by every repro since the batched kernel landed; optional on
-    // read so older committed corpus files still parse.
-    else if (key == "batch") ok = parse_bool(value, cfg.batched_detect);
-    // v2-only front-end reduction axes; in a v1 file they are unknown keys
-    // (strictness over permissiveness — see the version-line comment).
-    else if (key == "dedup" && version >= 2)
-      ok = parse_bool(value, cfg.dedup), saw.dedup = true;
-    else if (key == "pack" && version >= 2)
-      ok = parse_bool(value, cfg.pack), saw.pack = true;
-    // v5-only overhead-budget sampling axes; unknown keys below v5.
-    else if (key == "budget" && version >= 5)
-      ok = parse_double(value, cfg.budget), saw.budget = true;
-    else if (key == "burst" && version >= 5)
-      ok = parse_u64(value, u), cfg.sampling_burst = static_cast<unsigned>(u),
-      saw.burst = true;
-    else if (key == "skip" && version >= 5)
-      ok = parse_u64(value, u), cfg.sampling_skip = static_cast<unsigned>(u),
-      saw.skip = true;
-    // v6-only first-class race mode; unknown key below v6.
-    else if (key == "races" && version >= 6)
-      ok = parse_bool(value, cfg.races), saw.races = true;
-    else ok = false;
-    if (!ok) {
-      err = "bad config token '" + std::string(toks[i]) + "'";
+  }
+  for (const KeySpec<Target>& k : keys) {
+    if (std::find(seen.begin(), seen.end(), k.name) == seen.end()) {
+      err = directive + " line missing key '" + std::string(k.name) + "='";
       return false;
     }
   }
   return true;
 }
 
-bool parse_lb_line(const std::vector<std::string_view>& toks,
-                   LoadBalanceConfig& lb, std::string& err) {
-  std::vector<std::string_view> keys;
-  for (std::size_t i = 1; i < toks.size(); ++i) {
-    std::string_view key, value;
-    if (!split_kv(toks[i], key, value)) {
-      err = "bad lb token '" + std::string(toks[i]) + "'";
-      return false;
-    }
-    if (!note_key(keys, key, err)) return false;
-    std::uint64_t u = 0;
-    double d = 0.0;
-    bool ok;
-    if (key == "enabled") ok = parse_bool(value, lb.enabled);
-    else if (key == "sample_shift")
-      ok = parse_u64(value, u), lb.sample_shift = static_cast<unsigned>(u);
-    else if (key == "interval")
-      ok = parse_u64(value, u), lb.eval_interval_chunks = u;
-    else if (key == "threshold")
-      ok = parse_double(value, d), lb.imbalance_threshold = d;
-    else if (key == "top_k")
-      ok = parse_u64(value, u), lb.top_k = static_cast<unsigned>(u);
-    else if (key == "max_rounds")
-      ok = parse_u64(value, u), lb.max_rounds = static_cast<unsigned>(u);
-    else ok = false;
-    if (!ok) {
-      err = "bad lb token '" + std::string(toks[i]) + "'";
-      return false;
-    }
-  }
-  return true;
-}
+/// File-local nest id -> process forest id (id 0 is the root).
+using NestIds = std::unordered_map<std::uint32_t, std::uint32_t>;
 
-/// v4 `sched seed=N algo=<name>` directive.
-bool parse_sched_line(const std::vector<std::string_view>& toks,
-                      ReproCase& repro, std::string& err) {
-  std::vector<std::string_view> keys;
-  for (std::size_t i = 1; i < toks.size(); ++i) {
-    std::string_view key, value;
-    if (!split_kv(toks[i], key, value)) {
-      err = "bad sched token '" + std::string(toks[i]) + "'";
-      return false;
-    }
-    if (!note_key(keys, key, err)) return false;
-    bool ok;
-    if (key == "seed") ok = parse_u64(value, repro.sched_seed);
-    else if (key == "algo")
-      ok = sched::parse_algo(std::string(value).c_str(), repro.sched_algo);
-    else ok = false;
-    if (!ok) {
-      err = "bad sched token '" + std::string(toks[i]) + "'";
-      return false;
-    }
-  }
-  repro.sched = true;
-  return true;
-}
-
-/// v3 `nest id=N parent=P loop=L` directive: interns one dynamic entry.
+/// `nest id=N parent=P loop=L` directive: interns one dynamic entry.
 /// Parents must be declared (or 0) before their children; all three keys
 /// are required — a defaulted parent/loop would silently re-shape the nest.
 bool parse_nest_line(const std::vector<std::string_view>& toks,
-                     NestParseState& nest, std::string& err) {
+                     NestIds& id_map, std::string& err) {
   std::uint64_t id = 0, parent = 0, loop = 0;
   bool saw_id = false, saw_parent = false, saw_loop = false;
   std::vector<std::string_view> keys;
@@ -313,46 +283,22 @@ bool parse_nest_line(const std::vector<std::string_view>& toks,
           (!saw_parent ? "parent=" : "loop=") + " key";
     return false;
   }
-  if (!saw_id || id == 0 || nest.id_map.count(static_cast<std::uint32_t>(id))) {
+  if (!saw_id || id == 0 || id_map.count(static_cast<std::uint32_t>(id))) {
     err = "bad nest token 'id'";
     return false;
   }
-  const auto pit = nest.id_map.find(static_cast<std::uint32_t>(parent));
-  if (pit == nest.id_map.end()) {
+  const auto pit = id_map.find(static_cast<std::uint32_t>(parent));
+  if (pit == id_map.end()) {
     err = "bad nest token 'parent'";
     return false;
   }
-  nest.id_map[static_cast<std::uint32_t>(id)] =
+  id_map[static_cast<std::uint32_t>(id)] =
       nest_forest().enter(pit->second, static_cast<std::uint32_t>(loop));
   return true;
 }
 
-/// Re-interns a v1/v2 `loops=` value (three innermost-first (loop, entry,
-/// iter) triples, 0 = unused) as a nest chain and stamps ctx/iters.
-bool apply_legacy_loops(AccessEvent& ev, std::string_view value,
-                        NestParseState& nest) {
-  unsigned l[3], e[3], it[3];
-  const std::string s(value);
-  if (std::sscanf(s.c_str(), "%u:%u:%u,%u:%u:%u,%u:%u:%u", &l[0], &e[0],
-                  &it[0], &l[1], &e[1], &it[1], &l[2], &e[2], &it[2]) != 9)
-    return false;
-  std::uint32_t parent = NestForest::kRoot;
-  std::size_t depth = 0;
-  for (int i = 2; i >= 0; --i) {  // triples were stored innermost-first
-    if (l[i] == 0) continue;
-    const auto key = std::make_tuple(parent, l[i], e[i]);
-    auto [pos, inserted] = nest.legacy_chain.try_emplace(key, 0);
-    if (inserted) pos->second = nest_forest().enter(parent, l[i]);
-    parent = pos->second;
-    if (depth < kNestIters) ev.iters[depth] = it[i];
-    ++depth;
-  }
-  ev.ctx = parent;
-  return true;
-}
-
 bool parse_event_line(const std::vector<std::string_view>& toks,
-                      AccessEvent& ev, int version, NestParseState& nest,
+                      AccessEvent& ev, const NestIds& id_map,
                       std::string& err) {
   if (toks.size() < 2) {
     err = "bad event token 'missing event kind'";
@@ -385,16 +331,14 @@ bool parse_event_line(const std::vector<std::string_view>& toks,
     else if (key == "ts") ok = parse_u64(value, ev.ts);
     else if (key == "flags")
       ok = parse_u64(value, u), ev.flags = static_cast<std::uint8_t>(u);
-    else if (key == "loops" && version <= 2)
-      ok = apply_legacy_loops(ev, value, nest);
-    else if (key == "ctx" && version >= 3) {
+    else if (key == "ctx") {
       ok = parse_u64(value, u);
       if (ok) {
-        const auto it = nest.id_map.find(static_cast<std::uint32_t>(u));
-        ok = it != nest.id_map.end();
+        const auto it = id_map.find(static_cast<std::uint32_t>(u));
+        ok = it != id_map.end();
         if (ok) ev.ctx = it->second;
       }
-    } else if (key == "iters" && version >= 3) {
+    } else if (key == "iters") {
       const std::string s(value);
       std::size_t idx = 0;
       const char* p = s.c_str();
@@ -418,50 +362,12 @@ bool parse_event_line(const std::vector<std::string_view>& toks,
 
 std::string format_repro(const ReproCase& repro) {
   std::ostringstream os;
-  const ProfilerConfig& c = repro.cfg;
-  // Lowest version whose grammar covers the case: the packed backend forces
-  // v7, race mode forces v6, sampling axes force v5 (their keys/values are
-  // unknown below those versions), a schedule section forces v4, and
-  // everything else keeps writing v3 so packed-, race-, schedule- and
-  // sampling-free corpus files stay byte-stable across profiler growth.
-  const ProfilerConfig defaults;
-  const bool sampled = c.budget != defaults.budget ||
-                       c.sampling_burst != defaults.sampling_burst ||
-                       c.sampling_skip != defaults.sampling_skip;
-  const bool packed = c.storage == StorageKind::kPacked;
-  os << (packed     ? kVersionLineV7
-         : c.races  ? kVersionLineV6
-         : sampled  ? kVersionLineV5
-         : repro.sched ? kVersionLineV4
-                       : kVersionLineV3)
-     << '\n';
+  os << kVersionLine << '\n';
   if (!repro.note.empty()) os << "note " << repro.note << '\n';
-  os << "config storage=" << storage_kind_name(c.storage)
-     << " slots=" << c.slots << " sighash=" << sig_hash_name(c.sig_hash)
-     << " mt=" << (c.mt_targets ? 1 : 0) << " workers=" << c.workers
-     << " queue=" << queue_kind_name(c.queue)
-     << " wait=" << wait_kind_name(c.wait) << " chunk=" << c.chunk_size
-     << " qcap=" << c.queue_capacity
-     << " modulo_routing=" << (c.modulo_routing ? 1 : 0)
-     << " batch=" << (c.batched_detect ? 1 : 0)
-     << " dedup=" << (c.dedup ? 1 : 0) << " pack=" << (c.pack ? 1 : 0);
-  // A v6 file inherits v5's hard-required sampling keys (so race-mode
-  // repros carry them even when unsampled), and a v7 file inherits both
-  // sets — packed repros always spell out their sampling and race axes.
-  if (sampled || c.races || packed)
-    os << " budget=" << c.budget << " burst=" << c.sampling_burst
-       << " skip=" << c.sampling_skip;
-  if (c.races || packed) os << " races=" << (c.races ? 1 : 0);
-  os << '\n';
-  const LoadBalanceConfig& lb = c.load_balance;
-  os << "lb enabled=" << (lb.enabled ? 1 : 0)
-     << " sample_shift=" << lb.sample_shift
-     << " interval=" << lb.eval_interval_chunks
-     << " threshold=" << lb.imbalance_threshold << " top_k=" << lb.top_k
-     << " max_rounds=" << lb.max_rounds << '\n';
+  format_keyed_line(os, "config", kConfigKeys, repro.cfg);
+  format_keyed_line(os, "lb", kLbKeys, repro.cfg.load_balance);
   if (repro.sched) {
-    os << "sched seed=" << repro.sched_seed
-       << " algo=" << sched::algo_name(repro.sched_algo) << '\n';
+    format_keyed_line(os, "sched", kSchedKeys, repro);
     for (const sched::ScheduleStep& s : repro.schedule.steps)
       os << "sstep " << s.thread << ' ' << s.site << '\n';
   }
@@ -503,11 +409,10 @@ std::string format_repro(const ReproCase& repro) {
 
 bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
   ReproCase repro;
-  int version = 0;
+  bool saw_version = false;
   bool saw_config = false;
   bool saw_lb = false;
-  ConfigKeysSeen saw;
-  NestParseState nest;
+  NestIds nest_ids{{0, 0}};
   std::size_t line_no = 0;
   std::size_t pos = 0;
   // Every directive except the provenance note needs the config line first:
@@ -527,39 +432,13 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
     pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
     ++line_no;
     if (line.empty()) continue;
-    if (version == 0) {
-      if (line == kVersionLineV1) {
-        version = 1;
-        // v1 predates the front-end reduction axes; such repros were
-        // recorded (and minimized) against the raw event path.
-        repro.cfg.dedup = false;
-        repro.cfg.pack = false;
-      } else if (line == kVersionLineV2) {
-        version = 2;
-      } else if (line == kVersionLineV3) {
-        version = 3;
-      } else if (line == kVersionLineV4) {
-        version = 4;
-      } else if (line == kVersionLineV5) {
-        version = 5;
-      } else if (line == kVersionLineV6) {
-        version = 6;
-      } else if (line == kVersionLineV7) {
-        version = 7;
-      } else {
+    if (!saw_version) {
+      if (line != kVersionLine)
         return set_error(error, line_no,
                          "expected version line '" +
-                             std::string(kVersionLineV1) + "' .. '" +
-                             std::string(kVersionLineV7) + "'");
-      }
-      // v1-v4 predate the sampling axes: replay with sampling off, the
-      // semantics those repros were recorded under.
-      if (version < 5) {
-        repro.cfg.budget = 1.0;
-        repro.cfg.sampling_skip = 0;
-      }
-      // v1-v5 predate the race mode: replay with it off.
-      if (version < 6) repro.cfg.races = false;
+                             std::string(kVersionLine) + "', got '" +
+                             std::string(line) + "'");
+      saw_version = true;
       continue;
     }
     if (line[0] == '#') continue;
@@ -574,16 +453,8 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
     } else if (toks[0] == "config") {
       if (saw_config)
         return set_error(error, line_no, "duplicate config line");
-      if (!parse_config_line(toks, version, repro.cfg, saw, err))
+      if (!parse_keyed_line(toks, kConfigKeys, repro.cfg, err))
         return set_error(error, line_no, err);
-      if (version >= 2 && (!saw.dedup || !saw.pack))
-        return set_error(error, line_no,
-                         "v2 config requires dedup= and pack= keys");
-      if (version >= 5 && (!saw.budget || !saw.burst || !saw.skip))
-        return set_error(error, line_no,
-                         "v5 config requires budget=, burst= and skip= keys");
-      if (version >= 6 && !saw.races)
-        return set_error(error, line_no, "v6 config requires the races= key");
       // Semantic rule, not just grammar: the profiler factories refuse a
       // race-mode config that samples or targets a sequential program, so
       // a repro claiming one could never have been recorded.
@@ -595,20 +466,17 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
     } else if (toks[0] == "lb") {
       if (!after_config("lb")) return false;
       if (saw_lb) return set_error(error, line_no, "duplicate lb line");
-      if (!parse_lb_line(toks, repro.cfg.load_balance, err))
+      if (!parse_keyed_line(toks, kLbKeys, repro.cfg.load_balance, err))
         return set_error(error, line_no, err);
       saw_lb = true;
     } else if (toks[0] == "sched") {
-      if (version < 4)
-        return set_error(error, line_no, "sched directive requires v4");
       if (!after_config("sched")) return false;
       if (repro.sched)
         return set_error(error, line_no, "duplicate sched line");
-      if (!parse_sched_line(toks, repro, err))
+      if (!parse_keyed_line(toks, kSchedKeys, repro, err))
         return set_error(error, line_no, err);
+      repro.sched = true;
     } else if (toks[0] == "sstep") {
-      if (version < 4)
-        return set_error(error, line_no, "sstep directive requires v4");
       if (!repro.sched)
         return set_error(error, line_no, "sstep before sched directive");
       if (toks.size() != 3)
@@ -616,15 +484,13 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
       repro.schedule.steps.push_back(
           {std::string(toks[1]), std::string(toks[2])});
     } else if (toks[0] == "nest") {
-      if (version < 3)
-        return set_error(error, line_no, "nest directive requires v3");
       if (!after_config("nest")) return false;
-      if (!parse_nest_line(toks, nest, err))
+      if (!parse_nest_line(toks, nest_ids, err))
         return set_error(error, line_no, err);
     } else if (toks[0] == "ev") {
       if (!after_config("ev")) return false;
       AccessEvent ev;
-      if (!parse_event_line(toks, ev, version, nest, err))
+      if (!parse_event_line(toks, ev, nest_ids, err))
         return set_error(error, line_no, err);
       repro.trace.events.push_back(ev);
     } else {
@@ -632,8 +498,9 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
                        "unknown directive '" + std::string(toks[0]) + "'");
     }
   }
-  if (version == 0) return set_error(error, 0, "empty file");
+  if (!saw_version) return set_error(error, 0, "empty file");
   if (!saw_config) return set_error(error, line_no, "missing config line");
+  if (!saw_lb) return set_error(error, line_no, "missing lb line");
   out = std::move(repro);
   return true;
 }

@@ -134,10 +134,6 @@ ProfilerConfig shrink_config(const Trace& trace, ProfilerConfig cfg,
     try_apply([](ProfilerConfig& c) { c.wait = WaitKind::kSpin; });
   if (cfg.modulo_routing)
     try_apply([](ProfilerConfig& c) { c.modulo_routing = false; });
-  // The per-event kernel is the simpler diagnosis target (no prefetching,
-  // no scatter), so prefer it when the failure reproduces without batching.
-  if (cfg.batched_detect)
-    try_apply([](ProfilerConfig& c) { c.batched_detect = false; });
   // Strip the front-end reduction layers independently: a failure that
   // survives with dedup (or pack) off did not need that layer, and the
   // repro should say so.

@@ -15,7 +15,7 @@
 //   insert(addr, slot)   — record the latest access
 //   remove(addr)         — variable-lifetime removal (Sec. III-B)
 //   extract(addr)        — remove-and-return for worker migration (Sec. IV-A)
-//   prefetch(addr)       — hint the slot for `addr` into cache (batched kernel);
+//   prefetch(addr)       — hint the slot for `addr` into cache (detect kernel);
 //                          advisory only, never observable in results
 //   clear()              — drop all recorded state
 //   occupied()           — live entries (statistics)

@@ -61,7 +61,7 @@ class HashTableRecorder {
 
   void remove(std::uint64_t addr) { (void)extract(addr); }
 
-  /// Advisory cache hint (batched kernel): pulls the first chain node; the
+  /// Advisory cache hint (detect kernel): pulls the first chain node; the
   /// chain walk beyond it still pays its misses — part of why this baseline
   /// trails the signature (Sec. III-B).
   void prefetch(std::uint64_t addr) const {

@@ -38,7 +38,7 @@
 // The page table is a 4-level radix over the full 64-bit canonical
 // word-unit space (offset 18 | L3 15 | L2 16 | L1 15 bits).  Leaf pages are
 // 2 MiB word arrays allocated with huge::alloc — exactly one transparent
-// huge page, so the batched kernel's 8-ahead prefetches hit TLB-resident
+// huge page, so the detect kernel's 8-ahead prefetches hit TLB-resident
 // lines — and every level is a power-of-two array indexed by masked address
 // bits (no hashing anywhere on the walk).  Pages and directories are
 // charged to MemComponent::kStore and released in full by clear()/teardown.
@@ -286,7 +286,7 @@ class PackedShadowStore {
     return out;
   }
 
-  /// Advisory cache hint (batched kernel): one walk now, the packed word
+  /// Advisory cache hint (detect kernel): one walk now, the packed word
   /// (and MT sidecar) line is in flight by the time the compare reaches it.
   void prefetch(std::uint64_t addr) const {
     const Page* page = page_at(addr);

@@ -56,10 +56,9 @@ class PerfectSignature {
     return out;
   }
 
-  /// Advisory cache hint (batched kernel).  The node-based map hides its
+  /// Advisory cache hint (detect kernel).  The node-based map hides its
   /// bucket layout, so there is no slot address to prefetch without paying
-  /// the full lookup — the hint degrades to a no-op here; the hotpath bench
-  /// measures the batched kernel per backend for exactly this reason.
+  /// the full lookup — the hint degrades to a no-op here.
   void prefetch(std::uint64_t addr) const { (void)addr; }
 
   void clear() {

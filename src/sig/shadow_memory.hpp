@@ -77,7 +77,7 @@ class ShadowMemory {
     return out;
   }
 
-  /// Advisory cache hint (batched kernel): the page lookup runs now, the
+  /// Advisory cache hint (detect kernel): the page lookup runs now, the
   /// slot line lands in cache by the time the compare/update reaches it.
   void prefetch(std::uint64_t addr) const {
     if (const Page* page = find_page(addr))

@@ -113,7 +113,7 @@ class Signature {
     return out;
   }
 
-  /// Hints the slot for `addr` into cache (batched kernel, K events ahead).
+  /// Hints the slot for `addr` into cache (detect kernel, K events ahead).
   /// Write intent: nearly every probe is followed by an insert to the same
   /// slot, and a Slot regularly straddles two cache lines.
   void prefetch(std::uint64_t addr) const {
@@ -154,7 +154,7 @@ class Signature {
     const std::uint64_t h = hash_ == SigHash::kModulo ? addr : hash_address(addr);
     // h & mask_ == h % size for power-of-two sizes; the hot path calls this
     // up to five times per event (find/find/insert plus two prefetches in
-    // the batched kernel), so sparing the 64-bit division matters.
+    // the detect kernel), so sparing the 64-bit division matters.
     if (mask_ != 0) return static_cast<std::size_t>(h & mask_);
     return static_cast<std::size_t>(h % size_);
   }
@@ -168,7 +168,7 @@ class Signature {
   std::size_t size_;
   /// Slot array on transparent huge pages: at profiler sizes (hundreds of
   /// MB) hashed probing misses the dTLB on every access with 4 KiB pages,
-  /// and the page-walk stalls would defeat the batched kernel's prefetches.
+  /// and the page-walk stalls would defeat the detect kernel's prefetches.
   /// The block arrives zero-filled, which is every slot empty.
   std::unique_ptr<Slot[], BlockFree> slots_;
   std::uint64_t mask_;  ///< size - 1 when size is a power of two, else 0

@@ -33,6 +33,11 @@ struct Csr {
 Csr make_matrix(std::size_t n, std::size_t nnz_per_row, Rng& rng) {
   Csr m;
   m.row_ptr.resize(n + 1);
+  // Full capacity up front: a push_back reallocation would free the old
+  // buffers without DP_FREE, leaving stale last-access state at addresses
+  // the allocator hands out again.
+  m.col.reserve(n * nnz_per_row);
+  m.val.reserve(n * nnz_per_row);
   for (std::size_t i = 0; i < n; ++i) {
     m.row_ptr[i + 1] = m.row_ptr[i] + static_cast<std::uint32_t>(nnz_per_row);
     for (std::size_t k = 0; k < nnz_per_row; ++k) {

@@ -483,9 +483,6 @@ TEST(Shrinker, ConfigLadderSimplifiesWhenFailureIsConfigIndependent) {
   EXPECT_EQ(simple.wait, WaitKind::kSpin);
   EXPECT_FALSE(simple.load_balance.enabled);
   EXPECT_FALSE(simple.modulo_routing);
-  // The ladder also steps the batched kernel down to the per-event loop so
-  // a repro that survives is known not to depend on batching.
-  EXPECT_FALSE(simple.batched_detect);
   // Likewise the front-end reduction layers: a config-independent failure
   // must shrink to a repro with both dedup and pack off.
   EXPECT_FALSE(simple.dedup);
@@ -518,8 +515,7 @@ ReproCase sample_repro() {
   r.cfg.chunk_size = 7;
   r.cfg.queue_capacity = 32;
   r.cfg.modulo_routing = true;
-  r.cfg.batched_detect = false;  // non-default: the round trip must keep it
-  r.cfg.dedup = false;           // non-default, like batched_detect
+  r.cfg.dedup = false;  // non-default: the round trip must keep it
   r.cfg.pack = false;
   r.cfg.load_balance.enabled = true;
   r.cfg.load_balance.sample_shift = 2;
@@ -539,12 +535,18 @@ ReproCase sample_repro() {
   return r;
 }
 
+/// The version, config and lb lines of a default repro: the prefix a
+/// hand-written case appends its directives to.
+std::string default_header() { return format_repro(ReproCase{}); }
+
 TEST(Corpus, FormatParseRoundTrip) {
   const ReproCase original = sample_repro();
   const std::string text = format_repro(original);
   ReproCase back;
   std::string error;
   ASSERT_TRUE(parse_repro(back, text, &error)) << error;
+  // Every key survives: the re-rendered file is byte-identical.
+  EXPECT_EQ(format_repro(back), text);
 
   EXPECT_EQ(back.note, original.note);
   EXPECT_EQ(back.cfg.storage, original.cfg.storage);
@@ -557,12 +559,12 @@ TEST(Corpus, FormatParseRoundTrip) {
   EXPECT_EQ(back.cfg.chunk_size, original.cfg.chunk_size);
   EXPECT_EQ(back.cfg.queue_capacity, original.cfg.queue_capacity);
   EXPECT_EQ(back.cfg.modulo_routing, original.cfg.modulo_routing);
-  EXPECT_EQ(back.cfg.batched_detect, original.cfg.batched_detect);
   EXPECT_EQ(back.cfg.dedup, original.cfg.dedup);
   EXPECT_EQ(back.cfg.pack, original.cfg.pack);
   EXPECT_DOUBLE_EQ(back.cfg.budget, original.cfg.budget);
   EXPECT_EQ(back.cfg.sampling_burst, original.cfg.sampling_burst);
   EXPECT_EQ(back.cfg.sampling_skip, original.cfg.sampling_skip);
+  EXPECT_EQ(back.cfg.races, original.cfg.races);
   EXPECT_EQ(back.cfg.load_balance.enabled, original.cfg.load_balance.enabled);
   EXPECT_EQ(back.cfg.load_balance.eval_interval_chunks,
             original.cfg.load_balance.eval_interval_chunks);
@@ -581,14 +583,72 @@ TEST(Corpus, FormatParseRoundTrip) {
   EXPECT_TRUE(back.trace.events[1].is_free());
 }
 
-TEST(Corpus, V3NestDirectivesRebuildChains) {
-  const std::string text =
-      "depfuzz-repro v3\n"
-      "config storage=perfect dedup=0 pack=0\n"
-      "nest id=1 parent=0 loop=50\n"
-      "nest id=2 parent=1 loop=60\n"
-      "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
-      "ev R addr=0x100 loc=12 ctx=1 iters=3,0,0,0,0,0,0\n";
+TEST(Corpus, OnlyTheCurrentVersionParses) {
+  // The body is a valid v8 file; under any older version line it must be
+  // rejected, never reinterpreted.
+  const std::string header = default_header();
+  const std::string body = header.substr(header.find('\n') + 1);
+  ReproCase out;
+  std::string error;
+  ASSERT_TRUE(parse_repro(out, header, &error)) << error;
+  for (int v = 1; v <= 7; ++v) {
+    const std::string text =
+        "depfuzz-repro v" + std::to_string(v) + "\n" + body;
+    EXPECT_FALSE(parse_repro(out, text, &error)) << "v" << v;
+    EXPECT_NE(error.find("depfuzz-repro v8"), std::string::npos) << error;
+  }
+}
+
+TEST(Corpus, EveryKeyIsRequired) {
+  // Table-driven over what format_repro writes: dropping any one key of the
+  // config, lb or sched line must fail to parse, naming that key.  A repro
+  // that could omit a key would replay under whatever its default becomes.
+  ReproCase r = sample_repro();
+  r.sched = true;
+  r.sched_algo = sched::Algo::kPct;
+  const std::string text = format_repro(r);
+  std::size_t dropped = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t eol = text.find('\n', pos);
+    const std::string line = text.substr(pos, eol - pos);
+    const bool keyed = line.rfind("config ", 0) == 0 ||
+                       line.rfind("lb ", 0) == 0 ||
+                       line.rfind("sched ", 0) == 0;
+    std::size_t tok = line.find(' ');
+    while (keyed && tok != std::string::npos) {
+      const std::size_t end = line.find(' ', tok + 1);
+      const std::string token = line.substr(tok + 1, end - tok - 1);
+      const std::string key = token.substr(0, token.find('='));
+      std::string broken = text;
+      const std::size_t stop = end == std::string::npos ? line.size() : end;
+      broken.erase(pos + tok, stop - tok);  // " key=value"
+      ReproCase out;
+      std::string error;
+      EXPECT_FALSE(parse_repro(out, broken, &error)) << "dropped " << key;
+      EXPECT_NE(error.find("missing key '" + key + "='"), std::string::npos)
+          << "dropped " << key << ": " << error;
+      ++dropped;
+      tok = end;
+    }
+    pos = eol + 1;
+  }
+  EXPECT_EQ(dropped, 16u + 6u + 2u);  // config + lb + sched keys
+  // The lb line as a whole is required too.
+  const std::string header = default_header();
+  ReproCase out;
+  std::string error;
+  EXPECT_FALSE(
+      parse_repro(out, header.substr(0, header.find("\nlb ") + 1), &error));
+  EXPECT_NE(error.find("missing lb line"), std::string::npos) << error;
+}
+
+TEST(Corpus, NestDirectivesRebuildChains) {
+  const std::string text = default_header() +
+                           "nest id=1 parent=0 loop=50\n"
+                           "nest id=2 parent=1 loop=60\n"
+                           "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
+                           "ev R addr=0x100 loc=12 ctx=1 iters=3,0,0,0,0,0,0\n";
   ReproCase out;
   std::string error;
   ASSERT_TRUE(parse_repro(out, text, &error)) << error;
@@ -603,337 +663,122 @@ TEST(Corpus, V3NestDirectivesRebuildChains) {
   EXPECT_EQ(inner.iters[1], 4u);
 }
 
-TEST(Corpus, V3RejectsMalformedNests) {
+TEST(Corpus, RejectsMalformedNests) {
+  const std::string header = default_header();
   ReproCase out;
   std::string error;
   // Undeclared parent.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=2 parent=1 loop=60\n",
+  EXPECT_FALSE(parse_repro(out, header + "nest id=2 parent=1 loop=60\n",
                            &error));
   // Duplicate id.
   EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=1 parent=0 loop=50\n"
-                           "nest id=1 parent=0 loop=60\n",
+                           header + "nest id=1 parent=0 loop=50\n"
+                                    "nest id=1 parent=0 loop=60\n",
                            &error));
   // Event referencing an undeclared context.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "ev W addr=0x1 ctx=7\n",
-                           &error));
-  // nest directive is v3-only.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v2\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=1 parent=0 loop=50\n",
-                           &error));
-  EXPECT_NE(error.find("v3"), std::string::npos);
-}
-
-TEST(Corpus, LegacyLoopsTriplesReinternAsNestChains) {
-  // v2 events carried three innermost-first (loop, entry, iter) triples.
-  // They must still parse, re-interned into an equivalent nest chain: same
-  // entry triple -> same node, different entry -> sibling node.
-  const std::string text =
-      "depfuzz-repro v2\n"
-      "config storage=perfect dedup=0 pack=0\n"
-      "ev W addr=0x100 loc=11 loops=60:1:2,50:1:3,0:0:0\n"
-      "ev R addr=0x100 loc=12 loops=60:1:4,50:1:3,0:0:0\n"
-      "ev R addr=0x100 loc=13 loops=60:2:0,50:1:3,0:0:0\n";
-  ReproCase out;
-  std::string error;
-  ASSERT_TRUE(parse_repro(out, text, &error)) << error;
-  ASSERT_EQ(out.trace.size(), 3u);
-  const NestForest& forest = nest_forest();
-  const AccessEvent& a = out.trace.events[0];
-  const AccessEvent& b = out.trace.events[1];
-  const AccessEvent& c = out.trace.events[2];
-  // Triples are innermost-first: loop 50 is the outer level.
-  EXPECT_EQ(forest.depth(a.ctx), 2u);
-  EXPECT_EQ(forest.loop(a.ctx), 60u);
-  EXPECT_EQ(forest.loop(forest.parent(a.ctx)), 50u);
-  // iters become root-anchored: outer first.
-  EXPECT_EQ(a.iters[0], 3u);
-  EXPECT_EQ(a.iters[1], 2u);
-  // Same (loop, entry) chain -> same interned node.
-  EXPECT_EQ(a.ctx, b.ctx);
-  // Different inner entry -> sibling node under the same parent.
-  EXPECT_NE(c.ctx, a.ctx);
-  EXPECT_EQ(forest.parent(c.ctx), forest.parent(a.ctx));
+  EXPECT_FALSE(parse_repro(out, header + "ev W addr=0x1 ctx=7\n", &error));
+  // Events carry their nest as ctx=/iters=; loops= triples are not a key.
+  EXPECT_FALSE(parse_repro(
+      out, header + "ev W addr=0x1 loops=7:1:0,0:0:0,0:0:0\n", &error));
+  EXPECT_NE(error.find("loops="), std::string::npos) << error;
+  // nest directives must carry parent= and loop= explicitly: a defaulted
+  // value would silently re-shape the nest.
+  EXPECT_FALSE(parse_repro(out, header + "nest id=1 loop=5\n", &error));
+  EXPECT_NE(error.find("parent="), std::string::npos);
+  EXPECT_FALSE(parse_repro(out, header + "nest id=1 parent=0\n", &error));
+  EXPECT_NE(error.find("loop="), std::string::npos);
 }
 
 TEST(Corpus, StrictParserRejectsUnknownInput) {
+  const std::string header = default_header();
   ReproCase out;
   std::string error;
   EXPECT_FALSE(parse_repro(out, "", &error));
   EXPECT_FALSE(parse_repro(out, "something else\n", &error));
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=perfect\nfrobnicate 1\n",
-      &error));
+  EXPECT_FALSE(parse_repro(out, header + "frobnicate 1\n", &error));
   EXPECT_NE(error.find("frobnicate"), std::string::npos);
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=perfect bogus_key=1\n", &error));
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=warehouse\n", &error));
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=perfect\nev X addr=0x1\n",
-      &error));
+  std::string bogus = header;
+  bogus.insert(bogus.find("\nlb "), " bogus_key=1");
+  EXPECT_FALSE(parse_repro(out, bogus, &error));
+  EXPECT_NE(error.find("bogus_key=1"), std::string::npos);
+  std::string warehouse = header;
+  warehouse.replace(warehouse.find("storage=signature"), 17,
+                    "storage=warehouse");
+  EXPECT_FALSE(parse_repro(out, warehouse, &error));
+  EXPECT_FALSE(parse_repro(out, header + "ev X addr=0x1\n", &error));
+  // There is one detect kernel, so batch= is not a config key.
+  std::string batch = header;
+  batch.insert(batch.find("\nlb "), " batch=1");
+  EXPECT_FALSE(parse_repro(out, batch, &error));
+  EXPECT_NE(error.find("batch=1"), std::string::npos);
   // Missing the config line entirely.
-  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v1\nnote hi\n", &error));
+  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v8\nnote hi\n", &error));
+  EXPECT_NE(error.find("missing config line"), std::string::npos);
 }
 
-TEST(Corpus, VersionedFrontEndReductionKeys) {
-  ReproCase out;
-  std::string error;
-  // v2 hard-requires both front-end reduction keys: a repro omitting them
-  // would silently replay under whatever the current defaults are.
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v2\nconfig storage=perfect\n", &error));
-  EXPECT_NE(error.find("dedup"), std::string::npos);
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v2\nconfig storage=perfect dedup=1\n", &error));
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v2\nconfig storage=perfect pack=0\n", &error));
-  ASSERT_TRUE(parse_repro(
-      out, "depfuzz-repro v2\nconfig storage=perfect dedup=1 pack=0\n",
-      &error))
-      << error;
-  EXPECT_TRUE(out.cfg.dedup);
-  EXPECT_FALSE(out.cfg.pack);
-  // v1 predates the axes: the keys are unknown there, and an old corpus
-  // file parses with both off — the semantics it was recorded under.
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=perfect dedup=1 pack=1\n",
-      &error));
-  ASSERT_TRUE(
-      parse_repro(out, "depfuzz-repro v1\nconfig storage=perfect\n", &error))
-      << error;
-  EXPECT_FALSE(out.cfg.dedup);
-  EXPECT_FALSE(out.cfg.pack);
-  // format_repro writes the lowest version whose grammar covers the case;
-  // sample_repro has non-default sampling, which forces v5 with every
-  // hard-required key present.
-  const std::string text = format_repro(sample_repro());
-  EXPECT_NE(text.find("depfuzz-repro v5"), std::string::npos);
-  EXPECT_NE(text.find("dedup="), std::string::npos);
-  EXPECT_NE(text.find("pack="), std::string::npos);
-  EXPECT_NE(text.find("budget="), std::string::npos);
-  EXPECT_NE(text.find("burst="), std::string::npos);
-  EXPECT_NE(text.find("skip="), std::string::npos);
-  EXPECT_NE(text.find("nest id=1"), std::string::npos);
-}
-
-TEST(Corpus, V5SamplingKeysHardRequired) {
-  ReproCase out;
-  std::string error;
-  // v5 hard-requires the sampling axes, for the same reason v2 hard-required
-  // dedup=/pack=: omitting them would silently replay under the defaults.
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v5\nconfig storage=perfect dedup=0 pack=0\n",
-      &error));
-  EXPECT_NE(error.find("budget"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v5\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=0.5 burst=4\n",
-                           &error));
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v5\nconfig storage=perfect dedup=0 "
-                          "pack=0 budget=0.5 burst=4 skip=3\n",
-                          &error))
-      << error;
-  EXPECT_DOUBLE_EQ(out.cfg.budget, 0.5);
-  EXPECT_EQ(out.cfg.sampling_burst, 4u);
-  EXPECT_EQ(out.cfg.sampling_skip, 3u);
-  // Below v5 the sampling keys are unknown, and older files replay with
-  // sampling off — the semantics they were recorded under.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v4\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=0.5 burst=4 skip=3\n",
-                           &error));
-  ASSERT_TRUE(parse_repro(
-      out, "depfuzz-repro v4\nconfig storage=perfect dedup=0 pack=0\n",
-      &error))
-      << error;
-  EXPECT_DOUBLE_EQ(out.cfg.budget, 1.0);
-  EXPECT_EQ(out.cfg.sampling_skip, 0u);
-}
-
-TEST(Corpus, V6RaceModeKeyAndConfigRule) {
-  ReproCase out;
-  std::string error;
-  // v6 hard-requires the races= key: a repro omitting it would silently
-  // replay under whatever the current race-mode default is.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=0 mt=1\n",
-                           &error));
-  EXPECT_NE(error.find("races"), std::string::npos);
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                          "pack=0 budget=1 burst=8 skip=0 mt=1 races=1\n",
-                          &error))
-      << error;
-  EXPECT_TRUE(out.cfg.races);
+TEST(Corpus, RaceModeConfigRule) {
   // The config rule mirrors races_config_ok(): race mode with sampling or
   // a sequential target could never have been recorded, so it must not
   // lint clean.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=0.5 burst=8 skip=0 mt=1 races=1\n",
-                           &error));
-  EXPECT_NE(error.find("races=1"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=4 mt=1 races=1\n",
-                           &error));
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=0 mt=0 races=1\n",
-                           &error));
-  // races=0 carries no preconditions.
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                          "pack=0 budget=0.5 burst=8 skip=4 mt=0 races=0\n",
-                          &error))
-      << error;
-  EXPECT_FALSE(out.cfg.races);
-  // Below v6 the key is unknown, and older files replay with race mode off.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v5\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=0 mt=1 races=1\n",
-                           &error));
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v5\nconfig storage=perfect dedup=0 "
-                          "pack=0 budget=1 burst=8 skip=0 mt=1\n",
-                          &error))
-      << error;
-  EXPECT_FALSE(out.cfg.races);
-}
-
-TEST(Corpus, RaceModeRoundTripsAtV6) {
-  ReproCase r = sample_repro();
+  ReproCase r;
+  r.cfg.storage = StorageKind::kPacked;
+  r.cfg.mt_targets = true;
   r.cfg.races = true;
-  r.cfg.budget = 1.0;  // race mode forbids sampling...
-  r.cfg.sampling_burst = ProfilerConfig().sampling_burst;
-  r.cfg.sampling_skip = 0;
-  ASSERT_TRUE(r.cfg.mt_targets);  // ...and needs MT targets
-  const std::string text = format_repro(r);
-  EXPECT_NE(text.find("depfuzz-repro v6"), std::string::npos);
-  // v6 inherits v5's hard-required sampling keys even when unsampled.
-  EXPECT_NE(text.find("budget="), std::string::npos);
-  EXPECT_NE(text.find("races=1"), std::string::npos);
-  ReproCase back;
-  std::string error;
-  ASSERT_TRUE(parse_repro(back, text, &error)) << error;
-  EXPECT_TRUE(back.cfg.races);
-  EXPECT_TRUE(back.cfg.mt_targets);
-  EXPECT_DOUBLE_EQ(back.cfg.budget, 1.0);
-  ASSERT_EQ(back.trace.size(), r.trace.size());
-}
-
-TEST(Corpus, V7PackedStorageVersionGated) {
   ReproCase out;
   std::string error;
-  // Below v7 "packed" is an unknown storage value: a repro recorded against
-  // the packed backend must not silently replay as some other backend under
-  // an old grammar.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v6\nconfig storage=packed dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=0 races=0\n",
-                           &error));
-  EXPECT_NE(error.find("storage=packed"), std::string::npos);
-  // v7 accepts it and inherits every v5/v6 hard-required key.
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v7\nconfig storage=packed dedup=0 pack=0\n",
-      &error));
-  EXPECT_NE(error.find("budget"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v7\nconfig storage=packed dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=0\n",
-                           &error));
-  EXPECT_NE(error.find("races"), std::string::npos);
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v7\nconfig storage=packed dedup=0 "
-                          "pack=0 budget=1 burst=8 skip=0 races=0\n",
-                          &error))
-      << error;
+  ASSERT_TRUE(parse_repro(out, format_repro(r), &error)) << error;
   EXPECT_EQ(out.cfg.storage, StorageKind::kPacked);
-}
-
-TEST(Corpus, PackedStorageRoundTripsAtV7) {
-  ReproCase r = sample_repro();
-  r.cfg.storage = StorageKind::kPacked;
-  const std::string text = format_repro(r);
-  EXPECT_NE(text.find("depfuzz-repro v7"), std::string::npos);
-  EXPECT_NE(text.find("storage=packed"), std::string::npos);
-  // v7 spells out the sampling and race axes even when the run neither
-  // sampled nor raced (sample_repro samples; races stays 0 here).
-  EXPECT_NE(text.find("budget="), std::string::npos);
-  EXPECT_NE(text.find("races=0"), std::string::npos);
-  ReproCase back;
-  std::string error;
-  ASSERT_TRUE(parse_repro(back, text, &error)) << error;
-  EXPECT_EQ(back.cfg.storage, StorageKind::kPacked);
-  EXPECT_FALSE(back.cfg.races);
-  EXPECT_DOUBLE_EQ(back.cfg.budget, r.cfg.budget);
-  ASSERT_EQ(back.trace.size(), r.trace.size());
+  EXPECT_TRUE(out.cfg.races);
+  ReproCase budget = r;
+  budget.cfg.budget = 0.5;
+  EXPECT_FALSE(parse_repro(out, format_repro(budget), &error));
+  EXPECT_NE(error.find("races=1"), std::string::npos);
+  ReproCase skip = r;
+  skip.cfg.sampling_skip = 4;
+  EXPECT_FALSE(parse_repro(out, format_repro(skip), &error));
+  ReproCase sequential = r;
+  sequential.cfg.mt_targets = false;
+  EXPECT_FALSE(parse_repro(out, format_repro(sequential), &error));
+  // races=0 carries no preconditions.
+  ReproCase off = skip;
+  off.cfg.races = false;
+  off.cfg.mt_targets = false;
+  ASSERT_TRUE(parse_repro(out, format_repro(off), &error)) << error;
+  EXPECT_FALSE(out.cfg.races);
 }
 
 TEST(Corpus, StrictParserRejectsAmbiguousShape) {
+  const std::string header = default_header();
+  const std::string config = header.substr(
+      header.find("config "), header.find("\nlb ") - header.find("config ") + 1);
+  const std::string lb = header.substr(header.find("lb "));
   ReproCase out;
   std::string error;
   // A duplicate key within one line would silently last-write-win.
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=perfect storage=shadow\n",
-      &error));
+  std::string twice = header;
+  twice.insert(twice.find("\nlb "), " storage=shadow");
+  EXPECT_FALSE(parse_repro(out, twice, &error));
   EXPECT_NE(error.find("duplicate key 'storage'"), std::string::npos);
   EXPECT_NE(error.find("line 2"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v1\nconfig storage=perfect\n"
-                           "ev W addr=0x1 addr=0x2\n",
-                           &error));
+  EXPECT_FALSE(parse_repro(out, header + "ev W addr=0x1 addr=0x2\n", &error));
   EXPECT_NE(error.find("duplicate key 'addr'"), std::string::npos);
-  EXPECT_NE(error.find("line 3"), std::string::npos);
+  EXPECT_NE(error.find("line 4"), std::string::npos);
   // A second config (or lb) line would retroactively rewrite the first.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v1\nconfig storage=perfect\n"
-                           "config storage=shadow\n",
-                           &error));
+  EXPECT_FALSE(parse_repro(out, header + config, &error));
   EXPECT_NE(error.find("duplicate config line"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v1\nconfig storage=perfect\n"
-                           "lb enabled=0\nlb enabled=1\n",
-                           &error));
+  EXPECT_FALSE(parse_repro(out, header + lb, &error));
   EXPECT_NE(error.find("duplicate lb line"), std::string::npos);
   // Every directive except the provenance note needs the config line first.
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nev W addr=0x1\nconfig storage=perfect\n",
-      &error));
+      out, "depfuzz-repro v8\nev W addr=0x1\n" + config + lb, &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
   EXPECT_NE(error.find("line 2"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\nnest id=1 parent=0 loop=5\n"
-                           "config storage=perfect dedup=0 pack=0\n",
-                           &error));
+  EXPECT_FALSE(parse_repro(
+      out, "depfuzz-repro v8\nnest id=1 parent=0 loop=5\n" + config + lb,
+      &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
-  // nest directives must carry parent= and loop= explicitly: a defaulted
-  // value would silently re-shape the nest.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=1 loop=5\n",
-                           &error));
-  EXPECT_NE(error.find("parent="), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=1 parent=0\n",
-                           &error));
-  EXPECT_NE(error.find("loop="), std::string::npos);
+  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v8\n" + lb + config, &error));
+  EXPECT_NE(error.find("before the config line"), std::string::npos);
 }
 
 // --- committed corpus replays clean ---------------------------------------

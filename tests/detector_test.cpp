@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "core/detector.hpp"
 #include "sig/perfect_signature.hpp"
 #include "sig/signature.hpp"
@@ -46,12 +48,19 @@ using PerfectDetector = DetectorCore<PerfectSignature<SeqSlot>>;
 
 PerfectDetector make_perfect() { return PerfectDetector{{}, {}}; }
 
+/// Runs `events` through the detector as one batch, in order.
+template <typename Detector>
+void detect(Detector& det, DepMap& deps,
+            std::initializer_list<AccessEvent> events) {
+  det.process(events.begin(), events.size(), deps);
+}
+
 // ------------------------------------------------------------ Algorithm 1
 
 TEST(Detector, FirstWriteIsInit) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(wr(100, 10), deps);
+  detect(det, deps, {wr(100, 10)});
   ASSERT_EQ(deps.size(), 1u);
   EXPECT_NE(deps.find(key(DepType::kInit, 10, 0)), nullptr);
 }
@@ -59,24 +68,21 @@ TEST(Detector, FirstWriteIsInit) {
 TEST(Detector, ReadAfterWriteBuildsRaw) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(wr(100, 10), deps);
-  det.process(rd(100, 20), deps);
+  detect(det, deps, {wr(100, 10), rd(100, 20)});
   EXPECT_NE(deps.find(key(DepType::kRaw, 20, 10)), nullptr);
 }
 
 TEST(Detector, WriteAfterReadBuildsWar) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(rd(100, 10), deps);
-  det.process(wr(100, 20), deps);
+  detect(det, deps, {rd(100, 10), wr(100, 20)});
   EXPECT_NE(deps.find(key(DepType::kWar, 20, 10)), nullptr);
 }
 
 TEST(Detector, WriteAfterWriteBuildsWaw) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(wr(100, 10), deps);
-  det.process(wr(100, 20), deps);
+  detect(det, deps, {wr(100, 10), wr(100, 20)});
   EXPECT_NE(deps.find(key(DepType::kWaw, 20, 10)), nullptr);
 }
 
@@ -85,8 +91,7 @@ TEST(Detector, InitAndWarCoexistOnOneSink) {
   // also the sink of a WAR against an earlier read.
   auto det = make_perfect();
   DepMap deps;
-  det.process(rd(100, 67), deps);
-  det.process(wr(100, 65), deps);
+  detect(det, deps, {rd(100, 67), wr(100, 65)});
   EXPECT_NE(deps.find(key(DepType::kInit, 65, 0)), nullptr);
   EXPECT_NE(deps.find(key(DepType::kWar, 65, 67)), nullptr);
 }
@@ -94,24 +99,21 @@ TEST(Detector, InitAndWarCoexistOnOneSink) {
 TEST(Detector, RarIsIgnored) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(rd(100, 10), deps);
-  det.process(rd(100, 20), deps);
+  detect(det, deps, {rd(100, 10), rd(100, 20)});
   EXPECT_EQ(deps.size(), 0u);
 }
 
 TEST(Detector, ReadWithoutPriorWriteBuildsNothing) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(rd(100, 10), deps);
+  detect(det, deps, {rd(100, 10)});
   EXPECT_EQ(deps.size(), 0u);
 }
 
 TEST(Detector, RawUsesLatestWrite) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(wr(100, 10), deps);
-  det.process(wr(100, 11), deps);
-  det.process(rd(100, 20), deps);
+  detect(det, deps, {wr(100, 10), wr(100, 11), rd(100, 20)});
   EXPECT_NE(deps.find(key(DepType::kRaw, 20, 11)), nullptr);
   EXPECT_EQ(deps.find(key(DepType::kRaw, 20, 10)), nullptr);
 }
@@ -119,8 +121,8 @@ TEST(Detector, RawUsesLatestWrite) {
 TEST(Detector, VarNameComesFromSink) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(ev(100, AccessKind::kWrite, 10, /*var=*/3), deps);
-  det.process(ev(100, AccessKind::kRead, 20, /*var=*/4), deps);
+  detect(det, deps, {ev(100, AccessKind::kWrite, 10, /*var=*/3),
+                     ev(100, AccessKind::kRead, 20, /*var=*/4)});
   EXPECT_NE(deps.find(key(DepType::kRaw, 20, 10, /*var=*/4)), nullptr);
 }
 
@@ -129,20 +131,17 @@ TEST(Detector, VarNameComesFromSink) {
 TEST(Detector, FreeRemovesAddressState) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(wr(100, 10), deps);
-  det.process(fr(100), deps);
-  det.process(rd(100, 20), deps);  // re-used memory: no stale RAW
+  detect(det, deps, {wr(100, 10), fr(100)});
+  detect(det, deps, {rd(100, 20)});  // re-used memory: no stale RAW
   EXPECT_EQ(deps.find(key(DepType::kRaw, 20, 10)), nullptr);
-  det.process(wr(100, 30), deps);  // and the next write is an INIT again
+  detect(det, deps, {wr(100, 30)});  // and the next write is an INIT again
   EXPECT_NE(deps.find(key(DepType::kInit, 30, 0)), nullptr);
 }
 
 TEST(Detector, FreeRemovesReadStateToo) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(rd(100, 10), deps);
-  det.process(fr(100), deps);
-  det.process(wr(100, 20), deps);
+  detect(det, deps, {rd(100, 10), fr(100), wr(100, 20)});
   EXPECT_EQ(deps.find(key(DepType::kWar, 20, 10)), nullptr);
 }
 
@@ -164,8 +163,8 @@ TEST(Detector, SameIterationIsNotCarried) {
   const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
   auto det = make_perfect();
   DepMap deps;
-  det.process(with_nest(wr(100, 10), ctx, {5}), deps);
-  det.process(with_nest(rd(100, 20), ctx, {5}), deps);
+  detect(det, deps, {with_nest(wr(100, 10), ctx, {5}),
+                     with_nest(rd(100, 20), ctx, {5})});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->flags & kLoopCarried, 0);
@@ -178,8 +177,8 @@ TEST(Detector, DifferentIterationIsCarried) {
   const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
   auto det = make_perfect();
   DepMap deps;
-  det.process(with_nest(wr(100, 10), ctx, {5}), deps);
-  det.process(with_nest(rd(100, 20), ctx, {6}), deps);
+  detect(det, deps, {with_nest(wr(100, 10), ctx, {5}),
+                     with_nest(rd(100, 20), ctx, {6})});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_NE(info->flags & kLoopCarried, 0);
@@ -196,8 +195,8 @@ TEST(Detector, DifferentEntryOfSameLoopIsNotCarriedByIt) {
   const std::uint32_t e2 = f.enter(NestForest::kRoot, 1);
   auto det = make_perfect();
   DepMap deps;
-  det.process(with_nest(wr(100, 10), e1, {5}), deps);
-  det.process(with_nest(rd(100, 20), e2, {5}), deps);
+  detect(det, deps, {with_nest(wr(100, 10), e1, {5}),
+                     with_nest(rd(100, 20), e2, {5})});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->flags & kLoopCarried, 0);
@@ -215,8 +214,8 @@ TEST(Detector, OuterLoopCarriedThroughParentLevel) {
   const std::uint32_t in2 = f.enter(outer, 2);
   auto det = make_perfect();
   DepMap deps;
-  det.process(with_nest(wr(100, 10), in1, {0, 3}), deps);
-  det.process(with_nest(rd(100, 20), in2, {1, 3}), deps);
+  detect(det, deps, {with_nest(wr(100, 10), in1, {0, 3}),
+                     with_nest(rd(100, 20), in2, {1, 3})});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_NE(info->flags & kLoopCarried, 0);
@@ -236,8 +235,8 @@ TEST(Detector, GrandparentLoopCarriedThroughThirdLevel) {
   const std::uint32_t m2 = f.enter(s2, 3);
   auto det = make_perfect();
   DepMap deps;
-  det.process(with_nest(wr(100, 10), m1, {0, 1, 2}), deps);
-  det.process(with_nest(rd(100, 20), m2, {1, 1, 2}), deps);
+  detect(det, deps, {with_nest(wr(100, 10), m1, {0, 1, 2}),
+                     with_nest(rd(100, 20), m2, {1, 1, 2})});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_NE(info->flags & kLoopCarried, 0);
@@ -253,8 +252,8 @@ TEST(Detector, InnermostCommonLoopWins) {
   const std::uint32_t inner = f.enter(outer, 2);
   auto det = make_perfect();
   DepMap deps;
-  det.process(with_nest(wr(100, 10), inner, {0, 3}), deps);
-  det.process(with_nest(rd(100, 20), inner, {0, 4}), deps);
+  detect(det, deps, {with_nest(wr(100, 10), inner, {0, 3}),
+                     with_nest(rd(100, 20), inner, {0, 4})});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->carried_loop(), 2u);
@@ -269,8 +268,9 @@ TEST(Detector, CarriedDistanceBucketed) {
   auto det = make_perfect();
   DepMap deps;
   for (std::uint32_t i = 0; i < 16; ++i) {
-    if (i >= 4) det.process(with_nest(rd(100 + (i - 4), 20), ctx, {i}), deps);
-    det.process(with_nest(wr(100 + i, 10), ctx, {i}), deps);
+    if (i >= 4)
+      detect(det, deps, {with_nest(rd(100 + (i - 4), 20), ctx, {i})});
+    detect(det, deps, {with_nest(wr(100 + i, 10), ctx, {i})});
   }
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
@@ -285,10 +285,11 @@ TEST(Detector, DistanceBucketsAccumulate) {
   const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
   auto det = make_perfect();
   DepMap deps;
-  det.process(with_nest(wr(100, 10), ctx, {0}), deps);
-  det.process(with_nest(rd(100, 20), ctx, {1}), deps);  // d = 1
-  det.process(with_nest(wr(100, 10), ctx, {1}), deps);
-  det.process(with_nest(rd(100, 20), ctx, {6}), deps);  // d = 5
+  // One batch: both instances of the key meet in the batch table.
+  detect(det, deps, {with_nest(wr(100, 10), ctx, {0}),
+                     with_nest(rd(100, 20), ctx, {1}),  // d = 1
+                     with_nest(wr(100, 10), ctx, {1}),
+                     with_nest(rd(100, 20), ctx, {6})});  // d = 5
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->levels[0].d1, 1u);
@@ -305,8 +306,8 @@ TEST(Detector, DeepNestBeyondWindowIsConservativelyCarried) {
   for (std::uint32_t d = 1; d <= kNestIters + 2; ++d) ctx = f.enter(ctx, d);
   auto det = make_perfect();
   DepMap deps;
-  det.process(with_nest(wr(100, 10), ctx, {1, 1, 1, 1, 1, 1, 1}), deps);
-  det.process(with_nest(rd(100, 20), ctx, {1, 1, 1, 1, 1, 1, 1}), deps);
+  detect(det, deps, {with_nest(wr(100, 10), ctx, {1, 1, 1, 1, 1, 1, 1}),
+                     with_nest(rd(100, 20), ctx, {1, 1, 1, 1, 1, 1, 1})});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_NE(info->flags & kLoopCarried, 0);
@@ -329,8 +330,7 @@ TEST(DepMap, MergeCombinesBuckets) {
 TEST(Detector, NoLoopContextNoFlags) {
   auto det = make_perfect();
   DepMap deps;
-  det.process(wr(100, 10), deps);
-  det.process(rd(100, 20), deps);
+  detect(det, deps, {wr(100, 10), rd(100, 20)});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->flags, 0);
@@ -347,8 +347,8 @@ TEST(Detector, CollidingAddressStillBuildsDepButNoCarriedFlag) {
       Signature<SeqSlot>(128, SigHash::kModulo),
       Signature<SeqSlot>(128, SigHash::kModulo)};
   DepMap deps;
-  det.process(with_nest(wr(5, 10), ctx, {3}), deps);
-  det.process(with_nest(rd(5 + 128, 20), ctx, {4}), deps);  // collides
+  detect(det, deps, {with_nest(wr(5, 10), ctx, {3})});
+  detect(det, deps, {with_nest(rd(5 + 128, 20), ctx, {4})});  // collides
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr) << "false dependence is still reported";
   EXPECT_EQ(info->flags & kLoopCarried, 0) << "but never classified carried";
@@ -360,8 +360,8 @@ TEST(Detector, SameAddressKeepsCarriedFlagUnderSignature) {
   DetectorCore<Signature<SeqSlot>> det{Signature<SeqSlot>(128),
                                        Signature<SeqSlot>(128)};
   DepMap deps;
-  det.process(with_nest(wr(5, 10), ctx, {3}), deps);
-  det.process(with_nest(rd(5, 20), ctx, {4}), deps);
+  detect(det, deps, {with_nest(wr(5, 10), ctx, {3}),
+                     with_nest(rd(5, 20), ctx, {4})});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_NE(info->flags & kLoopCarried, 0);
@@ -380,8 +380,8 @@ AccessEvent mt_ev(std::uint64_t addr, AccessKind kind, std::uint32_t line,
 TEST(Detector, CrossThreadFlagAndThreadIds) {
   DetectorCore<PerfectSignature<MtSlot>> det{{}, {}};
   DepMap deps;
-  det.process(mt_ev(100, AccessKind::kWrite, 10, /*tid=*/1, /*ts=*/1), deps);
-  det.process(mt_ev(100, AccessKind::kRead, 20, /*tid=*/2, /*ts=*/2), deps);
+  detect(det, deps, {mt_ev(100, AccessKind::kWrite, 10, /*tid=*/1, /*ts=*/1),
+                     mt_ev(100, AccessKind::kRead, 20, /*tid=*/2, /*ts=*/2)});
   DepKey k = key(DepType::kRaw, 20, 10);
   k.sink_tid = 2;
   k.src_tid = 1;
@@ -396,8 +396,8 @@ TEST(Detector, TimestampReversalFlagsPotentialRace) {
   DepMap deps;
   // The write reached the worker first but carries a LATER timestamp than
   // the read that follows: access/push atomicity was violated (Sec. V-B).
-  det.process(mt_ev(100, AccessKind::kWrite, 10, 1, /*ts=*/9), deps);
-  det.process(mt_ev(100, AccessKind::kRead, 20, 2, /*ts=*/5), deps);
+  detect(det, deps, {mt_ev(100, AccessKind::kWrite, 10, 1, /*ts=*/9),
+                     mt_ev(100, AccessKind::kRead, 20, 2, /*ts=*/5)});
   DepKey k = key(DepType::kRaw, 20, 10);
   k.sink_tid = 2;
   k.src_tid = 1;
@@ -412,8 +412,7 @@ TEST(Detector, ExtractAdoptMovesPerAddressState) {
   auto from = make_perfect();
   auto to = make_perfect();
   DepMap deps;
-  from.process(wr(100, 10), deps);
-  from.process(rd(100, 15), deps);
+  detect(from, deps, {wr(100, 10), rd(100, 15)});
 
   auto st = from.extract_state(100);
   EXPECT_TRUE(st.has_read);
@@ -422,10 +421,10 @@ TEST(Detector, ExtractAdoptMovesPerAddressState) {
 
   // The new owner continues the history seamlessly: a read builds RAW
   // against the migrated write.
-  to.process(rd(100, 20), deps);
+  detect(to, deps, {rd(100, 20)});
   EXPECT_NE(deps.find(key(DepType::kRaw, 20, 10)), nullptr);
   // And the old owner no longer knows the address.
-  from.process(rd(100, 30), deps);
+  detect(from, deps, {rd(100, 30)});
   EXPECT_EQ(deps.find(key(DepType::kRaw, 30, 10)), nullptr);
 }
 
@@ -469,28 +468,9 @@ TEST(DepMap, SortedIsDeterministic) {
   EXPECT_LE(sorted[1].first.sink_loc, sorted[2].first.sink_loc);
 }
 
-TEST(DepMap, AddManyMatchesRepeatedAdds) {
-  DepMap bulk, loop;
-  const DepKey k = key(DepType::kRaw, 20, 10);
-  bulk.add_many(k, 5);
-  for (int i = 0; i < 5; ++i) loop.add(k, 0);
-  EXPECT_EQ(bulk.size(), loop.size());
-  EXPECT_EQ(bulk.instances(), loop.instances());
-  const DepInfo* info = bulk.find(k);
-  ASSERT_NE(info, nullptr);
-  EXPECT_EQ(info->count, 5u);
-  EXPECT_EQ(info->flags, 0u);
-  // Unattributed instances touch no level bucket.
-  EXPECT_EQ(info->carried_level(), 0u);
-  EXPECT_EQ(info->min_carried_bucket(), 0u);
-  bulk.add_many(k, 0);  // zero-count bulk add is a no-op
-  EXPECT_EQ(bulk.instances(), 5u);
-  EXPECT_EQ(bulk.size(), 1u);
-}
-
 TEST(DepMap, FoldMatchesReplayedAdds) {
-  // fold() is the batched kernel's flush: one pre-aggregated record per key
-  // must land exactly as the per-event adds it replaces.
+  // fold() is the detect kernel's flush: one pre-aggregated record per key
+  // must land exactly as the one-at-a-time adds it replaces.
   const DepKey k = key(DepType::kRaw, 20, 10);
   DepMap replayed;
   replayed.add(k, kLoopCarried, {3, 2, 1, true});
@@ -499,7 +479,7 @@ TEST(DepMap, FoldMatchesReplayedAdds) {
 
   DepMap folded;
   DepInfo rec;
-  // Build the pre-aggregated record exactly as the batched accumulator does.
+  // Build the pre-aggregated record exactly as the batch accumulator does.
   apply_dep_instance(rec, kLoopCarried, {3, 2, 1, true});
   apply_dep_instance(rec, kLoopCarried, {3, 2, 9, true});
   apply_dep_instance(rec, kCrossThread, {});

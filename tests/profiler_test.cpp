@@ -316,32 +316,20 @@ TEST(ParallelProfiler, StatsAccountAllEvents) {
   EXPECT_EQ(st.worker_busy_sec.size(), 4u);
 }
 
-TEST(SerialProfiler, BatchedKernelCountersTrack) {
+TEST(SerialProfiler, DetectKernelCountersTrack) {
   GenParams p;
   p.accesses = 5'000;
   p.distinct = 200;
   const Trace t = gen_uniform(p);
-  ProfilerConfig cfg = perfect_cfg();
-
-  cfg.batched_detect = true;
-  auto batched = make_serial_profiler(cfg);
-  replay(t, *batched);
-  const ProfilerStats batched_stats = batched->stats();
-  const obs::StageSnapshot* d = batched_stats.stages.find("detect[0]");
+  auto prof = make_serial_profiler(perfect_cfg());
+  replay(t, *prof);
+  const ProfilerStats st = prof->stats();
+  const obs::StageSnapshot* d = st.stages.find("detect[0]");
   ASSERT_NE(d, nullptr);
-  EXPECT_GT(d->kernel_batches, 0u);
+  EXPECT_GT(d->chunks, 0u);
   EXPECT_GT(d->prefetches, 0u);
   // K events ahead within each batch: never more prefetches than events.
   EXPECT_LE(d->prefetches, 5'000u);
-
-  cfg.batched_detect = false;
-  auto per_event = make_serial_profiler(cfg);
-  replay(t, *per_event);
-  const ProfilerStats per_event_stats = per_event->stats();
-  const obs::StageSnapshot* e = per_event_stats.stages.find("detect[0]");
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->kernel_batches, 0u);
-  EXPECT_EQ(e->prefetches, 0u);
 }
 
 TEST(ParallelProfiler, FinishIsIdempotent) {
@@ -400,34 +388,21 @@ TEST_P(BackendQueueEquivalence, ByteIdenticalMergedMaps) {
   // address span is far below this slot count, so modulo indexing is
   // injective for every store.
   cfg.slots = 1u << 18;
-  cfg.batched_detect = false;
   const DepMap serial = run_serial(t, cfg);
-
-  // The batched kernel is a pure reorganization of the detect loop: the
-  // serial batched run must already reproduce the per-event map byte for
-  // byte before the parallel matrix gets involved.
-  cfg.batched_detect = true;
-  EXPECT_EQ(deps_csv(serial), deps_csv(run_serial(t, cfg)))
-      << storage_kind_name(c.storage) << " serial batched != per-event";
 
   cfg.queue = c.queue;
   cfg.workers = 4;
   cfg.chunk_size = 128;
-  // Neither waiting nor the batched kernel is a semantics knob: every
-  // wait strategy × kernel combination must reproduce the byte-identical
-  // merged map.
-  for (bool batched : {false, true}) {
-    cfg.batched_detect = batched;
-    for (WaitKind wait : {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark}) {
-      cfg.wait = wait;
-      auto prof = make_parallel_profiler(cfg);
-      ASSERT_NE(prof, nullptr) << storage_kind_name(c.storage);
-      replay(t, *prof);
-      EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
-          << storage_kind_name(c.storage) << " over "
-          << queue_kind_name(c.queue) << " wait=" << wait_kind_name(wait)
-          << " batched=" << batched;
-    }
+  // Waiting is not a semantics knob: every wait strategy must reproduce the
+  // byte-identical merged map.
+  for (WaitKind wait : {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark}) {
+    cfg.wait = wait;
+    auto prof = make_parallel_profiler(cfg);
+    ASSERT_NE(prof, nullptr) << storage_kind_name(c.storage);
+    replay(t, *prof);
+    EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
+        << storage_kind_name(c.storage) << " over "
+        << queue_kind_name(c.queue) << " wait=" << wait_kind_name(wait);
   }
 
   // Front-end reduction axes: the full dedup × pack lattice must reproduce
@@ -435,7 +410,6 @@ TEST_P(BackendQueueEquivalence, ByteIdenticalMergedMaps) {
   // profilers when dedup is on (the serial baseline above stays raw, so
   // this also asserts dedup is map-preserving per backend and queue).
   const RleStream rle = dedup_stream(t.events.data(), t.events.size());
-  cfg.batched_detect = true;
   cfg.wait = WaitKind::kSpin;
   for (bool dedup : {false, true}) {
     for (bool pack : {false, true}) {

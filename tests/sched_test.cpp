@@ -1,6 +1,6 @@
 // Deterministic schedule exploration (ISSUE 7): the controller, the
-// ownership/epoch hand-off invariant, the sealed chunk pool, the v4 repro
-// format, and the schedule-shrinking rung.
+// ownership/epoch hand-off invariant, the sealed chunk pool, the repro
+// format's schedule section, and the schedule-shrinking rung.
 //
 // The determinism tests run the real parallel pipeline on trace-based cases
 // (synthetic, fixed addresses), where recorded schedules are byte-stable:
@@ -168,7 +168,7 @@ TEST(ChunkInvariantTest, WrongHandoffBumpsViolationCounter) {
   EXPECT_EQ(sched::violation_count(), before + 1);
 }
 
-TEST(ReproV4Test, SchedSectionRoundTrips) {
+TEST(ReproSchedTest, SchedSectionRoundTrips) {
   ReproCase repro;
   repro.note = "sched round trip";
   repro.cfg.workers = 8;
@@ -185,7 +185,7 @@ TEST(ReproV4Test, SchedSectionRoundTrips) {
   repro.trace.events.push_back(ev);
 
   const std::string text = format_repro(repro);
-  EXPECT_NE(text.find("depfuzz-repro v4"), std::string::npos);
+  EXPECT_NE(text.find("depfuzz-repro v8"), std::string::npos);
   EXPECT_NE(text.find("sched seed=42 algo=pct"), std::string::npos);
   EXPECT_NE(text.find("sstep w0 queue.pop"), std::string::npos);
 
@@ -200,39 +200,32 @@ TEST(ReproV4Test, SchedSectionRoundTrips) {
   EXPECT_EQ(back.schedule.steps[1].site, "produce.stage");
 }
 
-TEST(ReproV4Test, ScheduleFreeCasesStillWriteV3) {
+TEST(ReproSchedTest, ScheduleFreeCasesWriteNoSchedSection) {
   ReproCase repro;
   AccessEvent ev;
   ev.kind = AccessKind::kRead;
   ev.addr = 0x2000;
   repro.trace.events.push_back(ev);
   const std::string text = format_repro(repro);
-  EXPECT_NE(text.find("depfuzz-repro v3"), std::string::npos);
   EXPECT_EQ(text.find("sched"), std::string::npos);
   ReproCase back;
   ASSERT_TRUE(parse_repro(back, text));
   EXPECT_FALSE(back.sched);
 }
 
-TEST(ReproV4Test, LegacyVersionsRejectSchedDirectives) {
+TEST(ReproSchedTest, ScheduleStepsNeedACompleteSchedLine) {
+  const std::string header = format_repro(ReproCase{});
   std::string error;
   ReproCase out;
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect slots=16 sighash=modulo "
-                           "mt=0 workers=1 queue=mutex wait=spin chunk=1 "
-                           "qcap=4 modulo_routing=0 dedup=0 pack=0\n"
-                           "sched seed=1 algo=random\n",
-                           &error));
-  EXPECT_NE(error.find("requires v4"), std::string::npos) << error;
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v4\n"
-                           "config storage=perfect slots=16 sighash=modulo "
-                           "mt=0 workers=1 queue=mutex wait=spin chunk=1 "
-                           "qcap=4 modulo_routing=0 dedup=0 pack=0\n"
-                           "sstep w0 queue.pop\n",
-                           &error));
+  EXPECT_FALSE(parse_repro(out, header + "sstep w0 queue.pop\n", &error));
   EXPECT_NE(error.find("before sched"), std::string::npos) << error;
+  // The exploration algorithm is not defaulted: a repro without it would
+  // re-explore under whatever the default later becomes.
+  EXPECT_FALSE(parse_repro(out, header + "sched seed=1\n", &error));
+  EXPECT_NE(error.find("missing key 'algo='"), std::string::npos) << error;
+  ASSERT_TRUE(parse_repro(out, header + "sched seed=1 algo=pct\n", &error))
+      << error;
+  EXPECT_TRUE(out.sched);
 }
 
 TEST(ShrinkScheduleTest, DropsScheduleWhenFailureIsScheduleFree) {

@@ -1,9 +1,11 @@
 // Tests for the workload suites: registry consistency, determinism,
 // native/profiled checksum equality (the profiler must not perturb the
-// computation), loop ground-truth wiring, and parallel-variant agreement.
+// computation), loop ground-truth wiring, parallel-variant agreement, and
+// exact maps that do not depend on the profiler's own heap.
 
 #include <gtest/gtest.h>
 
+#include "core/formatter.hpp"
 #include "harness/runner.hpp"
 #include "instrument/runtime.hpp"
 #include "workloads/workload.hpp"
@@ -72,6 +74,35 @@ TEST_P(WorkloadParam, InstrumentedLoopCountMatchesGroundTruth) {
   const RunMeasurement m = profile_workload(*w, cfg, opts);
   EXPECT_EQ(m.control_flow.loops.size(), w->loops.size())
       << w->name << ": LoopTruth entries must match instrumented loops";
+}
+
+TEST_P(WorkloadParam, ExactMapDoesNotDependOnTheProfilersHeap) {
+  // The serial profiler and the pipeline allocate differently (worker
+  // stores, chunk pools, per-worker maps), so they shift where the target's
+  // allocations land.  A workload that frees a profiled buffer without
+  // DP_FREE leaves stale last-access state at whatever address is recycled,
+  // and its exact map then depends on the profiler configuration.
+  const Workload* w = GetParam();
+  struct Point {
+    const char* name;
+    StorageKind storage;
+    unsigned workers;  ///< 0 = serial profiler
+  };
+  const Point points[] = {{"packed serial", StorageKind::kPacked, 0},
+                          {"packed W=4", StorageKind::kPacked, 4},
+                          {"hashtable W=2", StorageKind::kHashTable, 2}};
+  std::string reference;
+  for (const Point& p : points) {
+    ProfilerConfig cfg;
+    cfg.storage = p.storage;
+    cfg.workers = p.workers;
+    RunOptions opts;
+    opts.parallel_pipeline = p.workers > 0;
+    opts.native_reps = 1;
+    const std::string csv = deps_csv(profile_workload(*w, cfg, opts).deps);
+    if (reference.empty()) reference = csv;
+    else EXPECT_EQ(csv, reference) << w->name << ": " << p.name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

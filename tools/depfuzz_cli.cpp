@@ -17,8 +17,8 @@
 //                                        the seeded interleaving controller
 //                                        (src/sched/); --runs adds N extra
 //                                        seeds on the flake-shaped point
-//   depfuzz --replay FILE                re-run one committed repro (v4 repros
-//                                        replay their recorded schedule)
+//   depfuzz --replay FILE                re-run one committed repro (a sched
+//                                        section replays its schedule)
 //   depfuzz --replay-dir DIR             corpus lint: parse + re-run every repro
 //   depfuzz --list                       print the smoke lattice
 //
@@ -145,9 +145,6 @@ std::vector<FuzzCase> smoke_cases() {
         c.cfg.workers = kWorkerCounts[idx % 4];
         if (idx % 2 == 0) c.cfg.load_balance = active_balancer();
         c.cfg.mt_targets = false;
-        // Kernel axis: alternate batched and per-event detection so the
-        // smoke gate always covers both against the oracle.
-        c.cfg.batched_detect = idx % 2 == 0;
         // Front-end reduction axes: walk the full dedup x pack lattice as
         // the case index advances so every combination is smoke-gated.
         c.cfg.dedup = (idx / 2) % 2 == 0;
@@ -183,7 +180,6 @@ std::vector<FuzzCase> smoke_cases() {
                  wait_kind_name(c.cfg.wait) + "/w" +
                  std::to_string(c.cfg.workers) +
                  (c.cfg.load_balance.enabled ? "/lb" : "") +
-                 (c.cfg.batched_detect ? "/batch" : "/perev") +
                  (c.cfg.dedup ? "/dedup" : "") + (c.cfg.pack ? "/pack" : "") +
                  samp + "/" + tr.name;
         cases.push_back(std::move(c));
@@ -204,7 +200,6 @@ std::vector<FuzzCase> smoke_cases() {
     c.cfg.wait = kWaits[s % 3];
     c.cfg.workers = 4;
     if (s % 2 == 1) c.cfg.load_balance = active_balancer();
-    c.cfg.batched_detect = s % 2 == 0;
     // MT events never dedup (fresh timestamps), but the axes still alter
     // the replay path (RLE delivery, packed escape-heavy chunks) — keep
     // both exercised under MT too.
@@ -213,7 +208,6 @@ std::vector<FuzzCase> smoke_cases() {
     c.trace = tr.trace;
     c.name = std::string(sp.name) + "/mt/" + queue_kind_name(c.cfg.queue) +
              "/chunk" + std::to_string(c.cfg.chunk_size) +
-             (c.cfg.batched_detect ? "/batch" : "/perev") +
              (c.cfg.dedup ? "/dedup" : "") + (c.cfg.pack ? "/pack" : "") +
              "/" + tr.name;
     cases.push_back(std::move(c));
@@ -285,7 +279,6 @@ FuzzCase random_case(Rng& rng, std::uint64_t seq) {
   c.cfg.chunk_size = kChunkSizes[rng.below(3)];
   c.cfg.queue_capacity = 4u << rng.below(5);
   c.cfg.modulo_routing = rng.below(2) == 0;
-  c.cfg.batched_detect = rng.below(2) == 0;
   c.cfg.dedup = rng.below(2) == 0;
   c.cfg.pack = rng.below(2) == 0;
   // Sampling axis: half the sequential cases run sampled with a random
@@ -364,8 +357,8 @@ std::vector<FuzzCase> schedule_cases(std::uint64_t seed, std::size_t extra) {
 /// Shrinks a failing case and (optionally) writes a corpus repro.  For a
 /// scheduled case the ladder starts with the schedule itself (drop, then
 /// truncate — see shrink_schedule); trace and config minimization then run
-/// with the surviving schedule replayed, and the repro is written in the v4
-/// format carrying it.
+/// with the surviving schedule replayed, and the repro is written with a
+/// sched section carrying it.
 void handle_failure(const FuzzCase& c, const CaseOutcome& outcome,
                     const std::string& corpus_dir, std::size_t failure_no) {
   std::fprintf(stderr, "FAIL %s (%s expectation)\n%s\n", c.name.c_str(),

@@ -25,9 +25,6 @@
 //   --wait spin|yield|park   pipeline wait strategy at the blocking sites
 //                        (idle workers, full queues, migration mailbox;
 //                        default park — see src/queue/wait_strategy.hpp)
-//   --batch / --no-batch run detection with the batched prefetching kernel
-//                        or the per-event kernel (default --batch; results
-//                        are byte-identical either way)
 //   --dedup / --no-dedup front-end redundancy elision: collapse exact access
 //                        repeats at record time (default --dedup; the merged
 //                        map is identical either way — see DESIGN.md
@@ -156,10 +153,6 @@ bool parse(int argc, char** argv, int start, CliOptions& out) {
     } else if (arg == "--wait") {
       const char* v = next();
       if (v == nullptr || !parse_wait_kind(v, out.cfg.wait)) return false;
-    } else if (arg == "--batch") {
-      out.cfg.batched_detect = true;
-    } else if (arg == "--no-batch") {
-      out.cfg.batched_detect = false;
     } else if (arg == "--dedup") {
       out.cfg.dedup = true;
     } else if (arg == "--no-dedup") {
