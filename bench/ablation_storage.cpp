@@ -98,17 +98,6 @@ void BM_PackedShadowStore(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedShadowStore);
 
-/// A/B point for the shadow-memory walk assist (one-entry page cache +
-/// slot prefetch in the two-level walk): same stream, assist off vs on.
-void BM_ShadowMemoryWalkAssistOff(benchmark::State& state) {
-  ShadowMemory<SeqSlot>::set_walk_assist(false);
-  run_detector<ShadowMemory<SeqSlot>>(
-      state, +[] { return ShadowMemory<SeqSlot>(); },
-      +[] { return ShadowMemory<SeqSlot>(); });
-  ShadowMemory<SeqSlot>::set_walk_assist(true);
-}
-BENCHMARK(BM_ShadowMemoryWalkAssistOff);
-
 /// Space comparison on a sparse, widely spread address set: the shadow
 /// memory allocates a page per touched region while the signature stays
 /// fixed.
@@ -194,17 +183,12 @@ void machine_report() {
       t, PerfectSignature<SeqSlot>(), PerfectSignature<SeqSlot>());
   const double packed_ns = measured_ns_per_access<PackedShadowStore<SeqSlot>>(
       t, PackedShadowStore<SeqSlot>(), PackedShadowStore<SeqSlot>());
-  ShadowMemory<SeqSlot>::set_walk_assist(false);
-  const double shadow_raw_ns = measured_ns_per_access<ShadowMemory<SeqSlot>>(
-      t, ShadowMemory<SeqSlot>(), ShadowMemory<SeqSlot>());
-  ShadowMemory<SeqSlot>::set_walk_assist(true);
 
   report.metric("signature_ns_per_access", sig_ns);
   report.metric("hashtable_ns_per_access", table_ns);
   report.metric("shadow_ns_per_access", shadow_ns);
   report.metric("perfect_ns_per_access", perfect_ns);
   report.metric("packed_ns_per_access", packed_ns);
-  report.metric("shadow_no_walk_assist_ns_per_access", shadow_raw_ns);
   report.metric("hashtable_over_signature", sig_ns > 0 ? table_ns / sig_ns : 0);
   report.metric("hashtable_over_packed", packed_ns > 0 ? table_ns / packed_ns : 0);
   std::printf("\nSteady-state hash-table/signature per-access ratio: %.2fx "

@@ -9,15 +9,14 @@
 
 namespace depprof::obs {
 
-/// CSV, one row per stage:
-/// stage,events,chunks,stalls,queue_depth_hwm,busy_sec,cpu_sec,idle_sec,
-/// idle_cpu_sec,parked_sec,parks,block_sec,wakes,migrations,rounds
+/// CSV, one row per stage: a `stage` column, then one column per table row,
+/// in table order (obs::kCounters); nanosecond counters print as seconds.
 std::string snapshot_csv(const PipelineSnapshot& snap);
 
-/// JSON array of stage objects (same fields as the CSV).
+/// JSON array of stage objects (same keys and values as the CSV).
 std::string snapshot_json(const PipelineSnapshot& snap);
 
-/// Aligned human-readable table.
+/// Aligned human-readable table, one column per table row.
 std::string snapshot_text(const PipelineSnapshot& snap);
 
 }  // namespace depprof::obs

@@ -29,80 +29,86 @@
 
 namespace depprof::obs {
 
+/// How a counter is updated and rendered.
+enum class CounterKind {
+  kCount,      ///< summed by its add_*() method
+  kHighWater,  ///< raised by its raise_*() method, never lowered
+  kNanos,      ///< summed nanoseconds, rendered as seconds
+};
+
+// The counter table: one row per counter, and the only place the counter set
+// is written down.  StageStats, StageSnapshot and kCounters are generated
+// from it; PipelineObs::read(), the obs/report.hpp renderers and obs_test
+// walk it.  Adding a counter is one row here, plus its column in obs_test's
+// golden rendering.
+//
+//   X(member, update, key, label, width, kind)
+//     member  StageStats atomic and StageSnapshot field
+//     update  StageStats method that updates it
+//     key     CSV column and JSON key
+//     label   --stats text column header, right-aligned in `width` columns
+//     kind    CounterKind
+#define DEPPROF_OBS_COUNTERS(X)                                                                                \
+  /* Flow and queueing (every stage). */                                                                       \
+  X(events,                add_events,                 "events",                "events",      12, kCount)     \
+  X(chunks,                add_chunks,                 "chunks",                "chunks",      10, kCount)     \
+  X(stalls,                add_stalls,                 "stalls",                "stalls",       8, kCount)     \
+  X(queue_depth_hwm,       raise_queue_depth,          "queue_depth_hwm",       "depth_hwm",   10, kHighWater) \
+  /* Time and waiting (every stage; clock domains above); parks: OS blocking episodes; wakes: peers woken. */  \
+  X(busy_ns,               add_busy_ns,                "busy_sec",              "busy_s",      10, kNanos)     \
+  X(cpu_ns,                add_cpu_ns,                 "cpu_sec",               "cpu_s",       10, kNanos)     \
+  X(idle_ns,               add_idle_ns,                "idle_sec",              "idle_s",      10, kNanos)     \
+  X(idle_cpu_ns,           add_idle_cpu_ns,            "idle_cpu_sec",          "idlecpu_s",   10, kNanos)     \
+  X(parked_ns,             add_parked_ns,              "parked_sec",            "parked_s",     9, kNanos)     \
+  X(parks,                 add_parks,                  "parks",                 "parks",        7, kCount)     \
+  X(block_ns,              add_block_ns,               "block_sec",             "block_s",      9, kNanos)     \
+  X(wakes,                 add_wakes,                  "wakes",                 "wakes",        6, kCount)     \
+  /* Load balancing (route): addresses rerouted, redistribution rounds. */                                     \
+  X(migrations,            add_migrations,             "migrations",            "moved",        6, kCount)     \
+  X(rounds,                add_rounds,                 "rounds",                "rounds",       6, kCount)     \
+  /* Detect kernel (detect): slot prefetches issued K events ahead. */                                         \
+  X(prefetches,            add_prefetches,             "prefetches",            "prefetch",    10, kCount)     \
+  /* Dedup and wire (produce): repeats elided, chunk payload bytes queued, records in the escape slot. */      \
+  X(events_deduped,        add_events_deduped,         "events_deduped",        "deduped",     10, kCount)     \
+  X(bytes_on_wire,         add_bytes_on_wire,          "bytes_on_wire",         "wire_bytes",  12, kCount)     \
+  X(pack_escapes,          add_pack_escapes,           "pack_escapes",          "escapes",      8, kCount)     \
+  /* Sampling (produce): accesses dropped by the gate, gaps closed by a burst marker, overhead in ppm. */      \
+  X(events_sampled_out,    add_events_sampled_out,     "events_sampled_out",    "sampled",     10, kCount)     \
+  X(bursts,                add_bursts,                 "bursts",                "bursts",       7, kCount)     \
+  X(sampled_overhead_ppm,  raise_sampled_overhead_ppm, "sampled_overhead_ppm",  "ovh_ppm",      8, kHighWater) \
+  /* Race triage (produce, at finish): keys with a timestamp reversal, without one, wholly under locks. */     \
+  X(races_confirmed,       add_races_confirmed,        "races_confirmed",       "races",        7, kCount)     \
+  X(races_unconfirmed,     add_races_unconfirmed,      "races_unconfirmed",     "unconf",       7, kCount)     \
+  X(races_lock_suppressed, add_races_lock_suppressed,  "races_lock_suppressed", "locksup",      7, kCount)     \
+  /* Residency (at finish): paged-store leaf pages resident (detect), huge allocs degraded (produce). */       \
+  X(resident_pages,        add_resident_pages,         "resident_pages",        "res_pages",    9, kCount)     \
+  X(hugepage_fallbacks,    add_hugepage_fallbacks,     "hugepage_fallbacks",    "hp_fallbk",    9, kCount)
+
+namespace detail {
+
+/// Applies one update of `kind` to `counter`.  Adding zero is skipped: it
+/// changes nothing but would still take the cache line exclusive.
+template <CounterKind kind>
+inline void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
+  if constexpr (kind == CounterKind::kHighWater) {
+    std::uint64_t cur = counter.load(std::memory_order_relaxed);
+    while (n > cur && !counter.compare_exchange_weak(
+                          cur, n, std::memory_order_relaxed)) {
+    }
+  } else if (n != 0) {
+    counter.fetch_add(n, std::memory_order_relaxed);
+  }
+}
+
+}  // namespace detail
+
 /// One cache-line-padded block of monotonic counters for a stage instance.
 struct alignas(64) StageStats {
-  std::atomic<std::uint64_t> events{0};   ///< accesses through the stage
-  std::atomic<std::uint64_t> chunks{0};   ///< chunks/batches through the stage
-  std::atomic<std::uint64_t> stalls{0};   ///< queue-full push retries
-  std::atomic<std::uint64_t> queue_depth_hwm{0};  ///< most chunks ever queued
-  std::atomic<std::uint64_t> busy_ns{0};  ///< wall time spent processing input
-  std::atomic<std::uint64_t> cpu_ns{0};   ///< thread-CPU time spent processing
-  std::atomic<std::uint64_t> idle_ns{0};  ///< wall time spent waiting for input
-  std::atomic<std::uint64_t> idle_cpu_ns{0};  ///< thread-CPU burned while waiting
-  std::atomic<std::uint64_t> parked_ns{0};  ///< wall time blocked in the OS
-  std::atomic<std::uint64_t> parks{0};      ///< blocking episodes (eventcount waits)
-  std::atomic<std::uint64_t> block_ns{0};  ///< wall time blocked on backpressure
-  std::atomic<std::uint64_t> wakes{0};     ///< wakeups this stage delivered to peers
-  std::atomic<std::uint64_t> migrations{0};  ///< addresses rerouted (route stage)
-  std::atomic<std::uint64_t> rounds{0};      ///< redistribution rounds (route stage)
-  std::atomic<std::uint64_t> prefetches{0};      ///< slot prefetches issued K ahead (detect)
-  std::atomic<std::uint64_t> events_deduped{0};  ///< accesses elided as exact repeats (produce)
-  std::atomic<std::uint64_t> bytes_on_wire{0};   ///< chunk payload bytes actually queued (produce)
-  std::atomic<std::uint64_t> pack_escapes{0};    ///< wire records that needed the escape slot (produce)
-  std::atomic<std::uint64_t> events_sampled_out{0};  ///< accesses dropped by the sampling gate (produce)
-  std::atomic<std::uint64_t> bursts{0};              ///< sampling gaps closed by a burst marker (produce)
-  std::atomic<std::uint64_t> sampled_overhead_ppm{0};  ///< controller's measured overhead, parts per million (produce, hwm)
-  std::atomic<std::uint64_t> races_confirmed{0};       ///< merged keys with a timestamp reversal (produce, published at finish)
-  std::atomic<std::uint64_t> races_unconfirmed{0};     ///< cross-thread candidate keys, no reversal (produce, published at finish)
-  std::atomic<std::uint64_t> races_lock_suppressed{0}; ///< candidate keys fully inside lock regions (produce, published at finish)
-  std::atomic<std::uint64_t> resident_pages{0};        ///< paged-store leaf pages resident (detect, published at finish)
-  std::atomic<std::uint64_t> hugepage_fallbacks{0};    ///< huge allocs degraded to operator new (produce, published at finish)
-
-  void add_events(std::uint64_t n) { events.fetch_add(n, std::memory_order_relaxed); }
-  void add_chunks(std::uint64_t n) { chunks.fetch_add(n, std::memory_order_relaxed); }
-  void add_stalls(std::uint64_t n) { stalls.fetch_add(n, std::memory_order_relaxed); }
-  void add_busy_ns(std::uint64_t n) { busy_ns.fetch_add(n, std::memory_order_relaxed); }
-  void add_cpu_ns(std::uint64_t n) { cpu_ns.fetch_add(n, std::memory_order_relaxed); }
-  void add_idle_ns(std::uint64_t n) { idle_ns.fetch_add(n, std::memory_order_relaxed); }
-  void add_idle_cpu_ns(std::uint64_t n) { idle_cpu_ns.fetch_add(n, std::memory_order_relaxed); }
-  void add_parked_ns(std::uint64_t n) { parked_ns.fetch_add(n, std::memory_order_relaxed); }
-  void add_parks(std::uint64_t n) { parks.fetch_add(n, std::memory_order_relaxed); }
-  void add_block_ns(std::uint64_t n) { block_ns.fetch_add(n, std::memory_order_relaxed); }
-  void add_wakes(std::uint64_t n) {
-    if (n != 0) wakes.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_migrations(std::uint64_t n) { migrations.fetch_add(n, std::memory_order_relaxed); }
-  void add_rounds(std::uint64_t n) { rounds.fetch_add(n, std::memory_order_relaxed); }
-  void add_prefetches(std::uint64_t n) { prefetches.fetch_add(n, std::memory_order_relaxed); }
-  void add_events_deduped(std::uint64_t n) { events_deduped.fetch_add(n, std::memory_order_relaxed); }
-  void add_bytes_on_wire(std::uint64_t n) { bytes_on_wire.fetch_add(n, std::memory_order_relaxed); }
-  void add_pack_escapes(std::uint64_t n) { pack_escapes.fetch_add(n, std::memory_order_relaxed); }
-  void add_events_sampled_out(std::uint64_t n) { events_sampled_out.fetch_add(n, std::memory_order_relaxed); }
-  void add_bursts(std::uint64_t n) { bursts.fetch_add(n, std::memory_order_relaxed); }
-  void add_races_confirmed(std::uint64_t n) { races_confirmed.fetch_add(n, std::memory_order_relaxed); }
-  void add_races_unconfirmed(std::uint64_t n) { races_unconfirmed.fetch_add(n, std::memory_order_relaxed); }
-  void add_races_lock_suppressed(std::uint64_t n) { races_lock_suppressed.fetch_add(n, std::memory_order_relaxed); }
-  void add_resident_pages(std::uint64_t n) { resident_pages.fetch_add(n, std::memory_order_relaxed); }
-  void add_hugepage_fallbacks(std::uint64_t n) { hugepage_fallbacks.fetch_add(n, std::memory_order_relaxed); }
-
-  /// Latches the controller's latest overhead estimate, keeping the counter
-  /// monotone (obs_test's snapshot-ordering property) by only raising it.
-  void raise_sampled_overhead_ppm(std::uint64_t ppm) {
-    std::uint64_t cur = sampled_overhead_ppm.load(std::memory_order_relaxed);
-    while (ppm > cur &&
-           !sampled_overhead_ppm.compare_exchange_weak(
-               cur, ppm, std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Raises the queue-depth high-water mark to `depth` if it is higher.
-  void raise_queue_depth(std::uint64_t depth) {
-    std::uint64_t cur = queue_depth_hwm.load(std::memory_order_relaxed);
-    while (depth > cur &&
-           !queue_depth_hwm.compare_exchange_weak(cur, depth,
-                                                  std::memory_order_relaxed)) {
-    }
-  }
+#define DEPPROF_OBS_STAGE_STATS(member, update, key, label, width, kind) \
+  std::atomic<std::uint64_t> member{0};                                  \
+  void update(std::uint64_t n) { detail::bump<CounterKind::kind>(member, n); }
+  DEPPROF_OBS_COUNTERS(DEPPROF_OBS_STAGE_STATS)
+#undef DEPPROF_OBS_STAGE_STATS
 };
 
 static_assert(sizeof(StageStats) == 256,
@@ -111,32 +117,10 @@ static_assert(sizeof(StageStats) == 256,
 /// Plain-data copy of one stage's counters at a point in time.
 struct StageSnapshot {
   std::string stage;  ///< "produce", "route", "detect[i]", "merge"
-  std::uint64_t events = 0;
-  std::uint64_t chunks = 0;
-  std::uint64_t stalls = 0;
-  std::uint64_t queue_depth_hwm = 0;
-  std::uint64_t busy_ns = 0;
-  std::uint64_t cpu_ns = 0;
-  std::uint64_t idle_ns = 0;
-  std::uint64_t idle_cpu_ns = 0;
-  std::uint64_t parked_ns = 0;
-  std::uint64_t parks = 0;
-  std::uint64_t block_ns = 0;
-  std::uint64_t wakes = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t prefetches = 0;
-  std::uint64_t events_deduped = 0;
-  std::uint64_t bytes_on_wire = 0;
-  std::uint64_t pack_escapes = 0;
-  std::uint64_t events_sampled_out = 0;
-  std::uint64_t bursts = 0;
-  std::uint64_t sampled_overhead_ppm = 0;
-  std::uint64_t races_confirmed = 0;
-  std::uint64_t races_unconfirmed = 0;
-  std::uint64_t races_lock_suppressed = 0;
-  std::uint64_t resident_pages = 0;
-  std::uint64_t hugepage_fallbacks = 0;
+#define DEPPROF_OBS_SNAPSHOT(member, update, key, label, width, kind) \
+  std::uint64_t member = 0;
+  DEPPROF_OBS_COUNTERS(DEPPROF_OBS_SNAPSHOT)
+#undef DEPPROF_OBS_SNAPSHOT
 
   double busy_sec() const { return static_cast<double>(busy_ns) * 1e-9; }
   double cpu_sec() const { return static_cast<double>(cpu_ns) * 1e-9; }
@@ -144,6 +128,25 @@ struct StageSnapshot {
   double idle_cpu_sec() const { return static_cast<double>(idle_cpu_ns) * 1e-9; }
   double parked_sec() const { return static_cast<double>(parked_ns) * 1e-9; }
   double block_sec() const { return static_cast<double>(block_ns) * 1e-9; }
+};
+
+/// One row of the counter table, for code that walks every counter.
+struct CounterSpec {
+  std::atomic<std::uint64_t> StageStats::*live;
+  std::uint64_t StageSnapshot::*value;
+  const char* key;
+  const char* label;
+  int width;
+  CounterKind kind;
+};
+
+/// Every counter, in table order (the CSV column order).
+inline constexpr CounterSpec kCounters[] = {
+#define DEPPROF_OBS_SPEC(member, update, key, label, width, kind)  \
+  {&StageStats::member, &StageSnapshot::member, key, label, width, \
+   CounterKind::kind},
+    DEPPROF_OBS_COUNTERS(DEPPROF_OBS_SPEC)
+#undef DEPPROF_OBS_SPEC
 };
 
 /// Point-in-time copy of every stage of one pipeline.
@@ -211,37 +214,8 @@ class PipelineObs {
   static StageSnapshot read(std::string name, const StageStats& s) {
     StageSnapshot out;
     out.stage = std::move(name);
-    out.events = s.events.load(std::memory_order_relaxed);
-    out.chunks = s.chunks.load(std::memory_order_relaxed);
-    out.stalls = s.stalls.load(std::memory_order_relaxed);
-    out.queue_depth_hwm = s.queue_depth_hwm.load(std::memory_order_relaxed);
-    out.busy_ns = s.busy_ns.load(std::memory_order_relaxed);
-    out.cpu_ns = s.cpu_ns.load(std::memory_order_relaxed);
-    out.idle_ns = s.idle_ns.load(std::memory_order_relaxed);
-    out.idle_cpu_ns = s.idle_cpu_ns.load(std::memory_order_relaxed);
-    out.parked_ns = s.parked_ns.load(std::memory_order_relaxed);
-    out.parks = s.parks.load(std::memory_order_relaxed);
-    out.block_ns = s.block_ns.load(std::memory_order_relaxed);
-    out.wakes = s.wakes.load(std::memory_order_relaxed);
-    out.migrations = s.migrations.load(std::memory_order_relaxed);
-    out.rounds = s.rounds.load(std::memory_order_relaxed);
-    out.prefetches = s.prefetches.load(std::memory_order_relaxed);
-    out.events_deduped = s.events_deduped.load(std::memory_order_relaxed);
-    out.bytes_on_wire = s.bytes_on_wire.load(std::memory_order_relaxed);
-    out.pack_escapes = s.pack_escapes.load(std::memory_order_relaxed);
-    out.events_sampled_out =
-        s.events_sampled_out.load(std::memory_order_relaxed);
-    out.bursts = s.bursts.load(std::memory_order_relaxed);
-    out.sampled_overhead_ppm =
-        s.sampled_overhead_ppm.load(std::memory_order_relaxed);
-    out.races_confirmed = s.races_confirmed.load(std::memory_order_relaxed);
-    out.races_unconfirmed =
-        s.races_unconfirmed.load(std::memory_order_relaxed);
-    out.races_lock_suppressed =
-        s.races_lock_suppressed.load(std::memory_order_relaxed);
-    out.resident_pages = s.resident_pages.load(std::memory_order_relaxed);
-    out.hugepage_fallbacks =
-        s.hugepage_fallbacks.load(std::memory_order_relaxed);
+    for (const CounterSpec& c : kCounters)
+      out.*c.value = (s.*c.live).load(std::memory_order_relaxed);
     return out;
   }
 

@@ -8,8 +8,8 @@
 // first-class implementations behind this interface.  Queue operations are
 // per *chunk*, so the virtual dispatch here is off the per-access fast path.
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 namespace depprof {
 
@@ -37,11 +37,5 @@ class ConcurrentQueue {
 
   virtual std::size_t capacity() const = 0;
 };
-
-/// Factory; `capacity` is rounded up to a power of two.
-template <typename T>
-std::unique_ptr<ConcurrentQueue<T>> make_queue(QueueKind kind, std::size_t capacity);
-
-const char* queue_kind_name(QueueKind kind);
 
 }  // namespace depprof

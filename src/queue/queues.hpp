@@ -10,6 +10,7 @@
 
 namespace depprof {
 
+/// Factory; `capacity` is rounded up to a power of two.
 template <typename T>
 std::unique_ptr<ConcurrentQueue<T>> make_queue(QueueKind kind, std::size_t capacity) {
   switch (kind) {

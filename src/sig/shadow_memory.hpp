@@ -33,11 +33,6 @@ class ShadowMemory {
 
   ShadowMemory() = default;
 
-  /// A/B toggle for the walk assist below (bench/ablation_storage measures
-  /// the delta).  Process-wide and read-only on the hot path; defaults on.
-  static void set_walk_assist(bool on) { walk_assist_flag() = on; }
-  static bool walk_assist() { return walk_assist_flag(); }
-
   const Slot* find(std::uint64_t addr) const {
     const Page* page = find_page(addr);
     if (page == nullptr) return nullptr;
@@ -46,7 +41,7 @@ class ShadowMemory {
     // empty()/caller loads reach them: a 40/56-byte slot regularly straddles
     // two lines and the second line's miss is otherwise exposed on the
     // caller's compare (and on the insert that usually follows).
-    if (walk_assist()) prefetch_obj_rw(&page->slots[off], sizeof(Slot));
+    prefetch_obj_rw(&page->slots[off], sizeof(Slot));
     const Slot& s = page->slots[off];
     return s.empty() ? nullptr : &s;
   }
@@ -110,12 +105,12 @@ class ShadowMemory {
 
   // The two-level walk's fast path: consecutive accesses overwhelmingly hit
   // the same second-level page (a page covers 64K words), so a one-entry
-  // page cache short-circuits the unordered_map probe — the pointer chase
-  // that dominates the walk.  Pages are never freed individually (remove()
-  // only empties slots), so the cached pointer stays valid until clear().
+  // page cache skips the unordered_map probe.  Pages are never freed
+  // individually (remove() only empties slots), so the cached pointer stays
+  // valid until clear().
   const Page* find_page(std::uint64_t addr) const {
     const std::uint64_t id = page_id(addr);
-    if (walk_assist() && id == last_page_id_) return last_page_;
+    if (id == last_page_id_) return last_page_;
     auto it = pages_.find(id);
     if (it == pages_.end()) return nullptr;
     last_page_id_ = id;
@@ -127,18 +122,13 @@ class ShadowMemory {
   }
   Page& touch_page(std::uint64_t addr) {
     const std::uint64_t id = page_id(addr);
-    if (walk_assist() && id == last_page_id_)
+    if (id == last_page_id_)
       return *const_cast<Page*>(last_page_);
     auto& p = pages_[id];
     if (!p) p = std::make_unique<Page>();
     last_page_id_ = id;
     last_page_ = p.get();
     return *p;
-  }
-
-  static bool& walk_assist_flag() {
-    static bool on = true;
-    return on;
   }
 
   static constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
