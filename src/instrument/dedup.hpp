@@ -31,9 +31,10 @@
 //     where collapsing repeats would change the Sec. V-B reversed-timestamp
 //     race check), events inside lock regions, and lifetime events never
 //     dedup.  Flush points (buffer flush, loop begin/iter/end, lock
-//     boundaries, sync points, detach) invalidate the whole cache in O(1)
-//     via a generation bump; record_free clears the slots of the freed word
-//     span so a recycled address can never merge into its previous life.
+//     boundaries, sync points, session rebind) invalidate the whole cache
+//     in O(1) via a generation bump; record_free clears the slots of the
+//     freed word span so a recycled address can never merge into its
+//     previous life.
 //
 // The differential harness (src/oracle) enforces this contract: with dedup
 // applied, exact stores must produce byte-identical maps, not merely

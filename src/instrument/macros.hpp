@@ -13,10 +13,12 @@
 //   }
 //   DP_LOOP_END();                    // at loop exit
 //
-// When no profiler is attached every macro costs one predicted branch, so
-// the identical binary provides the native baseline of the slowdown
-// experiments.  Scalars held in registers by the compiler are deliberately
-// not instrumented — the same accesses would not appear as IR loads/stores
+// When no profiler is attached every macro costs an out-of-line
+// Runtime::instance() call, a relaxed load of the enabled flag and a
+// predicted branch.  The identical binary provides the native baseline, the
+// denominator of every slowdown, so that path must not change (runtime.hpp).
+// Scalars held in registers by the compiler are deliberately not
+// instrumented — the same accesses would not appear as IR loads/stores
 // under -O2 in the paper's setup either.
 
 #include "common/location.hpp"

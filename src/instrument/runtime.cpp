@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/hash.hpp"
 #include "common/timer.hpp"
@@ -18,52 +19,79 @@ Runtime::ThreadState::~ThreadState() {
   Runtime::instance().forget_thread(*this);
 }
 
-Runtime::ThreadState& Runtime::thread_state() {
+Runtime::ThreadState& Runtime::local_state() {
   thread_local ThreadState state;
-  const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
-  if (state.epoch != epoch) {
-    state.epoch = epoch;
-    state.tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
-    state.lock_depth = 0;
-    state.loop_stack.clear();
-    state.call_stack.clear();
-    state.buffer.discard();
-    state.cache.invalidate_all();
-    state.unit_pos = 0;
-    state.unit_off = false;
-    state.pending_gap = false;
-    state.sampled_out = 0;
-    state.gaps_closed = 0;
-    state.ctl_wall_ns = 0;
-    state.ctl_cost_ns = 0;
-    state.ctl_ewma = 0.0;
-  }
-  if (!state.registered) {
-    std::lock_guard lock(buffers_mu_);
-    threads_.push_back(&state);
-    state.registered = true;
-  }
   return state;
 }
 
-void Runtime::forget_thread(ThreadState& state) {
+Runtime::ThreadState& Runtime::thread_state() {
+  ThreadState& ts = local_state();
+  if (ts.generation != generation_.load(std::memory_order_acquire))
+    refresh(ts);
+  return ts;
+}
+
+void Runtime::refresh(ThreadState& ts) {
   std::lock_guard lock(buffers_mu_);
+  if (!ts.registered) {
+    threads_.push_back(&ts);
+    ts.registered = true;
+  }
+  if (ts.epoch != epoch_) {
+    ts.epoch = epoch_;
+    ts.lock_depth = 0;
+    ts.loop_stack.clear();
+    ts.call_stack.clear();
+    ts.tmpl = AccessEvent{};
+    ts.tmpl.tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
+  }
+  ts.generation = generation_.load(std::memory_order_relaxed);
+  ts.sink = sink_;
+  ts.mt = mt_mode_;
+  ts.dedup = dedup_;
+  ts.sampling = sampling_on_;
+  ts.adaptive = adaptive_;
+  ts.budget = budget_target_;
+  // Whatever the buffer still holds was recorded for an earlier session.
+  ts.buffer.discard();
+  ts.cache.invalidate_all();
+  ts.unit_pos = 0;
+  ts.unit_off = false;
+  ts.pending_gap = false;
+  ts.sampled_out = 0;
+  ts.gaps_closed = 0;
+  ts.ctl_wall_ns = 0;
+  ts.ctl_cost_ns = 0;
+  ts.ctl_ewma = 0.0;
+}
+
+void Runtime::publish_sampling(ThreadState& ts) {
+  if (ts.sampled_out == 0 && ts.gaps_closed == 0) return;
+  sampled_out_.fetch_add(ts.sampled_out, std::memory_order_relaxed);
+  gaps_closed_.fetch_add(ts.gaps_closed, std::memory_order_relaxed);
+  ts.sampled_out = 0;
+  ts.gaps_closed = 0;
+}
+
+void Runtime::flush(ThreadState& ts, bool unlock) {
+  FlushSection section(*this, ts);
+  if (AccessSink* sink = section.sink()) {
+    ts.buffer.flush(*sink);
+    if (unlock) sink->on_unlock(ts.tmpl.tid);
+    publish_sampling(ts);
+  } else {
+    ts.buffer.discard();
+  }
+  ts.cache.invalidate_all();
+}
+
+void Runtime::forget_thread(ThreadState& ts) {
   // A thread exiting mid-session must not drop its tail of buffered events.
-  AccessSink* sink = sink_.load(std::memory_order_acquire);
-  if (enabled_.load(std::memory_order_acquire) && sink != nullptr)
-    state.buffer.flush(*sink);
-  state.cache.invalidate_all();
-  // A pending gap dies with the thread: no later event of this thread can
-  // be attributed across it, so no closing marker is needed — but the gate
-  // counters must survive into the session totals.
-  exited_sampled_out_.fetch_add(state.sampled_out, std::memory_order_relaxed);
-  exited_gaps_closed_.fetch_add(state.gaps_closed, std::memory_order_relaxed);
-  state.sampled_out = 0;
-  state.gaps_closed = 0;
-  state.unit_pos = 0;
-  state.unit_off = false;
-  state.pending_gap = false;
-  threads_.erase(std::remove(threads_.begin(), threads_.end(), &state),
+  // A pending gap dies with the thread: no later event of this thread can be
+  // attributed across it, so no closing marker is needed.
+  flush(ts, /*unlock=*/false);
+  std::lock_guard lock(buffers_mu_);
+  threads_.erase(std::remove(threads_.begin(), threads_.end(), &ts),
                  threads_.end());
 }
 
@@ -75,81 +103,63 @@ void Runtime::drain_in_flight_locked() {
 
 void Runtime::attach(AccessSink* sink, bool mt_mode, bool dedup,
                      SamplingConfig sampling) {
-  {
-    // Buffers may still hold events of a previous session whose sink is
-    // gone; they must not leak into the new one.  Late record() calls of
-    // that session must have finished with their buffers before we discard.
-    std::lock_guard lock(buffers_mu_);
-    drain_in_flight_locked();
-    for (ThreadState* ts : threads_) {
-      ts->buffer.discard();
-      ts->cache.invalidate_all();
-      ts->unit_pos = 0;
-      ts->unit_off = false;
-      ts->pending_gap = false;
-      ts->sampled_out = 0;
-      ts->gaps_closed = 0;
-      ts->ctl_wall_ns = 0;
-      ts->ctl_cost_ns = 0;
-      ts->ctl_ewma = 0.0;
-    }
-  }
-  mt_mode_.store(mt_mode, std::memory_order_relaxed);
+  std::lock_guard lock(buffers_mu_);
+  mt_mode_ = mt_mode;
   // In mt_mode every event carries a fresh timestamp, so no two events are
   // ever identical — the cache could only miss.  Keep it off entirely.
-  dedup_.store(dedup && !mt_mode, std::memory_order_relaxed);
+  dedup_ = dedup && !mt_mode;
   // Sampling is sequential-target only: a per-thread unit boundary cannot
   // cut an MT trace consistently across threads.
-  const bool sample = sampling.enabled() && !mt_mode;
-  sampling_on_.store(sample, std::memory_order_relaxed);
-  adaptive_.store(sample && sampling.budget < 1.0, std::memory_order_relaxed);
+  sampling_on_ = sampling.enabled() && !mt_mode;
+  adaptive_ = sampling_on_ && sampling.budget < 1.0;
+  budget_target_ = sampling.budget;
+  sink_ = sink;
+  // Each thread rebinds to the new session at its next access.  A session
+  // replaced without detach() receives nothing once the drain has passed.
+  generation_.fetch_add(1, std::memory_order_seq_cst);
+  drain_in_flight_locked();
+  // No thread can rebind before the lock is released, so nothing of the
+  // new session has touched the shared schedule or the totals yet.
   sampling_burst_.store(std::max(1u, sampling.burst),
                         std::memory_order_relaxed);
-  sampling_skip_.store(sample ? sampling.skip : 0, std::memory_order_relaxed);
-  budget_target_ = sampling.budget;
+  sampling_skip_.store(sampling_on_ ? sampling.skip : 0,
+                       std::memory_order_relaxed);
   measured_overhead_ppm_.store(0, std::memory_order_relaxed);
-  exited_sampled_out_.store(0, std::memory_order_relaxed);
-  exited_gaps_closed_.store(0, std::memory_order_relaxed);
-  sink_.store(sink, std::memory_order_seq_cst);
+  sampled_out_.store(0, std::memory_order_relaxed);
+  gaps_closed_.store(0, std::memory_order_relaxed);
   enabled_.store(sink != nullptr, std::memory_order_release);
 }
 
 void Runtime::detach() {
   enabled_.store(false, std::memory_order_release);
-  // Swap the sink out first: record() snapshots it exactly once, so after
-  // the drain below no target thread can still reach the old sink — a
-  // thread that passed the enabled() check either saw the swap (and bailed)
-  // or raised its in_flight flag before our load of it.
-  AccessSink* sink = sink_.exchange(nullptr, std::memory_order_seq_cst);
-  std::uint64_t sampled_out = exited_sampled_out_.load(std::memory_order_relaxed);
-  std::uint64_t gaps = exited_gaps_closed_.load(std::memory_order_relaxed);
+  AccessSink* sink = nullptr;
+  bool sampled = false;
   {
     std::lock_guard lock(buffers_mu_);
-    drain_in_flight_locked();
-    for (ThreadState* ts : threads_) {
-      if (sink != nullptr) ts->buffer.flush(*sink);
-      ts->cache.invalidate_all();
-      sampled_out += ts->sampled_out;
-      gaps += ts->gaps_closed;
-      ts->sampled_out = 0;
-      ts->gaps_closed = 0;
-      ts->unit_pos = 0;
-      ts->unit_off = false;
-      ts->pending_gap = false;
+    sink = std::exchange(sink_, nullptr);
+    sampled = sampling_on_;
+    mt_mode_ = dedup_ = sampling_on_ = adaptive_ = false;
+    const std::uint64_t ended =
+        generation_.fetch_add(1, std::memory_order_seq_cst);
+    // The caller's own tail: no other thread touches this buffer, so it
+    // needs no handshake — only the check that it belongs to this session.
+    ThreadState& self = local_state();
+    if (sink != nullptr && self.generation == ended) {
+      self.buffer.flush(*sink);
+      publish_sampling(self);
     }
+    drain_in_flight_locked();
   }
-  if (sink != nullptr) {
-    if (sampling_on_.load(std::memory_order_relaxed))
-      sink->on_sampling_stats(
-          sampled_out, gaps,
-          measured_overhead_ppm_.load(std::memory_order_relaxed));
-    sink->finish();
-  }
-  sampling_on_.store(false, std::memory_order_relaxed);
-  adaptive_.store(false, std::memory_order_relaxed);
+  if (sink == nullptr) return;
+  if (sampled)
+    sink->on_sampling_stats(
+        sampled_out_.load(std::memory_order_relaxed),
+        gaps_closed_.load(std::memory_order_relaxed),
+        measured_overhead_ppm_.load(std::memory_order_relaxed));
+  sink->finish();
 }
 
-void Runtime::close_gap(ThreadState& ts, AccessSink& sink) {
+void Runtime::close_gap(ThreadState& ts) {
   ts.pending_gap = false;
   ts.gaps_closed += 1;
   // The marker precedes the first kept event after any drop — whatever that
@@ -157,10 +167,11 @@ void Runtime::close_gap(ThreadState& ts, AccessSink& sink) {
   // detected against store state recorded before the gap, which can emit a
   // dependence the unsampled run attributes to a (dropped) later source —
   // an extra key, breaking the subset contract.
-  AccessEvent mark;
+  AccessEvent& mark = ts.buffer.next_slot();
+  mark = AccessEvent{};
   mark.kind = AccessKind::kBurstMark;
-  mark.tid = ts.tid;
-  if (ts.buffer.add(mark)) ts.buffer.flush(sink);
+  mark.tid = ts.tmpl.tid;
+  if (ts.buffer.commit()) flush(ts, /*unlock=*/false);
   // The marker clears all detection state downstream, so no post-gap repeat
   // may merge into a pre-gap buffered record.
   ts.cache.invalidate_all();
@@ -170,59 +181,43 @@ void Runtime::record(const void* addr, std::size_t size, std::uint32_t file,
                      std::uint32_t line, std::uint32_t var, bool is_write) {
   (void)size;
   ThreadState& ts = thread_state();
+  if (ts.sink == nullptr) return;  // no session: the runtime is detached
   if (ts.unit_off && !ts.loop_stack.empty()) {
-    // Inside a skipped sampling unit: drop without touching the sink.
+    // Inside a skipped sampling unit: drop without touching the buffer.
     ts.sampled_out += 1;
     ts.pending_gap = true;
     return;
   }
-  SinkUse use(*this, ts);
-  if (use.sink() == nullptr) return;  // detached after the enabled() check
-  if (ts.pending_gap) close_gap(ts, *use.sink());
-  AccessEvent ev;
+  if (ts.pending_gap) close_gap(ts);
+  AccessEvent& ev = ts.buffer.next_slot();
+  ev = ts.tmpl;
   ev.addr = reinterpret_cast<std::uintptr_t>(addr);
   ev.loc = SourceLocation(file, line).packed();
   ev.var = var;
   ev.kind = is_write ? AccessKind::kWrite : AccessKind::kRead;
-  ev.tid = ts.tid;
-  const std::size_t depth = ts.loop_stack.size();
-  if (depth > 0) {
-    ev.ctx = ts.loop_stack.back().node;
-    // Root-anchored iteration window: outermost loop first (event.hpp).
-    for (std::size_t i = 0; i < kNestIters && i < depth; ++i)
-      ev.iters[i] = ts.loop_stack[i].iter;
-  }
-  if (mt_mode_.load(std::memory_order_relaxed))
-    ev.ts = timestamp_.fetch_add(1, std::memory_order_relaxed);
-  if (ts.lock_depth > 0) ev.flags |= kInLockRegion;
-  if (dedup_.load(std::memory_order_relaxed) && dedup_eligible(ev)) {
+  if (ts.mt) ev.ts = timestamp_.fetch_add(1, std::memory_order_relaxed);
+  if (ts.dedup && dedup_eligible(ev)) {
     // Front-end redundancy elision: an exact repeat of the most recent
-    // buffered access to this word only bumps that record's rep counter.
+    // buffered access to this word only bumps that record's rep counter,
+    // and the slot it was built in stays uncommitted.
     const std::uint64_t w = word_addr(ev.addr);
     const std::uint32_t idx = ts.cache.find(w);
     if (idx != DedupCache::kNoIndex &&
         same_access_identity(ts.buffer.at(idx), ev) && ts.buffer.bump_rep(idx))
       return;
-    if (ts.buffer.add(ev)) {
-      ts.buffer.flush(*use.sink());
-      ts.cache.invalidate_all();
-    } else {
-      ts.cache.put(w, static_cast<std::uint32_t>(ts.buffer.size() - 1));
-    }
+    ts.cache.put(w, static_cast<std::uint32_t>(ts.buffer.size()));
+    if (ts.buffer.commit()) flush(ts, /*unlock=*/false);
     return;
   }
-  const bool full = ts.buffer.add(ev);
   // Inside a lock region the access and its push must stay atomic (Fig. 4):
   // deliver immediately so no other thread can enter the region and push a
   // conflicting access first.
-  if (full || ts.lock_depth > 0) {
-    ts.buffer.flush(*use.sink());
-    ts.cache.invalidate_all();
-  }
+  if (ts.buffer.commit() || ts.lock_depth > 0) flush(ts, /*unlock=*/false);
 }
 
 void Runtime::record_free(const void* addr, std::size_t size) {
   ThreadState& ts = thread_state();
+  if (ts.sink == nullptr) return;  // no session: the runtime is detached
   if (ts.unit_off && !ts.loop_stack.empty()) {
     // A free inside a skipped unit is dropped like any other event: the
     // burst marker that closes the gap clears strictly more state than the
@@ -231,9 +226,7 @@ void Runtime::record_free(const void* addr, std::size_t size) {
     ts.pending_gap = true;
     return;
   }
-  SinkUse use(*this, ts);
-  if (use.sink() == nullptr) return;  // detached after the enabled() check
-  if (ts.pending_gap) close_gap(ts, *use.sink());
+  if (ts.pending_gap) close_gap(ts);
   const auto base = reinterpret_cast<std::uintptr_t>(addr);
   // One lifetime event per 4-byte word overlapped by [base, base+size),
   // matching the signature's address granularity (hash_address discards the
@@ -243,17 +236,17 @@ void Runtime::record_free(const void* addr, std::size_t size) {
   // heap reuses the memory.
   const std::uint64_t first = word_addr(base);
   const std::uint64_t last = word_addr(base + (size > 0 ? size - 1 : 0));
-  const bool mt = mt_mode_.load(std::memory_order_relaxed);
   for (std::uint64_t w = first; w <= last; ++w) {
     // Lifetime boundary: a cached access to this word must not absorb a
     // repeat recorded after the heap recycles the memory — the repeat is a
     // fresh INIT, not another instance of the dead variable's access.
     ts.cache.invalidate_word(w);
-    AccessEvent ev;
+    AccessEvent& ev = ts.buffer.next_slot();
+    ev = AccessEvent{};
     ev.addr = w << 2;
     ev.kind = AccessKind::kFree;
-    ev.tid = ts.tid;
-    if (mt) ev.ts = timestamp_.fetch_add(1, std::memory_order_relaxed);
+    ev.tid = ts.tmpl.tid;
+    if (ts.mt) ev.ts = timestamp_.fetch_add(1, std::memory_order_relaxed);
     // A free inside a lock region needs the same treatment as an access
     // (Fig. 4): flag it so the parallel producer keeps it on the in-order
     // immediate path, and push before the target can release the lock.
@@ -261,11 +254,8 @@ void Runtime::record_free(const void* addr, std::size_t size) {
     // the accesses around it take the immediate one, and another thread's
     // post-free access can reach the detector before the free clears the
     // word — fabricating a dependence on the dead lifetime.
-    if (ts.lock_depth > 0) ev.flags |= kInLockRegion;
-    if (ts.buffer.add(ev) || ts.lock_depth > 0) {
-      ts.buffer.flush(*use.sink());
-      ts.cache.invalidate_all();
-    }
+    ev.flags = ts.tmpl.flags;
+    if (ts.buffer.commit() || ts.lock_depth > 0) flush(ts, /*unlock=*/false);
   }
 }
 
@@ -273,8 +263,7 @@ void Runtime::begin_unit(ThreadState& ts) {
   const unsigned burst = sampling_burst_.load(std::memory_order_relaxed);
   // Cycle boundary: the finished B+K cycle is the controller's feedback
   // granularity (adaptive mode retunes the skip count here).
-  if (ts.unit_pos == 0 && adaptive_.load(std::memory_order_relaxed))
-    controller_tick(ts, burst);
+  if (ts.unit_pos == 0 && ts.adaptive) controller_tick(ts, burst);
   const unsigned skip = sampling_skip_.load(std::memory_order_relaxed);
   ts.unit_off = ts.unit_pos >= burst;
   ts.unit_pos += 1;
@@ -282,10 +271,12 @@ void Runtime::begin_unit(ThreadState& ts) {
 }
 
 void Runtime::controller_tick(ThreadState& ts, unsigned burst) {
-  AccessSink* sink = sink_.load(std::memory_order_acquire);
-  if (sink == nullptr) return;
+  // The cost read and the retuned skip count belong to the thread's session:
+  // neither may reach a sink or a session that has been detached since.
+  FlushSection section(*this, ts);
+  if (section.sink() == nullptr) return;
   const std::uint64_t now = WallTimer::now();
-  const std::uint64_t cost = sink->profiling_cost_ns();
+  const std::uint64_t cost = section.sink()->profiling_cost_ns();
   if (ts.ctl_wall_ns != 0 && now > ts.ctl_wall_ns && cost >= ts.ctl_cost_ns) {
     const std::uint64_t dwall = now - ts.ctl_wall_ns;
     const std::uint64_t dcost = cost - ts.ctl_cost_ns;
@@ -305,7 +296,7 @@ void Runtime::controller_tick(ThreadState& ts, unsigned burst) {
       const double duty =
           static_cast<double>(burst) / static_cast<double>(burst + skip);
       double d_new = ts.ctl_ewma > 1e-12
-                         ? duty * budget_target_ / ts.ctl_ewma
+                         ? duty * ts.budget / ts.ctl_ewma
                          : 1.0;
       if (d_new > 1.0) d_new = 1.0;
       const double k_raw =
@@ -325,15 +316,16 @@ void Runtime::loop_begin(std::uint32_t file, std::uint32_t line) {
   ThreadState& ts = thread_state();
   ts.cache.invalidate_all();  // dedup never crosses a loop-context change
   // A fresh outermost-loop invocation starts a new sampling unit.
-  if (ts.loop_stack.empty() && sampling_on_.load(std::memory_order_relaxed))
-    begin_unit(ts);
+  if (ts.loop_stack.empty() && ts.sampling) begin_unit(ts);
   const std::uint32_t loc = SourceLocation(file, line).packed();
-  const std::uint32_t parent_node =
-      ts.loop_stack.empty() ? NestForest::kRoot : ts.loop_stack.back().node;
   const std::uint32_t parent_loop =
       ts.loop_stack.empty() ? 0 : ts.loop_stack.back().loop_id;
-  const std::uint32_t node = nest_forest().enter(parent_node, loc);
+  // The template's context is the innermost entry (kRoot outside loops).
+  const std::uint32_t node = nest_forest().enter(ts.tmpl.ctx, loc);
   ts.loop_stack.push_back({loc, node, 0});
+  ts.tmpl.ctx = node;
+  if (ts.loop_stack.size() <= kNestIters)
+    ts.tmpl.iters[ts.loop_stack.size() - 1] = 0;
   std::lock_guard lock(cf_mu_);
   auto [it, inserted] = loops_.try_emplace(loc);
   if (inserted) {
@@ -357,10 +349,11 @@ void Runtime::loop_iter() {
   }
   // An outermost-loop iteration boundary ends one sampling unit and starts
   // the next (inner-loop iterations stay inside the enclosing unit).
-  if (ts.loop_stack.size() == 1 &&
-      sampling_on_.load(std::memory_order_relaxed))
-    begin_unit(ts);
-  ts.loop_stack.back().iter += 1;
+  if (ts.loop_stack.size() == 1 && ts.sampling) begin_unit(ts);
+  const std::uint32_t iter = ++ts.loop_stack.back().iter;
+  // Root-anchored iteration window: outermost loop first (event.hpp).
+  if (ts.loop_stack.size() <= kNestIters)
+    ts.tmpl.iters[ts.loop_stack.size() - 1] = iter;
 }
 
 void Runtime::loop_end(std::uint32_t file, std::uint32_t line) {
@@ -374,7 +367,11 @@ void Runtime::loop_end(std::uint32_t file, std::uint32_t line) {
     return;
   }
   const ActiveLoop top = ts.loop_stack.back();
+  if (ts.loop_stack.size() <= kNestIters)
+    ts.tmpl.iters[ts.loop_stack.size() - 1] = 0;
   ts.loop_stack.pop_back();
+  ts.tmpl.ctx =
+      ts.loop_stack.empty() ? NestForest::kRoot : ts.loop_stack.back().node;
   // Leaving the outermost loop ends the current sampling unit; code outside
   // any loop is always profiled (the gate additionally requires a nonempty
   // stack, so a stale unit_off could never drop root-level events — this
@@ -410,36 +407,28 @@ CallTree Runtime::call_tree() const {
   return call_tree_;
 }
 
-void Runtime::sync_point() {
-  ThreadState& ts = thread_state();
-  SinkUse use(*this, ts);
-  if (AccessSink* sink = use.sink()) {
-    ts.buffer.flush(*sink);
-    ts.cache.invalidate_all();
-    sink->on_unlock(ts.tid);
-  }
-}
+void Runtime::sync_point() { flush(thread_state(), /*unlock=*/true); }
 
-void Runtime::lock_enter() { thread_state().lock_depth += 1; }
+void Runtime::lock_enter() {
+  ThreadState& ts = thread_state();
+  ts.lock_depth += 1;
+  ts.tmpl.flags |= kInLockRegion;
+}
 
 void Runtime::lock_exit() {
   ThreadState& ts = thread_state();
   if (ts.lock_depth > 0) ts.lock_depth -= 1;
   if (ts.lock_depth != 0) return;
+  ts.tmpl.flags &= static_cast<std::uint8_t>(~kInLockRegion);
   // Push buffered accesses before the target releases the lock (Fig. 4).
-  SinkUse use(*this, ts);
-  if (AccessSink* sink = use.sink()) {
-    ts.buffer.flush(*sink);
-    ts.cache.invalidate_all();
-    sink->on_unlock(ts.tid);
-  }
+  flush(ts, /*unlock=*/true);
 }
 
-std::uint16_t Runtime::thread_id() { return thread_state().tid; }
+std::uint16_t Runtime::thread_id() { return thread_state().tmpl.tid; }
 
 void Runtime::bind_thread_id(std::uint16_t tid) {
   ThreadState& ts = thread_state();
-  ts.tid = tid;
+  ts.tmpl.tid = tid;
   // Keep the automatic counter ahead of explicit bindings so later
   // first-touch threads do not collide with them.
   std::uint16_t next = next_tid_.load(std::memory_order_relaxed);
@@ -487,19 +476,23 @@ ControlFlowLog Runtime::control_flow() const {
 }
 
 void Runtime::reset() {
-  std::lock_guard lock(cf_mu_);
-  loops_.clear();
-  nest_edges_.clear();
-  stray_iters_ = 0;
-  stray_ends_ = 0;
-  reduction_lines_.clear();
-  call_tree_.clear();
+  {
+    std::lock_guard lock(cf_mu_);
+    loops_.clear();
+    nest_edges_.clear();
+    stray_iters_ = 0;
+    stray_ends_ = 0;
+    reduction_lines_.clear();
+    call_tree_.clear();
+  }
   timestamp_.store(1, std::memory_order_relaxed);
   next_tid_.store(0, std::memory_order_relaxed);
   // The nest forest is deliberately NOT cleared: it is append-only and
   // process-wide, so context ids inside recorded traces stay valid across
   // sessions (trace/nest.hpp).
-  epoch_.fetch_add(1, std::memory_order_release);
+  std::lock_guard lock(buffers_mu_);
+  epoch_ += 1;
+  generation_.fetch_add(1, std::memory_order_release);
 }
 
 }  // namespace depprof

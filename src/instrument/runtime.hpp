@@ -12,9 +12,26 @@
 // explicit lock regions of MT targets so that an access and its push stay
 // atomic (Sec. V, Fig. 4).
 //
-// When no sink is attached the per-access cost is a single predicted branch,
-// so the same workload binary serves as the "native" baseline of the
-// slowdown experiments.
+// With no sink attached, each macro costs an out-of-line instance() call,
+// one relaxed load of the enabled flag and a predicted branch.  That path is
+// the "native" baseline of the slowdown experiments: every slowdown divides
+// by the run time of this same binary with the runtime detached.  It must
+// not change.  Making it cheaper (inlining instance(), say) speeds up only
+// the denominator, so every slowdown grows while the profiler stays as fast.
+//
+// Sessions.  attach() and detach() each start a new runtime generation;
+// reset() starts one too.  An access pays one acquire load of the
+// generation and a compare with the thread's copy.  On a mismatch the
+// thread rebinds: it drops its own stale buffer, dedup and sampling state,
+// then copies the session's sink and flags into its ThreadState.
+// attach()/detach() never write another thread's state.  The detach
+// handshake (in_flight plus a seq_cst generation check) wraps only the flush
+// points: buffer full, lock exit, sync point, burst marker and thread exit.
+// A flush delivers only if its session is still attached, otherwise it
+// discards the buffer.  So detach() delivers the caller's own tail and every
+// other thread's events up to that thread's last flush point.  A thread
+// still recording at detach loses its unflushed tail, which races the
+// detach anyway.
 
 #include <atomic>
 #include <cstdint>
@@ -71,8 +88,10 @@ class Runtime {
   void attach(AccessSink* sink, bool mt_mode = false, bool dedup = false,
               SamplingConfig sampling = {});
 
-  /// Detaches the sink and calls its finish().  Control-flow data remains
-  /// readable until the next attach().
+  /// Detaches the sink and calls its finish().  The sink receives the
+  /// calling thread's buffered events and each other thread's events up to
+  /// its last flush point, and nothing once detach() has returned.
+  /// Control-flow data remains readable until the next attach().
   void detach();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -161,73 +180,102 @@ class Runtime {
     std::uint32_t iter = 0;
   };
 
+  /// Per-thread recording state.  Only the owning thread touches it, except
+  /// for in_flight, which attach()/detach() read while draining.
   struct ThreadState {
-    std::uint64_t epoch = ~0ull;
-    std::uint16_t tid = 0;
-    int lock_depth = 0;
-    bool registered = false;
-    std::vector<ActiveLoop> loop_stack;
-    std::vector<std::uint32_t> call_stack;  // CallTree node indices
-    /// Per-thread chunk buffer: events accumulate here and flush through
-    /// AccessSink::on_batch — the same chunk path trace replay uses.
-    EventBuffer buffer;
-    /// Front-end dedup cache over the buffered records.  Invalidated (O(1)
-    /// generation bump) at every flush point — buffer flush/discard, loop
-    /// begin/iter/end, lock and sync boundaries — and per-word by
-    /// record_free for the freed span.
-    DedupCache cache;
-    // --- overhead-budget sampling (see SamplingConfig) -------------------
-    unsigned unit_pos = 0;    ///< index of the next unit within the B+K cycle
-    bool unit_off = false;    ///< current unit is being skipped
+    // --- session binding, copied by refresh() when generation_ moves ------
+    /// Runtime generation bound to; 0 = never (generation_ starts at 1).
+    std::uint64_t generation = 0;
+    /// Sink of the bound session; nullptr while detached (accesses dropped).
+    AccessSink* sink = nullptr;
+    bool mt = false;        ///< session stamps events with global timestamps
+    bool dedup = false;     ///< session runs the front-end dedup cache
+    bool sampling = false;  ///< session runs the burst gate
+    bool adaptive = false;  ///< session retunes the skip count online
+    double budget = 1.0;    ///< overhead target of the adaptive controller
+    // --- sampling gate (see SamplingConfig) -------------------------------
+    bool unit_off = false;     ///< current unit is being skipped
     bool pending_gap = false;  ///< >=1 event dropped since the last kept one
-    std::uint64_t sampled_out = 0;  ///< accesses dropped by the gate
-    std::uint64_t gaps_closed = 0;  ///< burst markers emitted
+    unsigned unit_pos = 0;     ///< index of the next unit within the B+K cycle
+    std::uint64_t sampled_out = 0;  ///< accesses dropped, not yet published
+    std::uint64_t gaps_closed = 0;  ///< burst markers, not yet published
     // Adaptive-controller state, sampled at each cycle boundary.
     std::uint64_t ctl_wall_ns = 0;
     std::uint64_t ctl_cost_ns = 0;
     double ctl_ewma = 0.0;  ///< smoothed overhead estimate (0 = no sample yet)
-    /// True while the owning thread is inside a record/flush critical
-    /// section using the attached sink.  attach()/detach() swap the sink
-    /// pointer first and then wait for every registered thread's flag to
-    /// clear, so a thread that passed the enabled() check can never reach
-    /// the sink (or its own buffer) concurrently with the swap-side flush.
+    // --- epoch state (thread id, nesting) ----------------------------------
+    std::uint64_t epoch = 0;
+    int lock_depth = 0;
+    bool registered = false;
+    /// The next access event of this thread, minus its per-access fields:
+    /// tid, innermost loop context, iteration window and lock flag.
+    /// loop_begin/iter/end, lock_enter/exit and bind_thread_id keep it
+    /// current; record() copies it into the buffer slot and fills in the
+    /// address, location, variable, kind and timestamp.
+    AccessEvent tmpl;
+    std::vector<ActiveLoop> loop_stack;
+    std::vector<std::uint32_t> call_stack;  // CallTree node indices
+    /// Per-thread chunk buffer: events are built in its next slot and flush
+    /// through AccessSink::on_batch — the same chunk path trace replay uses.
+    EventBuffer buffer;
+    /// Front-end dedup cache over the buffered records.  Invalidated (O(1)
+    /// generation bump) at every flush point — buffer flush/discard, loop
+    /// begin/iter/end, lock and sync boundaries, rebind — and per-word by
+    /// record_free for the freed span.
+    DedupCache cache;
+    /// True while the owning thread is inside a FlushSection.  attach() and
+    /// detach() bump generation_ and then wait for every registered
+    /// thread's flag to clear, so no delivery to an ended session can
+    /// overlap or follow its finish().
     std::atomic<bool> in_flight{false};
     ~ThreadState();
   };
 
-  /// RAII sink snapshot for the record-side critical sections.  Raises the
-  /// thread's in_flight flag, then snapshots the sink exactly once; sink()
-  /// is nullptr when the profiler detached after the caller's enabled()
-  /// check, in which case the flag is already released and the caller must
-  /// bail out without touching its buffer.
-  class SinkUse {
+  /// Flush-point critical section: buffer full, lock exit, sync point,
+  /// burst marker, thread exit and the adaptive controller's step.
+  /// Raises in_flight, then checks with one seq_cst load that the thread's
+  /// session is still attached.  That load pairs with the seq_cst
+  /// generation bump in attach()/detach(): either it sees the bump, or the
+  /// bumping thread sees the raised flag and waits until the section ends.
+  /// sink() is nullptr when the session has ended (the flag is already
+  /// lowered then), and the caller must not deliver.
+  class FlushSection {
    public:
-    SinkUse(Runtime& rt, ThreadState& ts) : ts_(&ts) {
-      // seq_cst store/load pair with the seq_cst sink swap in attach/detach:
-      // either this use sees the swapped pointer, or the swapper sees the
-      // raised flag and waits for release().
-      ts_->in_flight.store(true, std::memory_order_seq_cst);
-      sink_ = rt.sink_.load(std::memory_order_seq_cst);
-      if (sink_ == nullptr) release();
+    FlushSection(const Runtime& rt, ThreadState& ts) : ts_(ts) {
+      if (ts.sink == nullptr) return;
+      ts.in_flight.store(true, std::memory_order_seq_cst);
+      if (rt.generation_.load(std::memory_order_seq_cst) == ts.generation)
+        sink_ = ts.sink;
+      else
+        ts.in_flight.store(false, std::memory_order_release);
     }
-    ~SinkUse() { release(); }
-    SinkUse(const SinkUse&) = delete;
-    SinkUse& operator=(const SinkUse&) = delete;
+    ~FlushSection() {
+      if (sink_ != nullptr)
+        ts_.in_flight.store(false, std::memory_order_release);
+    }
+    FlushSection(const FlushSection&) = delete;
+    FlushSection& operator=(const FlushSection&) = delete;
     AccessSink* sink() const { return sink_; }
 
    private:
-    void release() {
-      if (ts_ != nullptr) {
-        ts_->in_flight.store(false, std::memory_order_release);
-        ts_ = nullptr;
-      }
-    }
-    ThreadState* ts_;
+    ThreadState& ts_;
     AccessSink* sink_ = nullptr;
   };
 
+  /// The calling thread's state as it is, without a generation check.
+  static ThreadState& local_state();
+  /// The calling thread's state, rebound first if the generation moved.
   ThreadState& thread_state();
-  void forget_thread(ThreadState& state);
+  /// Slow path of thread_state(): registers the thread, applies an epoch
+  /// reset, and rebinds the thread to the current session.
+  void refresh(ThreadState& ts);
+  /// Flush point: delivers the buffer (and, with `unlock`, the on_unlock
+  /// notice) if the thread's session is still attached, else discards it.
+  void flush(ThreadState& ts, bool unlock);
+  /// Adds the thread's sampling counters to the session totals.  Called by
+  /// the thread itself at its flush points, or by detach() for the caller.
+  void publish_sampling(ThreadState& ts);
+  void forget_thread(ThreadState& ts);
   /// Starts the next sampling unit on `ts`: decides whether it is profiled
   /// or skipped, and runs the adaptive controller at each cycle boundary.
   void begin_unit(ThreadState& ts);
@@ -236,34 +284,37 @@ class Runtime {
   void controller_tick(ThreadState& ts, unsigned burst);
   /// Emits the kBurstMark that closes a sampling gap, before the first kept
   /// event after it reaches the buffer.
-  void close_gap(ThreadState& ts, AccessSink& sink);
-  /// Spins until no registered thread is inside a SinkUse section.  Caller
-  /// holds buffers_mu_ and has already swapped sink_, so no new section can
-  /// observe the old sink.  Threads inside a section never block on
-  /// buffers_mu_ (registration happens before the flag is raised), so the
-  /// wait is bounded by one in-flight record per thread.
+  void close_gap(ThreadState& ts);
+  /// Spins until no registered thread is inside a FlushSection.  Caller
+  /// holds buffers_mu_ and has already bumped generation_, so no new section
+  /// can deliver to the ended session.  Threads inside a section never block
+  /// on buffers_mu_, so the wait is bounded by one delivery per thread.
   void drain_in_flight_locked();
 
   std::atomic<bool> enabled_{false};
-  std::atomic<AccessSink*> sink_{nullptr};
-  std::atomic<bool> mt_mode_{false};
-  std::atomic<bool> dedup_{false};
-  std::atomic<bool> sampling_on_{false};
-  std::atomic<bool> adaptive_{false};
+  /// Bumped by attach(), detach() and reset(), always under buffers_mu_.
+  std::atomic<std::uint64_t> generation_{1};
+  // Session settings: written by attach()/detach() and copied into a
+  // ThreadState by refresh(), all under buffers_mu_.
+  AccessSink* sink_ = nullptr;
+  bool mt_mode_ = false;
+  bool dedup_ = false;
+  bool sampling_on_ = false;
+  bool adaptive_ = false;
+  double budget_target_ = 1.0;
+  std::uint64_t epoch_ = 1;  ///< bumped by reset(), under buffers_mu_
   std::atomic<unsigned> sampling_burst_{8};
   std::atomic<unsigned> sampling_skip_{0};  ///< retuned live by the controller
-  double budget_target_ = 1.0;  ///< written at attach only
   /// Latest controller overhead estimate, parts per million.
   std::atomic<std::uint64_t> measured_overhead_ppm_{0};
-  /// Gate/marker counters of threads that exited mid-session.
-  std::atomic<std::uint64_t> exited_sampled_out_{0};
-  std::atomic<std::uint64_t> exited_gaps_closed_{0};
+  /// Session totals of the sampling gate, published at flush points.
+  std::atomic<std::uint64_t> sampled_out_{0};
+  std::atomic<std::uint64_t> gaps_closed_{0};
   std::atomic<std::uint64_t> timestamp_{1};
-  std::atomic<std::uint64_t> epoch_{1};
   std::atomic<std::uint16_t> next_tid_{0};
 
-  /// Guards the live-thread registry so attach/detach can discard or flush
-  /// every thread's buffered events.
+  /// Guards the session settings above and the live-thread registry that
+  /// attach()/detach() drain.
   std::mutex buffers_mu_;
   std::vector<ThreadState*> threads_;
 

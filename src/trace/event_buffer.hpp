@@ -2,10 +2,11 @@
 // Thread-local event chunk buffer — the producer half of the batched event
 // path.
 //
-// The instrumentation runtime appends each assembled AccessEvent to the
-// calling thread's EventBuffer and flushes it through AccessSink::on_batch
-// when the buffer fills, at lock-region boundaries (Fig. 4: access and push
-// must stay atomic), at implicit synchronization points, and at detach.
+// The instrumentation runtime builds each AccessEvent in place, in the next
+// slot of the calling thread's EventBuffer, and flushes the buffer through
+// AccessSink::on_batch when it fills, at lock-region boundaries (Fig. 4:
+// access and push must stay atomic), at implicit synchronization points,
+// and at detach.
 // Trace replay streams its recorded events through the same on_batch entry
 // point via replay_batched(), so live instrumentation and replay exercise
 // one code path into the profilers.
@@ -22,13 +23,16 @@ class EventBuffer {
   /// Events buffered per thread before a flush (16 KiB per thread).
   static constexpr std::size_t kCapacity = 256;
 
-  /// Appends one event; returns true when the buffer is full and must be
-  /// flushed before the next add().
-  bool add(const AccessEvent& ev) {
-    events_[count_] = ev;
+  /// The slot the next event is built in.  It joins the buffer only on
+  /// commit(), so a caller may fill it and then abandon it (the dedup path
+  /// does, when the event turns out to repeat a buffered record).
+  AccessEvent& next_slot() { return events_[count_]; }
+
+  /// Appends the event built in next_slot(); returns true when the buffer
+  /// is full and must be flushed before the next append.
+  bool commit() {
     reps_[count_] = 1;
-    ++count_;
-    return count_ == kCapacity;
+    return ++count_ == kCapacity;
   }
 
   /// Records one more identical instance of buffered record `index` (the

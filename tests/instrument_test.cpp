@@ -1,11 +1,15 @@
 // Tests for the instrumentation runtime and macros: event assembly, loop
 // context tracking (entries, iterations, three-level nesting), control-flow
-// records, lifetime events, lock regions, thread ids, timestamps, and the
-// disabled-runtime fast path.
+// records, lifetime events, lock regions, thread ids, timestamps, session
+// rebinding across detach/attach, and the disabled-runtime fast path.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -392,6 +396,272 @@ TEST_F(RuntimeTest, LockExitFlushesBufferedAccesses) {
   DP_LOCK_EXIT();
   EXPECT_EQ(recorder_.trace().events.size(), 1u)
       << "lock exit must flush before the target releases the lock";
+}
+
+// --- per-thread event template --------------------------------------------
+
+TEST_F(RuntimeTest, EventContextMatchesTheLoopNestAtEveryDepth) {
+  // Every access carries the thread's loop context, iteration window, thread
+  // id and lock flag.  The expected values come from a model of the nest the
+  // test drives, not from the runtime's own bookkeeping: depths 1 through
+  // kNestIters + 2 (past the window), iteration advances and loop exits, a
+  // lock region, bind_thread_id mid-nest, and reset() plus a fresh attach.
+  Runtime& rt = Runtime::instance();
+  struct Expect {
+    std::vector<std::uint32_t> loops;  ///< static loop id per depth
+    std::vector<std::uint32_t> iters;  ///< iteration per depth
+    std::uint32_t entry;  ///< innermost dynamic entry (0 = outside loops)
+    std::uint16_t tid;
+    bool locked;
+  };
+  std::vector<Expect> expected;
+  std::vector<std::uint32_t> loops, iters, entries;
+  std::uint32_t next_entry = 1;
+  std::uint16_t tid = 0;
+  bool locked = false;
+  int cell = 0;
+  const auto access = [&] {
+    rt.record(&cell, sizeof(cell), dp_file_id_, 500, 1, /*is_write=*/true);
+    expected.push_back(
+        {loops, iters, entries.empty() ? 0 : entries.back(), tid, locked});
+  };
+  const auto begin = [&](std::uint32_t line) {
+    rt.loop_begin(dp_file_id_, line);
+    loops.push_back(SourceLocation(dp_file_id_, line).packed());
+    iters.push_back(0);
+    entries.push_back(next_entry++);
+  };
+  const auto iter = [&] {
+    rt.loop_iter();
+    iters.back() += 1;
+  };
+  const auto end = [&] {
+    rt.loop_end(dp_file_id_, 999);
+    loops.pop_back();
+    iters.pop_back();
+    entries.pop_back();
+  };
+
+  TraceRecorder second;
+  rt.attach(&recorder_);
+  tid = rt.thread_id();
+  access();
+  const std::uint32_t deepest = kNestIters + 2;
+  for (std::uint32_t d = 1; d <= deepest; ++d) {
+    begin(100 + d);
+    access();  // before the first iteration marker
+    iter();
+    access();
+    iter();
+    access();
+    if (d == 3) {
+      rt.bind_thread_id(41);
+      tid = 41;
+      access();
+    }
+    if (d == 5) {
+      rt.lock_enter();
+      locked = true;
+      access();
+      rt.lock_exit();
+      locked = false;
+      access();
+    }
+  }
+  for (std::uint32_t d = deepest; d >= 1; --d) {
+    iter();
+    access();
+    end();
+    access();
+  }
+  begin(101);  // a second dynamic entry of the outermost loop
+  iter();
+  access();
+  end();
+  rt.detach();
+  const std::size_t first_session = expected.size();
+
+  rt.reset();
+  rt.attach(&second);
+  tid = 0;  // the first thread to register after reset() gets id 0
+  begin(101);
+  iter();
+  iter();
+  access();
+  begin(102);
+  iter();
+  access();
+  end();
+  end();
+  access();
+  rt.detach();
+
+  std::vector<AccessEvent> events = recorder_.trace().events;
+  ASSERT_EQ(events.size(), first_session);
+  events.insert(events.end(), second.trace().events.begin(),
+                second.trace().events.end());
+  ASSERT_EQ(events.size(), expected.size());
+  const NestForest& forest = nest_forest();
+  std::map<std::uint32_t, std::uint32_t> ctx_of_entry, entry_of_ctx;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const AccessEvent& ev = events[i];
+    const Expect& want = expected[i];
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(ev.tid, want.tid);
+    EXPECT_EQ(ev.flags, want.locked ? kInLockRegion : 0);
+    ASSERT_EQ(forest.depth(ev.ctx), want.loops.size());
+    std::uint32_t node = ev.ctx;
+    for (std::size_t d = want.loops.size(); d > 0; --d) {
+      EXPECT_EQ(forest.loop(node), want.loops[d - 1]) << "depth " << d;
+      node = forest.parent(node);
+    }
+    EXPECT_EQ(node, NestForest::kRoot);
+    for (std::size_t k = 0; k < kNestIters; ++k)
+      EXPECT_EQ(ev.iters[k], k < want.iters.size() ? want.iters[k] : 0u)
+          << "window level " << k;
+    // One dynamic entry, one context; every entry a context of its own.
+    EXPECT_EQ(ctx_of_entry.emplace(want.entry, ev.ctx).first->second, ev.ctx);
+    EXPECT_EQ(entry_of_ctx.emplace(ev.ctx, want.entry).first->second,
+              want.entry);
+  }
+}
+
+// --- session rebinding ----------------------------------------------------
+
+/// Keeps every delivered record with its run length; target threads flush
+/// concurrently with the main thread's reads.
+class SessionSink : public AccessSink {
+ public:
+  void on_access(const AccessEvent& ev) override { on_batch(&ev, 1); }
+  void on_batch(const AccessEvent* events, std::size_t count) override {
+    std::lock_guard lock(mu_);
+    for (std::size_t i = 0; i < count; ++i) {
+      events_.push_back(events[i]);
+      reps_.push_back(1);
+    }
+  }
+  void on_batch_rle(const AccessEvent* events, const std::uint32_t* reps,
+                    std::size_t count) override {
+    std::lock_guard lock(mu_);
+    for (std::size_t i = 0; i < count; ++i) {
+      events_.push_back(events[i]);
+      reps_.push_back(reps[i]);
+    }
+  }
+  std::size_t records() {
+    std::lock_guard lock(mu_);
+    return events_.size();
+  }
+  std::vector<AccessEvent> events_;
+  std::vector<std::uint32_t> reps_;
+
+ private:
+  std::mutex mu_;
+};
+
+TEST_F(RuntimeTest, RebindingThreadTakesTheNewSessionsFlags) {
+  // Thread T records under session A and blocks before any flush point.
+  // The main thread detaches A and attaches B with the opposite mt and dedup
+  // flags.  T's next access rebinds it to B: its unflushed tail from A is
+  // dropped, and the events it records from then on carry B's flags.
+  for (const bool a_mt : {true, false}) {
+    SCOPED_TRACE(a_mt ? "A mt, B dedup" : "A dedup, B mt");
+    Runtime& rt = Runtime::instance();
+    rt.reset();
+    SessionSink a, b;
+    std::mutex mu;
+    std::condition_variable cv;
+    int phase = 0;
+    std::uint16_t t_tid = 0;
+    int x = 0;
+    rt.attach(&a, /*mt_mode=*/a_mt, /*dedup=*/!a_mt);
+    std::thread t([&] {
+      for (int i = 0; i < 3; ++i) DP_READ(x);
+      std::unique_lock lock(mu);
+      phase = 1;
+      cv.notify_all();
+      cv.wait(lock, [&] { return phase == 2; });
+      lock.unlock();
+      for (int i = 0; i < 2; ++i) DP_READ(x);
+      DP_SYNC();
+      t_tid = rt.thread_id();
+    });
+    {
+      std::unique_lock lock(mu);
+      cv.wait(lock, [&] { return phase == 1; });
+    }
+    rt.detach();
+    const std::size_t a_at_detach = a.records();
+    rt.attach(&b, /*mt_mode=*/!a_mt, /*dedup=*/a_mt);
+    {
+      std::lock_guard lock(mu);
+      phase = 2;
+    }
+    cv.notify_all();
+    t.join();
+    rt.detach();
+
+    EXPECT_EQ(a.records(), a_at_detach) << "A received events after detach()";
+    const bool b_mt = !a_mt;
+    if (b_mt) {
+      // MT session: every event carries a fresh timestamp, no runs.
+      ASSERT_EQ(b.events_.size(), 2u);
+      EXPECT_GT(b.events_[0].ts, 0u);
+      EXPECT_LT(b.events_[0].ts, b.events_[1].ts);
+      EXPECT_EQ(b.reps_[0], 1u);
+      EXPECT_EQ(b.reps_[1], 1u);
+    } else {
+      // Dedup session: the two identical reads travel as one run.
+      ASSERT_EQ(b.events_.size(), 1u);
+      EXPECT_EQ(b.events_[0].ts, 0u);
+      EXPECT_EQ(b.reps_[0], 2u);
+    }
+    for (const AccessEvent& ev : b.events_) {
+      EXPECT_EQ(ev.addr, reinterpret_cast<std::uintptr_t>(&x));
+      EXPECT_EQ(ev.tid, t_tid);
+      EXPECT_TRUE(ev.is_read());
+    }
+  }
+}
+
+TEST_F(RuntimeTest, FlushesAfterDetachNeverReachTheOldSink) {
+  // Thread T spends one long record_free call filling and flushing buffers
+  // while the main thread detaches.  Inside that call T never rebinds, so
+  // only the flush-time session check keeps its later buffers away from
+  // the detached sink.
+  class ClosableSink final : public AccessSink {
+   public:
+    void on_access(const AccessEvent& ev) override { on_batch(&ev, 1); }
+    void on_batch(const AccessEvent*, std::size_t count) override {
+      events_.fetch_add(count, std::memory_order_relaxed);
+      if (closed_.load(std::memory_order_relaxed))
+        late_.fetch_add(count, std::memory_order_relaxed);
+    }
+    void close() { closed_.store(true, std::memory_order_relaxed); }
+    std::uint64_t events() const {
+      return events_.load(std::memory_order_relaxed);
+    }
+    std::uint64_t late() const { return late_.load(std::memory_order_relaxed); }
+
+   private:
+    std::atomic<bool> closed_{false};
+    std::atomic<std::uint64_t> events_{0};
+    std::atomic<std::uint64_t> late_{0};
+  };
+
+  Runtime& rt = Runtime::instance();
+  ClosableSink a;
+  rt.attach(&a);
+  std::thread t([&] {
+    // 8M lifetime events; the span is never dereferenced.
+    rt.record_free(reinterpret_cast<const void*>(std::uintptr_t{1} << 20),
+                   std::size_t{1} << 25);
+  });
+  while (a.events() == 0) std::this_thread::yield();
+  rt.detach();
+  a.close();
+  t.join();
+  EXPECT_EQ(a.late(), 0u) << "a flush reached the sink after detach()";
 }
 
 // --- overhead-budget sampling gate ----------------------------------------

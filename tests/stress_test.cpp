@@ -259,11 +259,11 @@ TEST(ParallelStress, UndersizedSealedPoolIsClampedNotDeadlocked) {
 }
 
 // Target threads keep calling into the runtime while the main thread
-// attaches and detaches profilers (ISSUE 3 satellite: the record path used
-// to read the sink pointer twice, so a detach between the enabled() check
-// and the buffer flush dereferenced a dying profiler).  TSan watches the
-// snapshot protocol; the assertions check no event is delivered to a sink
-// after its detach() returned.
+// attaches and detaches profilers with changing flags.  Each hammer rebinds
+// to every new session at its next access, and its flush points (full
+// buffers, sync points) race the detach handshake.  TSan watches the
+// handshake and the rebinding; the assertions check that no event is
+// delivered to a sink after its detach() returned.
 TEST(ParallelStress, DetachUnderLoad) {
   /// Counts deliveries and flags any that arrive after detach() completed.
   class ClosableSink final : public AccessSink {
@@ -307,7 +307,9 @@ TEST(ParallelStress, DetachUnderLoad) {
   std::uint64_t total = 0;
   for (int cycle = 0; cycle < 50; ++cycle) {
     ClosableSink sink;
-    rt.attach(&sink, /*mt_mode=*/true);
+    // Cycle the session flags (mt on/off x dedup on/off) so every hammer
+    // rebinds through each combination while it records.
+    rt.attach(&sink, /*mt_mode=*/cycle % 2 == 0, /*dedup=*/cycle % 4 >= 2);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     rt.detach();
     sink.close();
