@@ -14,9 +14,11 @@
 // The stream is one profiling pass: each word of the working set is
 // written once and read once (a distance-1 RAW chain), generated on the
 // fly in chunks so the 256M-word point does not materialize a half-billion
-// event trace.  Cold-path costs (node allocation, page zeroing) are part
-// of the measurement on purpose — a profiler sees every access exactly
-// once.
+// event trace.  The pass runs inside one loop whose iteration advances
+// every 8 words, so every store records a fresh nest snapshot per
+// iteration, as on a real loop stream.  Cold-path costs (node allocation,
+// page zeroing, snapshot minting) are part of the measurement on purpose —
+// a profiler sees every access exactly once.
 //
 // Usage: shadowpaged [--reps R] [--max-words N] [--smoke]
 //   --smoke   two small working-set points with byte-identity against the
@@ -40,6 +42,7 @@
 #include "oracle/diff.hpp"
 #include "sig/packed_shadow_store.hpp"
 #include "trace/event.hpp"
+#include "trace/nest.hpp"
 
 using namespace depprof;
 
@@ -56,24 +59,34 @@ struct SweepRun {
   DepMap deps;
 };
 
-/// Feeds the 2W-event pass (write w[i]; read w[i-1]) in generated chunks.
+/// Words per loop iteration of the generated pass.
+constexpr std::uint64_t kWordsPerIter = 8;
+
+/// Feeds the 2W-event pass (write w[i]; read w[i-1]) in generated chunks,
+/// inside one loop entry whose iteration is i / kWordsPerIter.
 void feed(IProfiler& prof, std::uint64_t words) {
   constexpr std::size_t kChunk = 4096;
   std::vector<AccessEvent> buf(kChunk);
   std::size_t fill = 0;
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 3);
   for (std::uint64_t i = 0; i < words; ++i) {
+    const auto iter = static_cast<std::uint32_t>(i / kWordsPerIter);
     AccessEvent& w = buf[fill++];
     w = AccessEvent{};
     w.addr = (kBaseWord + i) * 4;
     w.kind = AccessKind::kWrite;
     w.loc = 1;
     w.var = 1;
+    w.ctx = ctx;
+    w.iters[0] = iter;
     AccessEvent& r = buf[fill++];
     r = AccessEvent{};
     r.addr = (kBaseWord + (i > 0 ? i - 1 : 0)) * 4;
     r.kind = AccessKind::kRead;
     r.loc = 2;
     r.var = 1;
+    r.ctx = ctx;
+    r.iters[0] = iter;
     if (fill == kChunk) {
       prof.on_batch(buf.data(), fill);
       fill = 0;

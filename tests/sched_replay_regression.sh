@@ -27,7 +27,18 @@
 # shape: pre-fix scheduled delta 2708488 = 8*337311 + 10000 lands mid-window,
 # while the post-fix (33168), serial (33348), and keys-pair (53200/53380)
 # deltas all stay clear.
+#
+# That solution assumes glibc's heap.  Another allocator (ASan's size-class
+# regions, for one) can put the *serial* run's `cursor` within sorted's
+# 20000-word span of a multiple of the slot count, the window the slot count
+# was solved to keep clear; the replay then compares two layouts it was not
+# built for and proves nothing about the pool.  The script checks the serial
+# delta first and, only in that case, prints it and exits 77, which ctest
+# reports as Skipped (SKIP_RETURN_CODE in tests/CMakeLists.txt).
 set -e
+
+SLOTS=337311
+SORTED_SPAN=20000
 
 DEPPROF="$1"
 SCHED="$2"
@@ -50,12 +61,24 @@ cp "$DEPPROF" "$TMP/depprof"
 cp "$SCHED" "$TMP/s.sched"
 
 env -i DEPPROF_LAYOUT_DIAG=1 \
-  $WRAP "$TMP/depprof" run is --slots 337311 --format csv \
+  $WRAP "$TMP/depprof" run is --slots $SLOTS --format csv \
   > "$TMP/serial.csv" 2> "$TMP/serial.err"
+
+DELTA=$(sed -n 's/^layout-diag: is cursor-sorted delta_words=//p' "$TMP/serial.err")
+case "$DELTA" in
+  ''|*[!0-9-]*) echo "FAIL: no layout-diag delta from the serial run" >&2; exit 1 ;;
+esac
+REM=$(( (DELTA % SLOTS + SLOTS) % SLOTS ))
+if [ "$REM" -lt "$SORTED_SPAN" ] || [ $((SLOTS - REM)) -lt "$SORTED_SPAN" ]; then
+  echo "skip: serial cursor-sorted delta_words=$DELTA is $REM mod $SLOTS," \
+    "within $SORTED_SPAN words of a multiple: the serial layout breaks the" \
+    "replay's precondition"
+  exit 77
+fi
 
 env -i DEPPROF_LAYOUT_DIAG=1 DEPPROF_SCHED=1 DEPPROF_SCHED_SEED=10 \
   DEPPROF_SCHED_ALGO=pct DEPPROF_SCHED_REPLAY="$TMP/s.sched" \
-  $WRAP "$TMP/depprof" run is --slots 337311 --parallel --workers 8 --no-pack \
+  $WRAP "$TMP/depprof" run is --slots $SLOTS --parallel --workers 8 --no-pack \
   --format csv > "$TMP/parallel.csv" 2> "$TMP/parallel.err"
 
 if ! cmp -s "$TMP/serial.csv" "$TMP/parallel.csv"; then

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <optional>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "common/huge_alloc.hpp"
 #include "common/mem_stats.hpp"
@@ -350,6 +352,117 @@ TEST(PackedShadowStore, TokenRecyclingBoundsTheInternTable) {
   }
   EXPECT_EQ(churn.interned_snapshots(), 0u);
   EXPECT_EQ(churn.snapshot_high_water(), 1u);
+}
+
+TEST(PackedShadowStore, FreedTokenIsNeverRevivedByTheHint) {
+  // A freed token keeps its old key while it waits on the free list.  If
+  // the context hint handed it out again, the next mint would pop the same
+  // id and overwrite the snapshot a resident word still decodes.
+  PackedSeq store;
+  SeqSlot s = slot_at(10);
+  s.ctx = 5;
+  s.iters[0] = 3;
+  store.insert(7, s);
+  store.remove(7);
+  store.insert(8, s);
+  SeqSlot other = slot_at(20);
+  other.ctx = 6;
+  other.iters[0] = 4;
+  store.insert(9, other);
+  const SeqSlot* got = store.find(8);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->location().line(), 10u);
+  EXPECT_EQ(got->ctx, 5u);
+  EXPECT_EQ(got->iters[0], 3u);
+  EXPECT_LE(store.interned_snapshots(), store.occupied());
+}
+
+TEST(PackedShadowStore, SnapshotRecurringAfterAnInnerLoopReusesItsToken) {
+  // Outer iteration, inner loop, back to the same outer iteration: the
+  // outer context's hint survives the inner loop's mints.
+  PackedSeq store;
+  SeqSlot outer = slot_at(10);
+  outer.ctx = 1;
+  outer.iters[0] = 2;
+  SeqSlot inner = slot_at(11);
+  inner.ctx = 2;
+  inner.iters[0] = 2;
+  inner.iters[1] = 7;
+  store.insert(1, outer);
+  store.insert(2, inner);
+  store.insert(3, outer);
+  EXPECT_EQ(store.interned_snapshots(), 2u);
+  EXPECT_EQ(store.find(3)->ctx, 1u);
+  EXPECT_EQ(store.find(2)->iters[1], 7u);
+}
+
+TEST(PackedShadowStore, SnapshotSeenBeforeClearDecodesAfterIt) {
+  PackedSeq store;
+  SeqSlot s = slot_at(10);
+  s.ctx = 3;
+  s.iters[0] = 9;
+  SeqSlot other = slot_at(12);
+  other.ctx = 4;
+  store.insert(1, s);
+  store.insert(2, other);
+  store.clear();
+  store.insert(5, s);
+  EXPECT_EQ(store.find(1), nullptr);
+  const SeqSlot* got = store.find(5);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->location().line(), 10u);
+  EXPECT_EQ(got->ctx, 3u);
+  EXPECT_EQ(got->iters[0], 9u);
+  EXPECT_EQ(store.interned_snapshots(), 1u);
+}
+
+TEST(PackedShadowStore, RandomChurnMatchesAMapModel) {
+  // Seeded insert/overwrite/remove/clear churn over 300 words and 40
+  // snapshots in 24 contexts, so hint slots (ctx & 15) collide and freed
+  // tokens recycle.  Every word must decode what a plain map holds, and
+  // the pool never holds more tokens than resident words.
+  constexpr std::uint64_t kWords = 300;
+  std::vector<SeqSlot> snaps(40);
+  for (std::uint32_t i = 0; i < snaps.size(); ++i) {
+    snaps[i].ctx = i % 24;
+    snaps[i].iters[0] = i / 24;
+    snaps[i].iters[2] = 7 * i;
+  }
+  PackedSeq store;
+  std::unordered_map<std::uint64_t, SeqSlot> model;
+  Rng rng(18);
+  for (int op = 0; op < 10000; ++op) {
+    const std::uint64_t roll = rng.below(1000);
+    const std::uint64_t word = rng.below(kWords);
+    if (roll < 2) {
+      store.clear();
+      model.clear();
+    } else if (roll < 350) {
+      store.remove(word);
+      model.erase(word);
+    } else {
+      SeqSlot s = snaps[rng.below(snaps.size())];
+      s.loc = static_cast<std::uint32_t>(1 + rng.below(1000));
+      store.insert(word, s);
+      model[word] = s;
+    }
+    ASSERT_EQ(store.occupied(), model.size()) << "op " << op;
+    ASSERT_LE(store.interned_snapshots(), store.occupied()) << "op " << op;
+    for (std::uint64_t w = 0; w < kWords; ++w) {
+      const SeqSlot* got = store.find(w);
+      const auto it = model.find(w);
+      if (it == model.end()) {
+        ASSERT_EQ(got, nullptr) << "op " << op << " word " << w;
+        continue;
+      }
+      ASSERT_NE(got, nullptr) << "op " << op << " word " << w;
+      const SeqSlot& want = it->second;
+      ASSERT_EQ(got->loc, want.loc) << "op " << op << " word " << w;
+      ASSERT_EQ(got->ctx, want.ctx) << "op " << op << " word " << w;
+      for (std::size_t i = 0; i < kNestIters; ++i)
+        ASSERT_EQ(got->iters[i], want.iters[i]) << "op " << op << " word " << w;
+    }
+  }
 }
 
 TEST(PackedShadowStore, MtSidecarKeepsFlagBitsAndFullTimestamp) {
