@@ -1,6 +1,5 @@
 // frontend — front-end event reduction A/B: the per-thread access-dedup
-// cache (--dedup) and the compact chunk encoding (--pack), separately and
-// together, against the PR-4 front end (both off).
+// cache (--dedup) against the raw front end (dedup off).
 //
 // The primary stream is the regime the reduction targets (Sec. VI's
 // observation that dependence instances repeat ~1e5 times per static
@@ -10,13 +9,13 @@
 // scalar from one source line.  A uniform-random stream with per-event
 // random locations and alternating kinds is the disclosed adversarial
 // secondary: no access identity ever repeats inside an iteration, so the
-// dedup cache can only miss and packing is the only reduction left.
+// dedup cache can only miss.
 //
 // Every configuration runs the identical target program through the real
-// instrumentation runtime (dedup lives in Runtime::record, packing on the
-// pipeline queues), and every resulting map is cross-checked byte-identical
-// with oracle::diff_deps against the same profiler's raw (base) run before
-// any number is reported — the reductions must be invisible in the output.
+// instrumentation runtime (dedup lives in Runtime::record), and every
+// resulting map is cross-checked byte-identical with oracle::diff_deps
+// against the same profiler's raw (base) run before any number is
+// reported — the reduction must be invisible in the output.
 // The reference is per profiler because the signature backend's aliasing
 // differs between one shared serial signature and per-worker signatures;
 // that approximation gap predates this bench and is not what it measures.
@@ -24,23 +23,24 @@
 // Metrics per (stream, profiler, config):
 //   eps               end-to-end accesses/sec (attach..detach wall time)
 //   bytes_per_access  produce-stage bytes_on_wire / logical accesses —
-//                     the queue-traffic metric (64 = PR-4 front end; the
-//                     serial profiler reports raw-equivalent stage-boundary
-//                     bytes, so only the dedup axis moves it there)
+//                     the stage-boundary traffic: 64 on the pipeline, whose
+//                     chunks carry every access as a raw event; the serial
+//                     profiler counts one event per RLE record, so dedup
+//                     lowers it there
 //   dedup_ratio       logical accesses per surviving RLE record
-//   pack_escapes      wire records that fell back to the 80-byte escape
 //
 // Usage: frontend [--iters N] [--uniform N] [--reps R] [--workers W]
 //                 [--slots N] [--smoke]
 //   --smoke   small stream + deterministic gates: maps identical across the
-//             whole config lattice, >=2x wire-byte reduction per access on
-//             the loop stream with dedup+pack, and a generous catastrophic
-//             floor on the timing ratio; used as a tier-1 ctest.
+//             lattice, a >=2x dedup ratio on the loop stream, and a generous
+//             catastrophic floor on the dedup/base timing ratio; used as a
+//             tier-1 ctest.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -100,8 +100,7 @@ std::uint64_t run_loop_kernel(Runtime& rt, std::size_t iters,
 /// Adversarial kernel: every access hits a mixed-hash word of a large table
 /// with a per-event pseudo-random location and alternating kind, 16 accesses
 /// per loop iteration.  Identities never repeat within an iteration, so the
-/// dedup cache is pure overhead here; address deltas are random (but fit the
-/// wire record's i32), so packing still gets its fixed 4x minus escapes.
+/// dedup cache is pure overhead here.
 std::uint64_t run_uniform_kernel(Runtime& rt, std::size_t accesses,
                                  unsigned char* table,
                                  std::size_t table_words) {
@@ -123,7 +122,6 @@ struct RunResult {
   double best_eps = 0;            ///< accesses/sec, attach..detach, best-of-reps
   double bytes_per_access = 64;   ///< produce bytes_on_wire / logical accesses
   double dedup_ratio = 1;         ///< logical accesses per surviving record
-  std::uint64_t pack_escapes = 0;
   DepMap deps;
   obs::PipelineSnapshot stages;
 };
@@ -154,7 +152,6 @@ void one_rep(const ProfilerConfig& cfg, bool parallel, const Kernel& kernel,
       if (records > 0)
         result.dedup_ratio =
             static_cast<double>(p->events) / static_cast<double>(records);
-      result.pack_escapes = p->pack_escapes;
     }
     result.stages = std::move(snap);
     result.deps = profiler->take_dependences();
@@ -163,14 +160,11 @@ void one_rep(const ProfilerConfig& cfg, bool parallel, const Kernel& kernel,
 
 struct FrontEnd {
   bool dedup;
-  bool pack;
   const char* name;
 };
 
-constexpr FrontEnd kLattice[] = {{false, false, "base"},
-                                 {true, false, "dedup"},
-                                 {false, true, "pack"},
-                                 {true, true, "both"}};
+constexpr FrontEnd kLattice[] = {{false, "base"}, {true, "dedup"}};
+constexpr std::size_t kConfigs = std::size(kLattice);
 
 }  // namespace
 
@@ -205,11 +199,8 @@ int main(int argc, char** argv) {
 
   // Target-program state.  The scan buffers wrap, so late iterations revisit
   // early words — extra carried dependences, identical in every config.  All
-  // of it is carved from one arena: a program's loop working set lives in
-  // one allocation region, and splitting it across glibc's brk heap and the
-  // mmap'd large-allocation region would put >8 GiB (the wire record's i32
-  // word delta) between consecutive accesses, turning every region switch
-  // into an escape the real workload would not pay.
+  // of it is carved from one arena, as a program's loop working set lives in
+  // one allocation region.
   const std::size_t buf_bytes = std::min<std::size_t>(
       std::size_t{1} << 22, ((iters * kScanBytes + 15) / 16) * 16);
   std::vector<unsigned char> arena(2 * buf_bytes + (1 + kRing) * sizeof(float));
@@ -228,11 +219,11 @@ int main(int argc, char** argv) {
   };
 
   TextTable table_out(
-      "Front-end event reduction — dedup x pack A/B, end-to-end accesses/sec "
+      "Front-end event reduction — dedup A/B, end-to-end accesses/sec "
       "(" + std::to_string(iters * kAccessesPerIter) + " loop accesses, " +
       std::to_string(workers) + " workers)");
-  table_out.set_header({"stream/profiler", "config", "acc/s", "B/access",
-                        "dedup x", "escapes"});
+  table_out.set_header(
+      {"stream/profiler", "config", "acc/s", "B/access", "dedup x"});
   obs::BenchReport report("frontend");
   report.metric("loop_accesses", static_cast<double>(iters * kAccessesPerIter));
   report.metric("uniform_accesses", static_cast<double>(uniform));
@@ -252,19 +243,18 @@ int main(int argc, char** argv) {
     cfg.workers = workers;
 
     for (bool parallel : {false, true}) {
-      RunResult results[4];
+      RunResult results[kConfigs];
       // Interleave the lattice rep by rep so host drift hits every config.
       for (int rep = 0; rep < reps; ++rep) {
-        for (std::size_t c = 0; c < 4; ++c) {
+        for (std::size_t c = 0; c < kConfigs; ++c) {
           cfg.dedup = kLattice[c].dedup;
-          cfg.pack = kLattice[c].pack;
           one_rep(cfg, parallel, *stream.kernel, rep == reps - 1, results[c]);
         }
       }
       const char* mode = parallel ? "parallel" : "serial";
       // The raw run of the same profiler is the identity reference.
       const RunResult& reference = results[0];
-      for (std::size_t c = 0; c < 4; ++c) {
+      for (std::size_t c = 0; c < kConfigs; ++c) {
         const RunResult& r = results[c];
         const DepDiff diff = diff_deps(reference.deps, r.deps);
         if (!diff.identical()) {
@@ -278,37 +268,23 @@ int main(int argc, char** argv) {
         table_out.add_row({std::string(stream.name) + "/" + mode,
                            kLattice[c].name, TextTable::num(r.best_eps),
                            TextTable::num(r.bytes_per_access),
-                           TextTable::num(r.dedup_ratio),
-                           TextTable::num(static_cast<double>(r.pack_escapes))});
+                           TextTable::num(r.dedup_ratio)});
         const std::string key =
             std::string(stream.name) + "_" + mode + "_" + kLattice[c].name;
         report.metric(key + "_eps", r.best_eps);
         report.metric(key + "_bytes_per_access", r.bytes_per_access);
         report.metric(key + "_dedup_ratio", r.dedup_ratio);
-        report.metric(key + "_pack_escapes",
-                      static_cast<double>(r.pack_escapes));
       }
-      const double speedup = results[3].best_eps / results[0].best_eps;
-      const double wire_reduction =
-          results[3].bytes_per_access > 0
-              ? 64.0 / results[3].bytes_per_access
-              : 0;
+      const double speedup = results[1].best_eps / results[0].best_eps;
       const std::string prefix = std::string(stream.name) + "_" + mode;
       report.metric(prefix + "_e2e_speedup", speedup);
-      report.metric(prefix + "_wire_reduction", wire_reduction);
       if (parallel) {
         report.stages(prefix + "/base", results[0].stages);
-        report.stages(prefix + "/both", results[3].stages);
+        report.stages(prefix + "/dedup", results[1].stages);
       }
 
       // Deterministic smoke gates — counter-based, immune to host noise.
       if (std::strcmp(stream.name, "loop") == 0 && parallel) {
-        if (results[3].bytes_per_access > 32.0) {
-          std::fprintf(stderr, "FAIL: loop/parallel/both: %.1f bytes/access "
-                       "on the wire (need <= 32 for the 2x reduction)\n",
-                       results[3].bytes_per_access);
-          ok = false;
-        }
         if (results[1].dedup_ratio < 2.0) {
           std::fprintf(stderr, "FAIL: loop/parallel/dedup: dedup ratio %.2f "
                        "(the stream repeats ~3.45x)\n",
@@ -318,8 +294,8 @@ int main(int argc, char** argv) {
         // Catastrophic timing floor only: single-core CI is too noisy for a
         // speedup gate; the committed full-size run carries that claim.
         if (smoke && speedup < 0.5) {
-          std::fprintf(stderr, "FAIL: loop/parallel: dedup+pack %.2fx the "
-                       "raw front end (below the 0.5 noise floor)\n", speedup);
+          std::fprintf(stderr, "FAIL: loop/parallel: dedup %.2fx the raw "
+                       "front end (below the 0.5 noise floor)\n", speedup);
           ok = false;
         }
       }

@@ -48,10 +48,6 @@ struct Chunk {
   /// effective fill level.
   static constexpr std::size_t kCapacity = 1024;
 
-  /// Payload bytes of the event array, reinterpreted as raw storage when
-  /// the chunk carries packed wire records (core/wire.hpp).
-  static constexpr std::size_t kPayloadBytes = kCapacity * sizeof(AccessEvent);
-
   // Owner encodings for the hand-off invariant.  The low 16 bits carry the
   // worker index for the queued/worker states.
   static constexpr std::uint32_t kOwnerPool = 0;
@@ -60,30 +56,13 @@ struct Chunk {
   static constexpr std::uint32_t kOwnerWorker = 0x20000;
 
   Kind kind = Kind::kData;
-  std::uint32_t count = 0;    ///< raw events (packed: logical events carried)
+  std::uint32_t count = 0;    ///< events carried
   std::uint32_t payload = 0;  ///< migration mailbox index
   std::uint64_t addr = 0;     ///< migrated address
-  /// True when `events` holds `bytes` bytes of packed wire records instead
-  /// of `count` raw AccessEvents.
-  bool packed = false;
-  std::uint32_t records = 0;  ///< wire records in a packed chunk
-  std::uint32_t bytes = 0;    ///< payload bytes used in a packed chunk
   /// Hand-off invariant state: current owner + recycle generation.
   std::atomic<std::uint32_t> owner{kOwnerPool};
   std::atomic<std::uint32_t> gen{0};
   std::array<AccessEvent, kCapacity> events;
-
-  unsigned char* payload_bytes() {
-    return reinterpret_cast<unsigned char*>(events.data());
-  }
-  const unsigned char* payload_bytes() const {
-    return reinterpret_cast<const unsigned char*>(events.data());
-  }
-
-  /// Queue-bandwidth cost of this chunk's payload (obs bytes_on_wire).
-  std::size_t wire_bytes() const {
-    return packed ? bytes : static_cast<std::size_t>(count) * sizeof(AccessEvent);
-  }
 };
 
 /// Validates one ownership hand-off: atomically installs `next` and flags a
@@ -108,7 +87,7 @@ inline void chunk_handoff(Chunk& c, std::uint32_t expect, std::uint32_t next,
 /// run can ever have in flight is allocated at construction, i.e. before
 /// the instrumented target starts running, and an acquire that finds the
 /// free list empty BLOCKS (wait_strategy ladder) for a recycled chunk
-/// instead of allocating.  This is the fix for the unpacked workers=8
+/// instead of allocating.  This is the fix for the workers=8
 /// cross-attribution flake: schedule-dependent pool-miss allocations on the
 /// main thread used to perturb the target's own heap layout mid-run, which
 /// could shift a target allocation into modulo-signature aliasing range of
@@ -143,8 +122,8 @@ class ChunkPool {
 
   /// Acquires a recycled chunk.  Sealed pools block for one; unsealed pools
   /// allocate a fresh chunk when the free list is empty.  Every header
-  /// field is reset here, so a recycled chunk can never leak a stale
-  /// `packed` flag, fill level, or migration addressing into its next use.
+  /// field is reset here, so a recycled chunk can never leak a stale kind,
+  /// fill level, or migration addressing into its next use.
   Chunk* acquire() {
     sched::point("pool.acquire");
     Chunk* c = nullptr;
@@ -170,9 +149,6 @@ class ChunkPool {
     c->count = 0;
     c->payload = 0;
     c->addr = 0;
-    c->packed = false;
-    c->records = 0;
-    c->bytes = 0;
     return c;
   }
 

@@ -274,11 +274,10 @@ class ParallelProfiler final : public IProfiler {
   /// the whole sub-batch once (route_batch hoists the override-table and
   /// hash-kind branches), then counting-sort the events into contiguous
   /// per-worker runs appended chunk-wise.  `reps` (nullable) carries the
-  /// front-end RLE run lengths: a run is routed and staged once — packed
-  /// with its rep count, or expanded at staging when packing is off.
-  /// Batches containing lock-region accesses keep the per-event path: those
-  /// must push the moment they are staged so access + push stay atomic
-  /// (Fig. 4).
+  /// front-end RLE run lengths: a run is routed once and expanded as it is
+  /// staged.  Batches containing lock-region accesses keep the per-event
+  /// path: those must push the moment they are staged so access + push stay
+  /// atomic (Fig. 4).
   void scatter(ProduceStage& prod, const AccessEvent* events,
                const std::uint32_t* reps, std::size_t n) {
     std::array<AccessEvent, kScatterBatch> unit;
@@ -295,13 +294,13 @@ class ParallelProfiler final : public IProfiler {
     }
     const bool sample = lb_enabled_ && !cfg_.mt_targets;
     const unsigned W = obs_.workers();
+    const auto push_and_rebalance = [this](Chunk* c, unsigned worker) {
+      push_chunk(c, worker);
+    };
     if (lock_region || has_marker || W > kMaxScatterWorkers) {
       // Per-event fallback.  Routing is re-consulted per event because a
-      // push below can trigger a rebalance that changes it mid-batch.  With
-      // packing on, staging must stay packed: a worker's pending chunk may
-      // already hold wire records, and a raw append would corrupt it.
+      // push below can trigger a rebalance that changes it mid-batch.
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t rep = reps != nullptr ? reps[i] : 1;
         if (unit[i].is_burst_mark()) {
           // A sampling gap cuts the WHOLE stream, so the marker is
           // broadcast: every worker's signatures hold addresses whose
@@ -312,41 +311,18 @@ class ParallelProfiler final : public IProfiler {
           // bursts counter is fed by on_sampling_stats, not here: the gate
           // lives in the runtime, and counting markers again would double
           // the stat on live runs.)
-          for (unsigned w = 0; w < W; ++w) {
-            if (cfg_.pack) {
-              const std::uint32_t one = 1;
-              prod.add_run_packed(w, &unit[i], &one, 1, chunk_fill_,
-                                  obs_.produce(),
-                                  [this](Chunk* c, unsigned worker) {
-                                    push_chunk(c, worker);
-                                  });
-            } else if (Chunk* ready = prod.add(w, unit[i], chunk_fill_)) {
-              push_chunk(ready, w);
-            }
-          }
+          for (unsigned w = 0; w < W; ++w)
+            prod.add_run(w, &unit[i], nullptr, 1, chunk_fill_,
+                         push_and_rebalance);
           continue;
         }
         const unsigned w = router_.route(unit[i].addr);
-        if (cfg_.pack) {
-          prod.add_run_packed(w, &unit[i], &rep, 1, chunk_fill_,
-                              obs_.produce(),
-                              [this](Chunk* c, unsigned worker) {
-                                push_chunk(c, worker);
-                              });
-          // Lock-region accesses must be pushed the moment they are staged
-          // (Fig. 4), even from a part-full chunk.
-          if ((unit[i].flags & kInLockRegion) != 0)
-            if (Chunk* ready = prod.take(w)) push_chunk(ready, w);
-        } else {
-          // Runs expanded — lock-region events are never deduped, so reps
-          // beyond 1 only reach here via trace replay.
-          for (std::uint32_t r = 0; r < rep; ++r) {
-            Chunk* ready = prod.add(w, unit[i], chunk_fill_);
-            if (ready == nullptr && (unit[i].flags & kInLockRegion) != 0)
-              ready = prod.take(w);
-            if (ready != nullptr) push_chunk(ready, w);
-          }
-        }
+        prod.add_run(w, &unit[i], reps != nullptr ? reps + i : nullptr, 1,
+                     chunk_fill_, push_and_rebalance);
+        // Lock-region accesses must be pushed the moment they are staged
+        // (Fig. 4), even from a part-full chunk.
+        if ((unit[i].flags & kInLockRegion) != 0)
+          if (Chunk* ready = prod.take(w)) push_chunk(ready, w);
         if (sample) router_.record_access(unit[i].addr);
       }
       return;
@@ -382,16 +358,9 @@ class ParallelProfiler final : public IProfiler {
     };
     for (unsigned w = 0; w < W; ++w) {
       if (start[w] == offset[w]) continue;
-      const std::size_t len = offset[w] - start[w];
-      if (cfg_.pack)
-        prod.add_run_packed(w, run.data() + start[w],
-                            run_reps.data() + start[w], len, chunk_fill_,
-                            obs_.produce(), push);
-      else if (reps != nullptr)
-        prod.add_run_rle(w, run.data() + start[w], run_reps.data() + start[w],
-                         len, chunk_fill_, push);
-      else
-        prod.add_run(w, run.data() + start[w], len, chunk_fill_, push);
+      prod.add_run(w, run.data() + start[w],
+                   reps != nullptr ? run_reps.data() + start[w] : nullptr,
+                   offset[w] - start[w], chunk_fill_, push);
     }
     if (sample) {
       const std::uint64_t produced =
@@ -445,7 +414,8 @@ class ParallelProfiler final : public IProfiler {
   /// and waking the worker if it parked on an empty queue.
   void enqueue(unsigned w, Chunk* c) {
     obs::StageStats& prod = obs_.produce();
-    if (c->kind == Chunk::Kind::kData) prod.add_bytes_on_wire(c->wire_bytes());
+    if (c->kind == Chunk::Kind::kData)
+      prod.add_bytes_on_wire(std::size_t{c->count} * sizeof(AccessEvent));
     // Commit ownership to worker w's queue BEFORE the push publishes the
     // chunk — the worker may pop it the instant try_push succeeds.
     chunk_handoff(*c, Chunk::kOwnerProducer, Chunk::kOwnerQueued | w,
@@ -538,10 +508,7 @@ class ParallelProfiler final : public IProfiler {
                     "queue.pop");
       switch (c->kind) {
         case Chunk::Kind::kData:
-          if (c->packed)
-            process_packed(me, *c);
-          else
-            me.process(c->events.data(), c->count);
+          me.process(c->events.data(), c->count);
           pool_.release(c);
           break;
         case Chunk::Kind::kStop:
@@ -597,35 +564,6 @@ class ParallelProfiler final : public IProfiler {
         }
       }
     }
-  }
-
-  /// Decodes a packed chunk back into raw AccessEvents (expanding RLE runs)
-  /// and feeds the detect kernel in slab-sized sub-batches.  The wire format
-  /// never reaches DetectorCore — Algorithm 1 consumes the same 64-byte
-  /// events it always did.
-  static void process_packed(DetectStage<Store>& me, const Chunk& c) {
-    constexpr std::size_t kSlab = 512;
-    std::array<AccessEvent, kSlab> slab;
-    std::size_t fill = 0;
-    WireDecoder dec;
-    dec.reset();
-    const unsigned char* src = c.payload_bytes();
-    for (std::uint32_t r = 0; r < c.records; ++r) {
-      AccessEvent ev;
-      std::uint32_t rep = 0;
-      src += dec.decode(src, ev, rep);
-      while (rep > 0) {
-        const std::size_t n = std::min<std::size_t>(rep, kSlab - fill);
-        std::fill_n(slab.data() + fill, n, ev);
-        fill += n;
-        rep -= static_cast<std::uint32_t>(n);
-        if (fill == kSlab) {
-          me.process(slab.data(), fill);
-          fill = 0;
-        }
-      }
-    }
-    if (fill > 0) me.process(slab.data(), fill);
   }
 
   void join_workers() {

@@ -25,7 +25,6 @@
 #include "core/chunk.hpp"
 #include "core/detector.hpp"
 #include "core/profiler.hpp"
-#include "core/wire.hpp"
 #include "obs/stage_stats.hpp"
 #include "sig/access_store.hpp"
 
@@ -37,54 +36,38 @@ namespace depprof {
 class ProduceStage {
  public:
   ProduceStage(std::size_t workers, ChunkPool& pool)
-      : pending_(workers, nullptr), encoders_(workers), pool_(&pool) {}
+      : pending_(workers, nullptr), pool_(&pool) {}
 
-  /// Appends `ev` to the pending chunk for worker `w`; returns the chunk
-  /// once it reaches `fill` events and must be handed on, else nullptr.
-  Chunk* add(unsigned w, const AccessEvent& ev, std::size_t fill) {
-    Chunk*& pending = pending_[w];
-    if (pending == nullptr) pending = pool_->acquire();
-    pending->events[pending->count++] = ev;
-    return pending->count >= fill ? take(w) : nullptr;
-  }
-
-  /// Appends a contiguous run of `n` events, all owned by worker `w`, to
-  /// its pending chunk — the batch path's bulk variant of add().  Chunks
-  /// that reach `fill` are handed to `push(chunk, w)` as the run is copied,
-  /// so a run longer than the remaining chunk room spans several chunks.
+  /// Appends a contiguous run of `n` records, all owned by worker `w`, to
+  /// its pending chunk.  `reps[i]` instances of `events[i]` are staged
+  /// (the front end's RLE runs, expanded here); reps == nullptr means one
+  /// each and is a block copy.  Chunks that reach `fill` events are handed
+  /// to `push(chunk, w)` as the run is copied, so a run longer than the
+  /// remaining chunk room spans several chunks.
   template <typename Push>
-  void add_run(unsigned w, const AccessEvent* events, std::size_t n,
-               std::size_t fill, Push&& push) {
+  void add_run(unsigned w, const AccessEvent* events,
+               const std::uint32_t* reps, std::size_t n, std::size_t fill,
+               Push&& push) {
     sched::point("produce.stage");
     Chunk*& pending = pending_[w];
-    while (n > 0) {
-      if (pending == nullptr) pending = pool_->acquire();
-      const std::size_t room = std::min(n, fill - pending->count);
-      std::copy_n(events, room, pending->events.data() + pending->count);
-      pending->count += static_cast<std::uint32_t>(room);
-      events += room;
-      n -= room;
-      if (pending->count >= fill) {
-        Chunk* full = pending;
-        pending = nullptr;
-        push(full, w);
-      }
-    }
-  }
-
-  /// Raw-mode staging of RLE records: expands each run back into identical
-  /// raw events as it is copied (dedup on, pack off — the queue savings of
-  /// dedup need the packed encoding; this path only keeps the semantics).
-  template <typename Push>
-  void add_run_rle(unsigned w, const AccessEvent* events,
-                   const std::uint32_t* reps, std::size_t n, std::size_t fill,
-                   Push&& push) {
+    const auto hand_on_if_full = [&] {
+      if (pending->count < fill) return;
+      Chunk* full = pending;
+      pending = nullptr;
+      push(full, w);
+    };
     if (reps == nullptr) {
-      add_run(w, events, n, fill, std::forward<Push>(push));
+      while (n > 0) {
+        if (pending == nullptr) pending = pool_->acquire();
+        const std::size_t room = std::min(n, fill - pending->count);
+        std::copy_n(events, room, pending->events.data() + pending->count);
+        pending->count += static_cast<std::uint32_t>(room);
+        events += room;
+        n -= room;
+        hand_on_if_full();
+      }
       return;
     }
-    sched::point("produce.stage");
-    Chunk*& pending = pending_[w];
     for (std::size_t i = 0; i < n; ++i) {
       std::size_t rep = reps[i];
       while (rep > 0) {
@@ -93,59 +76,7 @@ class ProduceStage {
         std::fill_n(pending->events.data() + pending->count, room, events[i]);
         pending->count += static_cast<std::uint32_t>(room);
         rep -= room;
-        if (pending->count >= fill) {
-          Chunk* full = pending;
-          pending = nullptr;
-          push(full, w);
-        }
-      }
-    }
-  }
-
-  /// Packed-mode twin of add_run: stages a run of RLE records (`reps[i]`
-  /// instances of `events[i]`; reps == nullptr means all 1) as delta-packed
-  /// wire records (core/wire.hpp).  A chunk is closed when the next record
-  /// might not fit its byte budget — `fill` keeps its raw-equivalent
-  /// meaning, so a packed chunk carries the same queue-byte footprint as a
-  /// raw chunk of `fill` events while holding ~4x the accesses.  Escape
-  /// records are counted into `stats` (pack_escapes).
-  template <typename Push>
-  void add_run_packed(unsigned w, const AccessEvent* events,
-                      const std::uint32_t* reps, std::size_t n,
-                      std::size_t fill, obs::StageStats& stats, Push&& push) {
-    sched::point("produce.stage");
-    Chunk*& pending = pending_[w];
-    WireEncoder& enc = encoders_[w];
-    const std::size_t budget =
-        std::min(fill * sizeof(AccessEvent), Chunk::kPayloadBytes);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t rep = reps != nullptr ? reps[i] : 1;
-      while (rep > 0) {
-        const std::uint32_t r = std::min(rep, kMaxWireRep);
-        if (pending == nullptr) {
-          pending = pool_->acquire();
-          pending->packed = true;
-          enc.reset();
-        }
-        // Close on the conservative worst case (escape record) so a record
-        // never straddles chunks; always admit at least one record so tiny
-        // fills (chunk_size == 1) still make progress.
-        if (pending->records > 0 &&
-            pending->bytes + kMaxWireRecordBytes > budget) {
-          Chunk* full = pending;
-          pending = nullptr;
-          push(full, w);
-          continue;
-        }
-        bool escaped = false;
-        const std::size_t wrote =
-            enc.encode(events[i], r, pending->payload_bytes() + pending->bytes,
-                       escaped);
-        pending->bytes += static_cast<std::uint32_t>(wrote);
-        pending->records += 1;
-        pending->count += r;
-        if (escaped) stats.add_pack_escapes(1);
-        rep -= r;
+        hand_on_if_full();
       }
     }
   }
@@ -163,7 +94,6 @@ class ProduceStage {
 
  private:
   std::vector<Chunk*> pending_;
-  std::vector<WireEncoder> encoders_;
   ChunkPool* pool_;
 };
 

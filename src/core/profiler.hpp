@@ -88,11 +88,6 @@ struct ProfilerConfig {
   /// (see DESIGN.md "Front-end event reduction"); the flag exists for the
   /// frontend ablation and the depfuzz dedup axis.
   bool dedup = true;
-  /// Compact chunk encoding: events travel the producer->worker queues as
-  /// ~16-byte delta-packed wire records (core/wire.hpp) instead of raw
-  /// 64-byte AccessEvents, and are decoded back before detection.  The
-  /// dependence maps are byte-identical either way.
-  bool pack = true;
   // Overhead-budget sampling (sequential targets only; see DESIGN.md
   // "Overhead-budget sampling").  The sampling unit is one iteration of an
   // outermost loop: a profiled unit is observed whole, so every inner-loop
@@ -119,7 +114,7 @@ struct ProfilerConfig {
   /// For sequential targets the pool is *sealed* to this population — an
   /// empty free list blocks for a recycled chunk instead of allocating, so
   /// steady-state profiling never touches the heap the target is mutating
-  /// (the root cause of the unpacked cross-attribution flake; see
+  /// (the root cause of the workers=8 cross-attribution flake; see
   /// core/chunk.hpp).  MT targets keep a growable pool, seeded to the same
   /// size.
   std::size_t pool_chunks = 0;

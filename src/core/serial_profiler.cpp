@@ -34,8 +34,7 @@ class SerialProfiler final : public IProfiler {
     obs_.produce().add_events(count);
     obs_.produce().add_chunks(1);
     // No queue between produce and detect here, so the "wire" cost is the
-    // raw event bytes handed across the stage boundary — the serial
-    // baseline the packed parallel encoding is measured against.
+    // raw event bytes handed across the stage boundary.
     obs_.produce().add_bytes_on_wire(count * sizeof(AccessEvent));
     // Canonicalize to the word-granular address unit once, here.
     std::array<AccessEvent, kUnitBatch> unit;

@@ -267,7 +267,7 @@ void Runtime::begin_unit(ThreadState& ts) {
   const unsigned skip = sampling_skip_.load(std::memory_order_relaxed);
   ts.unit_off = ts.unit_pos >= burst;
   ts.unit_pos += 1;
-  if (ts.unit_pos >= burst + skip) ts.unit_pos = 0;
+  if (ts.unit_pos >= std::uint64_t{burst} + skip) ts.unit_pos = 0;
 }
 
 void Runtime::controller_tick(ThreadState& ts, unsigned burst) {

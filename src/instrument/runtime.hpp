@@ -192,11 +192,15 @@ class Runtime {
     bool dedup = false;     ///< session runs the front-end dedup cache
     bool sampling = false;  ///< session runs the burst gate
     bool adaptive = false;  ///< session retunes the skip count online
-    double budget = 1.0;    ///< overhead target of the adaptive controller
-    // --- sampling gate (see SamplingConfig) -------------------------------
+    // Two sampling-gate flags, placed in the padding before `budget` so the
+    // 64-bit unit_pos below leaves every later field at its offset.
     bool unit_off = false;     ///< current unit is being skipped
     bool pending_gap = false;  ///< >=1 event dropped since the last kept one
-    unsigned unit_pos = 0;     ///< index of the next unit within the B+K cycle
+    double budget = 1.0;    ///< overhead target of the adaptive controller
+    // --- sampling gate (see SamplingConfig) -------------------------------
+    /// Index of the next unit within the B+K cycle; 64-bit so the cycle
+    /// length B+K cannot wrap for any pair of 32-bit B and K.
+    std::uint64_t unit_pos = 0;
     std::uint64_t sampled_out = 0;  ///< accesses dropped, not yet published
     std::uint64_t gaps_closed = 0;  ///< burst markers, not yet published
     // Adaptive-controller state, sampled at each cycle boundary.

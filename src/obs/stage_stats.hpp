@@ -68,9 +68,10 @@ enum class CounterKind {
   X(rounds,                add_rounds,                 "rounds",                "rounds",       6, kCount)     \
   /* Detect kernel (detect): slot prefetches issued K events ahead. */                                         \
   X(prefetches,            add_prefetches,             "prefetches",            "prefetch",    10, kCount)     \
-  /* Dedup and wire (produce): repeats elided, chunk payload bytes queued, records in the escape slot. */      \
+  /* Dedup and wire (produce): repeats elided, chunk payload bytes queued (64 per event carried). */           \
   X(events_deduped,        add_events_deduped,         "events_deduped",        "deduped",     10, kCount)     \
   X(bytes_on_wire,         add_bytes_on_wire,          "bytes_on_wire",         "wire_bytes",  12, kCount)     \
+  /* Always 0: chunks carry raw events.  Kept because perfbench/ reads StageSnapshot::pack_escapes. */         \
   X(pack_escapes,          add_pack_escapes,           "pack_escapes",          "escapes",      8, kCount)     \
   /* Sampling (produce): accesses dropped by the gate, gaps closed by a burst marker, overhead in ppm. */      \
   X(events_sampled_out,    add_events_sampled_out,     "events_sampled_out",    "sampled",     10, kCount)     \

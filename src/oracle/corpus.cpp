@@ -20,7 +20,7 @@ namespace {
 
 // The one grammar.  There is no version ladder: a file in any other version
 // is rejected rather than replayed under reinterpreted semantics.
-constexpr std::string_view kVersionLine = "depfuzz-repro v8";
+constexpr std::string_view kVersionLine = "depfuzz-repro v9";
 
 const char* sig_hash_name(SigHash h) {
   return h == SigHash::kModulo ? "modulo" : "mix";
@@ -134,7 +134,6 @@ constexpr KeySpec<Cfg> kConfigKeys[] = {
     field<Cfg, &Cfg::queue_capacity>("qcap"),
     field<Cfg, &Cfg::modulo_routing>("modulo_routing"),
     field<Cfg, &Cfg::dedup>("dedup"),
-    field<Cfg, &Cfg::pack>("pack"),
     field<Cfg, &Cfg::budget>("budget"),
     field<Cfg, &Cfg::sampling_burst>("burst"),
     field<Cfg, &Cfg::sampling_skip>("skip"),

@@ -6,12 +6,12 @@
 // tests/corpus/ is replayed by the corpus regression test on each CI run,
 // turning yesterday's fuzz finding into tomorrow's regression gate.
 //
-//   depfuzz-repro v8
+//   depfuzz-repro v9
 //   # free-form provenance comment
 //   note <one-line description>
 //   config storage=packed slots=1048576 sighash=modulo mt=1 workers=4
 //          ... queue=lock-free-spsc wait=park chunk=7 qcap=64 modulo_routing=0
-//          ... dedup=1 pack=1 budget=1 burst=8 skip=0 races=1
+//          ... dedup=1 budget=1 burst=8 skip=0 races=1
 //   lb enabled=1 sample_shift=0 interval=200 threshold=1.25 top_k=10
 //          ... max_rounds=64
 //   sched seed=7 algo=pct
@@ -23,7 +23,7 @@
 //          ... ctx=2 iters=3,1,0,0,0,0,0
 //
 // (`config` and `lb` are single lines; they are wrapped here for the
-// comment only.)  There is one grammar, v8; a file with any other version
+// comment only.)  There is one grammar, v9; a file with any other version
 // line is rejected.  The config, lb and sched lines are driven by one key
 // table each: format_repro writes every key and parse_repro requires every
 // key, so a repro never replays under whatever the defaults have since
@@ -78,12 +78,12 @@ struct ReproCase {
   sched::ScheduleTrace schedule;
 };
 
-/// Renders `repro` in the v8 grammar (the sched section is present only
+/// Renders `repro` in the v9 grammar (the sched section is present only
 /// when the case carries one).
 std::string format_repro(const ReproCase& repro);
 
 /// Strict parser: returns false and sets `error` (when non-null, prefixed
-/// with the offending line number) on a version line other than v8, any
+/// with the offending line number) on a version line other than v9, any
 /// unknown directive, unknown or duplicate key, malformed value, missing
 /// key, duplicate config/lb/sched line, directive before the config line,
 /// or missing config/lb line.

@@ -21,9 +21,6 @@
 //     expanded RLE stream must be byte-identical to the oracle over the
 //     raw trace for *every* configuration, and the profilers are then fed
 //     the deduplicated stream under the same exact/bounded rules as above.
-//     Compact chunk encoding (ProfilerConfig::pack) is exercised implicitly
-//     by the parallel run — the wire codec is lossless by construction and
-//     any decode defect shows up as a divergence here.
 //
 // The harness is the one definition of "the pipeline is correct" shared by
 // tools/depfuzz, the corpus regression tests, and the CI smoke job.

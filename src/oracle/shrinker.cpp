@@ -134,11 +134,9 @@ ProfilerConfig shrink_config(const Trace& trace, ProfilerConfig cfg,
     try_apply([](ProfilerConfig& c) { c.wait = WaitKind::kSpin; });
   if (cfg.modulo_routing)
     try_apply([](ProfilerConfig& c) { c.modulo_routing = false; });
-  // Strip the front-end reduction layers independently: a failure that
-  // survives with dedup (or pack) off did not need that layer, and the
-  // repro should say so.
+  // Strip the front-end reduction layer: a failure that survives with
+  // dedup off did not need it, and the repro should say so.
   if (cfg.dedup) try_apply([](ProfilerConfig& c) { c.dedup = false; });
-  if (cfg.pack) try_apply([](ProfilerConfig& c) { c.pack = false; });
   // Backend-simplification rung: the packed paged store and the plain
   // perfect hash map implement the same exact-store contract, so a failure
   // that survives on kPerfect was not about the paged layout — and the

@@ -483,10 +483,9 @@ TEST(Shrinker, ConfigLadderSimplifiesWhenFailureIsConfigIndependent) {
   EXPECT_EQ(simple.wait, WaitKind::kSpin);
   EXPECT_FALSE(simple.load_balance.enabled);
   EXPECT_FALSE(simple.modulo_routing);
-  // Likewise the front-end reduction layers: a config-independent failure
-  // must shrink to a repro with both dedup and pack off.
+  // Likewise the front-end reduction layer: a config-independent failure
+  // must shrink to a repro with dedup off.
   EXPECT_FALSE(simple.dedup);
-  EXPECT_FALSE(simple.pack);
 }
 
 TEST(Shrinker, KeepsConfigWhenSimplificationLosesTheFailure) {
@@ -516,7 +515,6 @@ ReproCase sample_repro() {
   r.cfg.queue_capacity = 32;
   r.cfg.modulo_routing = true;
   r.cfg.dedup = false;  // non-default: the round trip must keep it
-  r.cfg.pack = false;
   r.cfg.load_balance.enabled = true;
   r.cfg.load_balance.sample_shift = 2;
   r.cfg.load_balance.eval_interval_chunks = 17;
@@ -560,7 +558,6 @@ TEST(Corpus, FormatParseRoundTrip) {
   EXPECT_EQ(back.cfg.queue_capacity, original.cfg.queue_capacity);
   EXPECT_EQ(back.cfg.modulo_routing, original.cfg.modulo_routing);
   EXPECT_EQ(back.cfg.dedup, original.cfg.dedup);
-  EXPECT_EQ(back.cfg.pack, original.cfg.pack);
   EXPECT_DOUBLE_EQ(back.cfg.budget, original.cfg.budget);
   EXPECT_EQ(back.cfg.sampling_burst, original.cfg.sampling_burst);
   EXPECT_EQ(back.cfg.sampling_skip, original.cfg.sampling_skip);
@@ -584,18 +581,18 @@ TEST(Corpus, FormatParseRoundTrip) {
 }
 
 TEST(Corpus, OnlyTheCurrentVersionParses) {
-  // The body is a valid v8 file; under any older version line it must be
+  // The body is a valid v9 file; under any older version line it must be
   // rejected, never reinterpreted.
   const std::string header = default_header();
   const std::string body = header.substr(header.find('\n') + 1);
   ReproCase out;
   std::string error;
   ASSERT_TRUE(parse_repro(out, header, &error)) << error;
-  for (int v = 1; v <= 7; ++v) {
+  for (int v = 1; v <= 8; ++v) {
     const std::string text =
         "depfuzz-repro v" + std::to_string(v) + "\n" + body;
     EXPECT_FALSE(parse_repro(out, text, &error)) << "v" << v;
-    EXPECT_NE(error.find("depfuzz-repro v8"), std::string::npos) << error;
+    EXPECT_NE(error.find("depfuzz-repro v9"), std::string::npos) << error;
   }
 }
 
@@ -633,7 +630,7 @@ TEST(Corpus, EveryKeyIsRequired) {
     }
     pos = eol + 1;
   }
-  EXPECT_EQ(dropped, 16u + 6u + 2u);  // config + lb + sched keys
+  EXPECT_EQ(dropped, 15u + 6u + 2u);  // config + lb + sched keys
   // The lb line as a whole is required too.
   const std::string header = default_header();
   ReproCase out;
@@ -712,7 +709,7 @@ TEST(Corpus, StrictParserRejectsUnknownInput) {
   EXPECT_FALSE(parse_repro(out, batch, &error));
   EXPECT_NE(error.find("batch=1"), std::string::npos);
   // Missing the config line entirely.
-  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v8\nnote hi\n", &error));
+  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v9\nnote hi\n", &error));
   EXPECT_NE(error.find("missing config line"), std::string::npos);
 }
 
@@ -770,14 +767,14 @@ TEST(Corpus, StrictParserRejectsAmbiguousShape) {
   EXPECT_NE(error.find("duplicate lb line"), std::string::npos);
   // Every directive except the provenance note needs the config line first.
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v8\nev W addr=0x1\n" + config + lb, &error));
+      out, "depfuzz-repro v9\nev W addr=0x1\n" + config + lb, &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
   EXPECT_NE(error.find("line 2"), std::string::npos);
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v8\nnest id=1 parent=0 loop=5\n" + config + lb,
+      out, "depfuzz-repro v9\nnest id=1 parent=0 loop=5\n" + config + lb,
       &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v8\n" + lb + config, &error));
+  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v9\n" + lb + config, &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
 }
 

@@ -22,7 +22,6 @@
 #include "common/mem_stats.hpp"
 #include "core/pipeline.hpp"
 #include "core/profiler.hpp"
-#include "core/wire.hpp"
 #include "instrument/dedup.hpp"
 #include "instrument/runtime.hpp"
 #include "trace/trace.hpp"
@@ -437,37 +436,6 @@ TEST(ChunkPoolRegression, ProduceBurstDoesNotRatchetThePoolFootprint) {
 }
 
 // --- ISSUE 8: the burst marker vs the front-end reduction layer ------------
-
-TEST(WireRegression, BurstMarkWithHighFlagsCannotMasqueradeAsEscape) {
-  // kind = kBurstMark (3) with flags 0x3F packs kind_flags to 0xFF — the
-  // escape header.  The compact path would emit a 16-byte record whose
-  // header byte reads as an escape, and the decoder would then interpret
-  // whatever follows as a raw 64-byte event.  The encoder must detect the
-  // collision and take the real escape path instead.
-  WireEncoder enc;
-  WireDecoder dec;
-  unsigned char buf[kMaxWireRecordBytes];
-  AccessEvent base;
-  base.addr = 0x1000;
-  base.kind = AccessKind::kRead;
-  bool escaped = false;
-  std::size_t n = enc.encode(base, 1, buf, escaped);
-  AccessEvent out;
-  std::uint32_t rep = 0;
-  ASSERT_EQ(dec.decode(buf, out, rep), n);
-
-  AccessEvent mark;
-  mark.addr = 0x1004;
-  mark.kind = AccessKind::kBurstMark;
-  mark.flags = 0x3F;  // kind | flags << 2 == kWireEscape
-  n = enc.encode(mark, 1, buf, escaped);
-  EXPECT_TRUE(escaped) << "collision with the escape header went compact";
-  ASSERT_EQ(n, kMaxWireRecordBytes);
-  ASSERT_EQ(dec.decode(buf, out, rep), n);
-  EXPECT_EQ(rep, 1u);
-  EXPECT_EQ(std::memcmp(&out, &mark, sizeof(out)), 0)
-      << "escape record did not roundtrip the marker";
-}
 
 TEST(DedupRegression, BurstMarkTerminatesRunsAndIsNeverMerged) {
   // A repeat separated from its first instance by a burst marker must not

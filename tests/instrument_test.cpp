@@ -8,6 +8,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -790,6 +791,30 @@ TEST_F(RuntimeTest, SamplingStatsReportedOnDetach) {
   EXPECT_EQ(sink.sampled_out_, 2u);  // the writes of iterations 1 and 3
   EXPECT_EQ(sink.bursts_, 2u);       // one marker per closed gap
   EXPECT_EQ(sink.ppm_, 0u);          // fixed schedule: controller never ran
+}
+
+TEST_F(RuntimeTest, CycleLengthBeyond32BitsDoesNotWrap) {
+  // B + K = 8 + (2^32 - 4) overflows 32 bits.  The cycle must still profile
+  // the first B units and skip every later one, not fold back to a 4-unit
+  // cycle that never skips.
+  StatsRecorder sink;
+  SamplingConfig sampling;
+  sampling.burst = 8;
+  sampling.skip = std::numeric_limits<unsigned>::max() - 3;
+  Runtime::instance().attach(&sink, false, false, sampling);
+  int a = 0;
+  DP_LOOP_BEGIN();  // unit 0
+  for (int i = 0; i < 20; ++i) {
+    DP_LOOP_ITER();  // units 1..20: 1..7 profiled, 8.. skipped
+    DP_WRITE(a);
+    a = i;
+  }
+  DP_LOOP_END();
+  Runtime::instance().detach();
+  ASSERT_EQ(sink.trace_.events.size(), 7u);
+  for (const auto& e : sink.trace_.events) EXPECT_TRUE(e.is_write());
+  EXPECT_EQ(sink.trace_.events.back().iters[0], 7u);
+  EXPECT_EQ(sink.sampled_out_, 13u);
 }
 
 /// Sink whose reported profiling cost is a fixed 3/4 of elapsed wall time —

@@ -178,8 +178,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Oversubscription axis (ISSUE 7): eight workers plus the producer pinned
 // to at most two CPUs, so the kernel preempts pipeline threads mid-hand-off
-// constantly — the regime where the unpacked cross-attribution flake lived.
-// Covers both the packed and unpacked staging paths.
+// constantly — the regime where the workers=8 cross-attribution flake lived.
 TEST(SerialParallelEquivalence, OversubscribedWorkersMatchSerial) {
 #if defined(__linux__)
   cpu_set_t saved;
@@ -202,17 +201,12 @@ TEST(SerialParallelEquivalence, OversubscribedWorkersMatchSerial) {
   const DepMap serial = run_serial(t, cfg);
   cfg.workers = 8;
   cfg.chunk_size = 64;
-  cfg.pack = false;
-  const DepMap unpacked = run_parallel(t, cfg);
-  cfg.pack = true;
-  const DepMap packed = run_parallel(t, cfg);
+  const DepMap parallel = run_parallel(t, cfg);
 
   sched_setaffinity(0, sizeof(saved), &saved);  // before any EXPECT fires
 
-  EXPECT_TRUE(same_deps(serial, unpacked)) << "unpacked staging, workers=8";
-  EXPECT_EQ(serial.instances(), unpacked.instances());
-  EXPECT_TRUE(same_deps(serial, packed)) << "packed staging, workers=8";
-  EXPECT_EQ(serial.instances(), packed.instances());
+  EXPECT_TRUE(same_deps(serial, parallel)) << "workers=8";
+  EXPECT_EQ(serial.instances(), parallel.instances());
 #else
   GTEST_SKIP() << "CPU affinity is Linux-only";
 #endif
@@ -405,33 +399,28 @@ TEST_P(BackendQueueEquivalence, ByteIdenticalMergedMaps) {
         << queue_kind_name(c.queue) << " wait=" << wait_kind_name(wait);
   }
 
-  // Front-end reduction axes: the full dedup × pack lattice must reproduce
-  // the same merged map, with the deduplicated RLE stream feeding both
-  // profilers when dedup is on (the serial baseline above stays raw, so
-  // this also asserts dedup is map-preserving per backend and queue).
+  // Front-end reduction axis: dedup on and off must reproduce the same
+  // merged map, with the deduplicated RLE stream feeding both profilers
+  // when dedup is on (the serial baseline above stays raw, so this also
+  // asserts dedup is map-preserving per backend and queue).
   const RleStream rle = dedup_stream(t.events.data(), t.events.size());
   cfg.wait = WaitKind::kSpin;
   for (bool dedup : {false, true}) {
-    for (bool pack : {false, true}) {
-      cfg.dedup = dedup;
-      cfg.pack = pack;
-      {
-        auto prof = make_serial_profiler(cfg);
-        if (dedup) replay_rle(rle, *prof);
-        else replay(t, *prof);
-        EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
-            << storage_kind_name(c.storage) << " serial dedup=" << dedup
-            << " pack=" << pack;
-      }
-      auto prof = make_parallel_profiler(cfg);
-      ASSERT_NE(prof, nullptr) << storage_kind_name(c.storage);
+    cfg.dedup = dedup;
+    {
+      auto prof = make_serial_profiler(cfg);
       if (dedup) replay_rle(rle, *prof);
       else replay(t, *prof);
       EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
-          << storage_kind_name(c.storage) << " over "
-          << queue_kind_name(c.queue) << " dedup=" << dedup
-          << " pack=" << pack;
+          << storage_kind_name(c.storage) << " serial dedup=" << dedup;
     }
+    auto prof = make_parallel_profiler(cfg);
+    ASSERT_NE(prof, nullptr) << storage_kind_name(c.storage);
+    if (dedup) replay_rle(rle, *prof);
+    else replay(t, *prof);
+    EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
+        << storage_kind_name(c.storage) << " over "
+        << queue_kind_name(c.queue) << " dedup=" << dedup;
   }
 }
 

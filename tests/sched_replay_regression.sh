@@ -2,7 +2,7 @@
 # Cross-attribution schedule-replay regression (PR 7).
 #
 # Replays the committed schedule tests/corpus/is_unpacked_w8_cross_attribution.sched
-# against `depprof run is --slots 337311 --parallel --workers 8 --no-pack`
+# against `depprof run is --slots 337311 --parallel --workers 8`
 # and requires the dependence map to match the serial run byte for byte.
 #
 # Before the ChunkPool was sealed, this exact replay failed every run: the
@@ -78,7 +78,7 @@ fi
 
 env -i DEPPROF_LAYOUT_DIAG=1 DEPPROF_SCHED=1 DEPPROF_SCHED_SEED=10 \
   DEPPROF_SCHED_ALGO=pct DEPPROF_SCHED_REPLAY="$TMP/s.sched" \
-  $WRAP "$TMP/depprof" run is --slots $SLOTS --parallel --workers 8 --no-pack \
+  $WRAP "$TMP/depprof" run is --slots $SLOTS --parallel --workers 8 \
   --format csv > "$TMP/parallel.csv" 2> "$TMP/parallel.err"
 
 if ! cmp -s "$TMP/serial.csv" "$TMP/parallel.csv"; then

@@ -31,12 +31,11 @@ Trace small_trace() {
   return gen_strided(p);
 }
 
-ProfilerConfig sched_cfg(unsigned workers, bool pack) {
+ProfilerConfig sched_cfg(unsigned workers) {
   ProfilerConfig cfg;
   cfg.storage = StorageKind::kPerfect;
   cfg.workers = workers;
   cfg.chunk_size = 16;
-  cfg.pack = pack;
   return cfg;
 }
 
@@ -56,7 +55,7 @@ TEST(ScheduleTraceTest, FormatParseRoundTrip) {
 
 TEST(SchedHarnessTest, RecordingIsDeterministicOnTraceCases) {
   const Trace trace = small_trace();
-  const ProfilerConfig cfg = sched_cfg(2, false);
+  const ProfilerConfig cfg = sched_cfg(2);
   SchedSpec spec;
   spec.seed = 7;
   spec.algo = sched::Algo::kRandomWalk;
@@ -72,7 +71,7 @@ TEST(SchedHarnessTest, RecordingIsDeterministicOnTraceCases) {
 
 TEST(SchedHarnessTest, SeedsDivergeAndReplayIsFaithful) {
   const Trace trace = small_trace();
-  const ProfilerConfig cfg = sched_cfg(2, true);
+  const ProfilerConfig cfg = sched_cfg(2);
   SchedSpec explore;
   explore.seed = 1;
   const CaseOutcome rec = run_case(trace, cfg, &explore);
@@ -95,7 +94,7 @@ TEST(SchedHarnessTest, SeedsDivergeAndReplayIsFaithful) {
 
 TEST(SchedHarnessTest, PctExplorationHoldsAtEightWorkers) {
   const Trace trace = small_trace();
-  const ProfilerConfig cfg = sched_cfg(8, false);
+  const ProfilerConfig cfg = sched_cfg(8);
   SchedSpec spec;
   spec.seed = 3;
   spec.algo = sched::Algo::kPct;
@@ -128,7 +127,7 @@ TEST(ChunkPoolTest, SealedAcquireBlocksInsteadOfAllocating) {
 TEST(ChunkPoolTest, RecycledChunkLeaksNoStaleHeader) {
   // Pool of one: the second acquire must hand back the same chunk, and
   // every header field a previous use could have dirtied must be reset —
-  // a stale `packed` flag would make the worker misparse the payload.
+  // a stale kind or count would make the worker misread the chunk.
   ChunkPool pool(1, 1, /*sealed=*/true, WaitKind::kSpin);
   Chunk* c = pool.acquire();
   const std::uint32_t gen_before = c->gen.load();
@@ -136,10 +135,6 @@ TEST(ChunkPoolTest, RecycledChunkLeaksNoStaleHeader) {
   c->count = 77;
   c->payload = 5;
   c->addr = 0xdeadbeef;
-  c->packed = true;
-  c->records = 13;
-  c->bytes = 4096;
-  c->payload_bytes()[0] = 0xAB;
   pool.release(c);
 
   Chunk* again = pool.acquire();
@@ -148,9 +143,6 @@ TEST(ChunkPoolTest, RecycledChunkLeaksNoStaleHeader) {
   EXPECT_EQ(again->count, 0u);
   EXPECT_EQ(again->payload, 0u);
   EXPECT_EQ(again->addr, 0u);
-  EXPECT_FALSE(again->packed);
-  EXPECT_EQ(again->records, 0u);
-  EXPECT_EQ(again->bytes, 0u);
   EXPECT_GT(again->gen.load(), gen_before) << "recycle bumps the epoch";
   pool.release(again);
 }
@@ -172,7 +164,6 @@ TEST(ReproSchedTest, SchedSectionRoundTrips) {
   ReproCase repro;
   repro.note = "sched round trip";
   repro.cfg.workers = 8;
-  repro.cfg.pack = false;
   repro.sched = true;
   repro.sched_seed = 42;
   repro.sched_algo = sched::Algo::kPct;
@@ -185,7 +176,7 @@ TEST(ReproSchedTest, SchedSectionRoundTrips) {
   repro.trace.events.push_back(ev);
 
   const std::string text = format_repro(repro);
-  EXPECT_NE(text.find("depfuzz-repro v8"), std::string::npos);
+  EXPECT_NE(text.find("depfuzz-repro v9"), std::string::npos);
   EXPECT_NE(text.find("sched seed=42 algo=pct"), std::string::npos);
   EXPECT_NE(text.find("sstep w0 queue.pop"), std::string::npos);
 

@@ -7,7 +7,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/wire.hpp"
 #include "trace/generators.hpp"
 #include "trace/nest.hpp"
 #include "trace/trace.hpp"
@@ -310,112 +309,6 @@ TEST(TraceIo, RejectsMissingAndMalformedFiles) {
   EXPECT_FALSE(read_trace(out, path));
   EXPECT_TRUE(out.events.empty());
   std::remove(path.c_str());
-}
-
-// Direct step-op coverage for the wire codec's nest-context delta coding.
-// The profiler's dedup×pack lattice exercises the codec end-to-end; these
-// pin each [op:2] transition individually.
-class WireCodecTest : public ::testing::Test {
- protected:
-  /// Encodes `ev` and immediately decodes it back, asserting the round trip
-  /// is exact.  Returns true when the event fit a 16-byte delta record.
-  bool round_trip(const AccessEvent& ev) {
-    unsigned char buf[kMaxWireRecordBytes];
-    bool escaped = false;
-    const std::size_t wrote = enc_.encode(ev, 1, buf, escaped);
-    AccessEvent back;
-    std::uint32_t rep = 0;
-    EXPECT_EQ(dec_.decode(buf, back, rep), wrote);
-    EXPECT_EQ(rep, 1u);
-    EXPECT_EQ(back.addr, ev.addr);
-    EXPECT_EQ(back.ctx, ev.ctx);
-    EXPECT_EQ(back.kind, ev.kind);
-    EXPECT_EQ(back.loc, ev.loc);
-    for (std::size_t i = 0; i < kNestIters; ++i)
-      EXPECT_EQ(back.iters[i], ev.iters[i]) << "slot " << i;
-    return !escaped;
-  }
-
-  WireEncoder enc_;
-  WireDecoder dec_;
-};
-
-TEST_F(WireCodecTest, FirstRecordAlwaysEscapes) {
-  AccessEvent ev;
-  ev.addr = 64;
-  EXPECT_FALSE(round_trip(ev));  // chunk base: full-size record
-  ev.addr += 8;
-  EXPECT_TRUE(round_trip(ev));  // second event delta-packs
-}
-
-TEST_F(WireCodecTest, IterAdvancePacksSameContext) {
-  NestForest& forest = nest_forest();
-  AccessEvent ev;
-  ev.ctx = forest.enter(NestForest::kRoot, 30);
-  round_trip(ev);  // base
-  ev.iters[0] += 1;
-  EXPECT_TRUE(round_trip(ev));  // op0: iters[0] += 1
-  ev.iters[0] += 5;
-  EXPECT_TRUE(round_trip(ev));  // op0 with payload > 1
-  ev.iters[0] += kMaxStepPayload + 1;
-  EXPECT_FALSE(round_trip(ev));  // beyond the 11-bit payload: escape
-}
-
-TEST_F(WireCodecTest, PushPopAndSiblingReentryPack) {
-  NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 50);
-  const std::uint32_t inner = forest.enter(outer, 51);
-  AccessEvent ev;
-  ev.ctx = outer;
-  ev.iters[0] = 3;
-  round_trip(ev);  // base
-  ev.ctx = inner;  // op1 push: deeper entry, window unchanged
-  EXPECT_TRUE(round_trip(ev));
-  ev.iters[1] = 9;
-  EXPECT_TRUE(round_trip(ev));  // op0 inside the inner loop
-  ev.ctx = outer;  // op2 pop: back to the ancestor, deep slots zeroed
-  ev.iters[1] = 0;
-  EXPECT_TRUE(round_trip(ev));
-  // op3 sibling re-entry: fresh inner entry, enclosing iter advances.
-  ev.ctx = forest.enter(outer, 51);
-  ev.iters[0] = 4;
-  EXPECT_TRUE(round_trip(ev));
-}
-
-TEST_F(WireCodecTest, PopWithStaleDeepSlotsEscapes) {
-  // A pop whose event still carries non-zero deep iteration slots cannot be
-  // predicted by op2 (which zeroes them) and must escape — the codec never
-  // emits a step whose replay diverges from the real event.
-  NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 60);
-  const std::uint32_t inner = forest.enter(outer, 61);
-  AccessEvent ev;
-  ev.ctx = inner;
-  ev.iters[1] = 4;
-  round_trip(ev);  // base
-  ev.ctx = outer;
-  // iters[1] left at 4: contradicts the pop transition.
-  EXPECT_FALSE(round_trip(ev));
-}
-
-TEST_F(WireCodecTest, ThreadOrWideFieldChangesEscape) {
-  AccessEvent ev;
-  round_trip(ev);  // base
-  ev.tid = 2;
-  EXPECT_FALSE(round_trip(ev));  // tid change never packs
-  ev.var = 0x1'0000;
-  EXPECT_FALSE(round_trip(ev));  // var beyond 16 bits never packs
-}
-
-TEST_F(WireCodecTest, RunLengthTravelsInOneRecord) {
-  AccessEvent ev;
-  unsigned char buf[kMaxWireRecordBytes];
-  bool escaped = false;
-  const std::size_t wrote = enc_.encode(ev, kMaxWireRep, buf, escaped);
-  AccessEvent back;
-  std::uint32_t rep = 0;
-  EXPECT_EQ(dec_.decode(buf, back, rep), wrote);
-  EXPECT_EQ(rep, kMaxWireRep);
 }
 
 }  // namespace

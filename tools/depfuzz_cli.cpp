@@ -113,8 +113,7 @@ std::vector<NamedTrace> smoke_traces(std::size_t accesses,
   traces.push_back({"churn", gen_churn(cp, 0.3), false});
   // Nested traces: a deep imperfect nest (zero-iteration inner entries,
   // sibling re-entry) and churn stamped under a three-deep nest — the cases
-  // that exercise common-loop attribution and the wire codec's push/pop/
-  // sibling steps.
+  // that exercise common-loop attribution.
   GenParams np = p;
   np.accesses = accesses;
   traces.push_back({"nest3", gen_nest(np, 3, 4), false});
@@ -145,10 +144,9 @@ std::vector<FuzzCase> smoke_cases() {
         c.cfg.workers = kWorkerCounts[idx % 4];
         if (idx % 2 == 0) c.cfg.load_balance = active_balancer();
         c.cfg.mt_targets = false;
-        // Front-end reduction axes: walk the full dedup x pack lattice as
-        // the case index advances so every combination is smoke-gated.
+        // Front-end reduction axis: dedup alternates in pairs of cases, so
+        // it crosses both load-balance settings as the index advances.
         c.cfg.dedup = (idx / 2) % 2 == 0;
-        c.cfg.pack = idx % 2 == 0;
         // Sampling axis: rotate off / 100% / 50% / 10% duty.  100% (skip=0)
         // drops nothing and must behave exactly like off; the 50% and 10%
         // points run the sampled-mode harness path — subset contract against
@@ -180,8 +178,7 @@ std::vector<FuzzCase> smoke_cases() {
                  wait_kind_name(c.cfg.wait) + "/w" +
                  std::to_string(c.cfg.workers) +
                  (c.cfg.load_balance.enabled ? "/lb" : "") +
-                 (c.cfg.dedup ? "/dedup" : "") + (c.cfg.pack ? "/pack" : "") +
-                 samp + "/" + tr.name;
+                 (c.cfg.dedup ? "/dedup" : "") + samp + "/" + tr.name;
         cases.push_back(std::move(c));
         ++idx;
       }
@@ -200,16 +197,13 @@ std::vector<FuzzCase> smoke_cases() {
     c.cfg.wait = kWaits[s % 3];
     c.cfg.workers = 4;
     if (s % 2 == 1) c.cfg.load_balance = active_balancer();
-    // MT events never dedup (fresh timestamps), but the axes still alter
-    // the replay path (RLE delivery, packed escape-heavy chunks) — keep
-    // both exercised under MT too.
+    // MT events never dedup (fresh timestamps), but the axis still alters
+    // the replay path (RLE delivery) — keep it exercised under MT too.
     c.cfg.dedup = s % 2 == 0;
-    c.cfg.pack = (s / 2) % 2 == 0;
     c.trace = tr.trace;
     c.name = std::string(sp.name) + "/mt/" + queue_kind_name(c.cfg.queue) +
              "/chunk" + std::to_string(c.cfg.chunk_size) +
-             (c.cfg.dedup ? "/dedup" : "") + (c.cfg.pack ? "/pack" : "") +
-             "/" + tr.name;
+             (c.cfg.dedup ? "/dedup" : "") + "/" + tr.name;
     cases.push_back(std::move(c));
   }
   return cases;
@@ -280,7 +274,6 @@ FuzzCase random_case(Rng& rng, std::uint64_t seq) {
   c.cfg.queue_capacity = 4u << rng.below(5);
   c.cfg.modulo_routing = rng.below(2) == 0;
   c.cfg.dedup = rng.below(2) == 0;
-  c.cfg.pack = rng.below(2) == 0;
   // Sampling axis: half the sequential cases run sampled with a random
   // burst/skip duty point (MT traces replay unsampled — the runtime gate is
   // sequential-targets-only, and the harness mirrors that).
@@ -301,11 +294,11 @@ FuzzCase random_case(Rng& rng, std::uint64_t seq) {
   return c;
 }
 
-/// Deterministic-schedule lattice (ISSUE 7): queue x wait x pack at 2 and 8
-/// workers, exact-expectation storages only (sig-exact / perfect alternate)
-/// so any schedule-dependent divergence is a hard byte-level failure, with
-/// the exploration seed and algorithm varied per case.  `extra` appends
-/// that many additional seeds on the flake-shaped point — unpacked staging,
+/// Deterministic-schedule lattice: queue x wait at 2 and 8 workers, one case
+/// per point, exact-expectation storages only (sig-exact / perfect
+/// alternate) so any schedule-dependent divergence is a hard byte-level
+/// failure, with the exploration seed and algorithm varied per case.
+/// `extra` appends that many additional seeds on the flake-shaped point —
 /// eight workers, the default SPSC/park transport — which is where the
 /// cross-attribution bug this lattice exists to catch actually lived.
 std::vector<FuzzCase> schedule_cases(std::uint64_t seed, std::size_t extra) {
@@ -315,7 +308,7 @@ std::vector<FuzzCase> schedule_cases(std::uint64_t seed, std::size_t extra) {
   const std::vector<NamedTrace> traces = smoke_traces(2500, 800);
   std::vector<FuzzCase> cases;
   std::size_t idx = 0;
-  auto make = [&](unsigned workers, QueueKind queue, WaitKind wait, bool pack,
+  auto make = [&](unsigned workers, QueueKind queue, WaitKind wait,
                   std::uint64_t case_seed) {
     const StoragePoint& sp = kStorages[idx % 2 == 0 ? 0 : 2];
     FuzzCase c;
@@ -325,7 +318,6 @@ std::vector<FuzzCase> schedule_cases(std::uint64_t seed, std::size_t extra) {
     c.cfg.workers = workers;
     c.cfg.queue = queue;
     c.cfg.wait = wait;
-    c.cfg.pack = pack;
     c.cfg.dedup = (idx / 2) % 2 == 0;
     c.cfg.chunk_size = kChunkSizes[idx % 3];
     const NamedTrace& tr = traces[idx % 7];  // sequential traces only
@@ -336,7 +328,7 @@ std::vector<FuzzCase> schedule_cases(std::uint64_t seed, std::size_t extra) {
         idx % 2 == 0 ? sched::Algo::kRandomWalk : sched::Algo::kPct;
     c.name = std::string("sched/") + sp.name + "/w" + std::to_string(workers) +
              "/" + queue_kind_name(queue) + "/" + wait_kind_name(wait) +
-             (pack ? "/pack" : "/nopack") + (c.cfg.dedup ? "/dedup" : "") +
+             (c.cfg.dedup ? "/dedup" : "") +
              "/chunk" + std::to_string(c.cfg.chunk_size) + "/" + tr.name +
              "/" + sched::algo_name(c.sched_spec.algo) + "-seed" +
              std::to_string(case_seed);
@@ -345,12 +337,9 @@ std::vector<FuzzCase> schedule_cases(std::uint64_t seed, std::size_t extra) {
   };
   for (const unsigned workers : {2u, 8u})
     for (const QueueKind queue : kQueues)
-      for (const WaitKind wait : kWaits)
-        for (const bool pack : {false, true})
-          make(workers, queue, wait, pack, seed + idx);
+      for (const WaitKind wait : kWaits) make(workers, queue, wait, seed + idx);
   for (std::size_t i = 0; i < extra; ++i)
-    make(8, QueueKind::kLockFreeSpsc, WaitKind::kPark, false,
-         seed + 1000 + i);
+    make(8, QueueKind::kLockFreeSpsc, WaitKind::kPark, seed + 1000 + i);
   return cases;
 }
 
@@ -552,7 +541,7 @@ int depfuzz_main(int argc, char** argv) {
     case Mode::kSmoke:
       return run_cases(smoke_cases(), corpus_dir);
     case Mode::kSchedules:
-      // The 36-case lattice is the bounded PR gate; --runs N appends N
+      // The 18-case lattice is the bounded PR gate; --runs N appends N
       // extra exploration seeds for the nightly sweep.
       return run_cases(schedule_cases(seed, runs_set ? runs : 0), corpus_dir);
     case Mode::kDeep: {

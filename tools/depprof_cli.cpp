@@ -29,10 +29,6 @@
 //                        repeats at record time (default --dedup; the merged
 //                        map is identical either way — see DESIGN.md
 //                        "Front-end event reduction")
-//   --pack / --no-pack   compact chunk encoding: carry accesses as 16-byte
-//                        delta records on the pipeline queues (default
-//                        --pack; parallel runs only — the serial profiler
-//                        has no queue to pack)
 //   --budget F           overhead-budget sampling: adapt the burst duty
 //                        cycle so profiling overhead tracks fraction F of
 //                        target runtime (0 < F < 1; default 1 = profile
@@ -40,7 +36,10 @@
 //   --burst N            profiled outermost-loop iterations per burst
 //                        (default 8)
 //   --skip N             fixed skipped iterations per cycle (deterministic
-//                        sampling; overrides the --budget controller)
+//                        sampling; overrides the --budget controller).
+//                        The three sampling flags are for run and report:
+//                        replay rejects them, because the burst gate lives
+//                        in the instrumentation runtime a replay bypasses
 //   --races              first-class race mode (Sec. V-B): print the run's
 //                        potential-data-race report (text, or JSON with
 //                        --json) instead of the dependence listing.  Needs
@@ -62,10 +61,16 @@
 //   --stats              print run statistics and the per-stage pipeline
 //                        counters (produce/route/detect/merge); rendered as
 //                        CSV or JSON when --format csv|json is given
+//
+// Integer options take a whole decimal number: --skip >= 0, the others
+// (--slots, --workers, --burst, --mt-threads, --scale) >= 1.  Anything
+// else is a usage error (exit 2) naming the option.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -105,10 +110,30 @@ struct CliOptions {
   bool report_json = false;
   bool report_check = false;
   bool races = false;
+  bool sampling_flags = false;  ///< --budget, --burst or --skip was given
 };
 
+/// Strict integer option: `v` must be a whole decimal number in
+/// [min, max of T].  Prints a message naming `opt` and returns false
+/// otherwise — no whitespace, no trailing text, no wrap-around.
+template <typename T>
+bool parse_int(const char* opt, const char* v, T min, T& out) {
+  if (v == nullptr) v = "";
+  const char* end = v + std::strlen(v);
+  T n = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc() || ptr != end || n < min) {
+    std::fprintf(stderr,
+                 "%s: expected a whole number in [%s, %s], got '%s'\n", opt,
+                 std::to_string(min).c_str(),
+                 std::to_string(std::numeric_limits<T>::max()).c_str(), v);
+    return false;
+  }
+  out = n;
+  return true;
+}
+
 bool parse(int argc, char** argv, int start, CliOptions& out) {
-  bool saw_budget = false, saw_burst = false, saw_skip = false;
   for (int i = start; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -130,15 +155,12 @@ bool parse(int argc, char** argv, int start, CliOptions& out) {
       else
         return false;
     } else if (arg == "--slots") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out.cfg.slots = static_cast<std::size_t>(std::atoll(v));
+      if (!parse_int("--slots", next(), std::size_t{1}, out.cfg.slots))
+        return false;
     } else if (arg == "--parallel") {
       out.parallel = true;
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out.cfg.workers = static_cast<unsigned>(std::atoi(v));
+      if (!parse_int("--workers", next(), 1u, out.cfg.workers)) return false;
     } else if (arg == "--queue") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -157,38 +179,27 @@ bool parse(int argc, char** argv, int start, CliOptions& out) {
       out.cfg.dedup = true;
     } else if (arg == "--no-dedup") {
       out.cfg.dedup = false;
-    } else if (arg == "--pack") {
-      out.cfg.pack = true;
-    } else if (arg == "--no-pack") {
-      out.cfg.pack = false;
     } else if (arg == "--budget") {
       const char* v = next();
       if (v == nullptr) return false;
       out.cfg.budget = std::atof(v);
       if (out.cfg.budget <= 0.0 || out.cfg.budget > 1.0) return false;
-      saw_budget = true;
+      out.sampling_flags = true;
     } else if (arg == "--burst") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out.cfg.sampling_burst = static_cast<unsigned>(std::atoi(v));
-      if (out.cfg.sampling_burst == 0) return false;
-      saw_burst = true;
+      if (!parse_int("--burst", next(), 1u, out.cfg.sampling_burst))
+        return false;
+      out.sampling_flags = true;
     } else if (arg == "--skip") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out.cfg.sampling_skip = static_cast<unsigned>(std::atoi(v));
-      saw_skip = true;
+      if (!parse_int("--skip", next(), 0u, out.cfg.sampling_skip))
+        return false;
+      out.sampling_flags = true;
     } else if (arg == "--races") {
       out.races = true;
     } else if (arg == "--mt-threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out.mt_threads = static_cast<unsigned>(std::atoi(v));
+      if (!parse_int("--mt-threads", next(), 1u, out.mt_threads)) return false;
       out.parallel = true;
     } else if (arg == "--scale") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out.scale = std::atoi(v);
+      if (!parse_int("--scale", next(), 1, out.scale)) return false;
     } else if (arg == "--format") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -214,7 +225,7 @@ bool parse(int argc, char** argv, int start, CliOptions& out) {
     // Hard reject, not a warning: the sampling subset guarantee covers
     // dependence edges, not race candidates — one dropped event can hide
     // the reversal that confirms a race, silently under-reporting.
-    if (saw_budget || saw_burst || saw_skip) {
+    if (out.sampling_flags) {
       std::fputs(
           "--races cannot be combined with sampling "
           "(--budget/--burst/--skip): a dropped event can hide the "
@@ -370,6 +381,17 @@ int cmd_report(const char* name, const CliOptions& opts) {
 }
 
 int cmd_replay(const char* path, const CliOptions& opts) {
+  // Same reasoning as the --races rejection: a flag that cannot act must
+  // not be silently accepted.  Sampling is the runtime's burst gate, and a
+  // replay feeds the recorded stream straight to the profiler.
+  if (opts.sampling_flags) {
+    std::fputs(
+        "replay cannot sample (--budget/--burst/--skip): the burst gate "
+        "lives in the instrumentation runtime, which a trace replay "
+        "bypasses\n",
+        stderr);
+    return usage();
+  }
   Trace trace;
   if (!read_trace(trace, path)) {
     std::fprintf(stderr, "cannot read trace '%s'\n", path);
