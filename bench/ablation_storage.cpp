@@ -36,14 +36,16 @@ Trace shared_trace() {
   return gen_uniform(p);
 }
 
-/// One pass of the trace through the detector in 1024-event slices, the
-/// batch size the serial profiler hands its detect stage.
+/// One pass of the trace through the detector in 1024-event slices, a full
+/// pipeline chunk (the serial profiler hands its detect stage each
+/// delivered buffer, 256 records under live instrumentation).  The trace
+/// carries byte addresses and no runs, as a dedup-off front end delivers.
 template <typename Store>
 void detect_all(DetectorCore<Store>& det, const Trace& t, DepMap& deps) {
   constexpr std::size_t kSlice = 1024;
   for (std::size_t i = 0; i < t.events.size(); i += kSlice)
-    det.process(t.events.data() + i, std::min(kSlice, t.events.size() - i),
-                deps);
+    det.process(t.events.data() + i, nullptr,
+                std::min(kSlice, t.events.size() - i), deps);
 }
 
 /// Steady-state per-access cost: structures are built and warmed once (the

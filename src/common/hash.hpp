@@ -21,9 +21,11 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
 }
 
 /// Canonical address unit: profiling is word-granular (4 bytes), matching
-/// the paper's per-IR-load/store instrumentation.  The profilers
-/// canonicalize byte addresses once on entry; every store, router, and tag
-/// downstream operates on units.
+/// the paper's per-IR-load/store instrumentation.  Events carry byte
+/// addresses end to end; the consumers canonicalize where they look an
+/// address up — the router for ownership and load statistics, the detect
+/// kernel once per record — and every store, mailbox and tag operates on
+/// units.
 constexpr std::uint64_t word_addr(std::uint64_t byte_addr) {
   return byte_addr >> 2;
 }

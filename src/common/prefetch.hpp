@@ -33,7 +33,7 @@ inline void prefetch_rw(const void* p) {
 }
 
 /// Prefetches every cache line of the object at [p, p + bytes) with write
-/// intent.  Signature slots are 44/56 bytes, so a slot regularly straddles
+/// intent.  Signature slots are 40/56 bytes, so a slot regularly straddles
 /// two lines; the second line's miss is otherwise exposed on the insert's
 /// store, which find() never touched.
 inline void prefetch_obj_rw(const void* p, unsigned long bytes) {

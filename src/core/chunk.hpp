@@ -21,11 +21,12 @@
 // harness fails any case whose run bumped that counter.
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <new>
+#include <type_traits>
 #include <unordered_set>
 
 #include "common/mem_stats.hpp"
@@ -58,12 +59,35 @@ struct Chunk {
   Kind kind = Kind::kData;
   std::uint32_t count = 0;    ///< events carried
   std::uint32_t payload = 0;  ///< migration mailbox index
-  std::uint64_t addr = 0;     ///< migrated address
+  std::uint64_t addr = 0;     ///< migrated word unit
   /// Hand-off invariant state: current owner + recycle generation.
   std::atomic<std::uint32_t> owner{kOwnerPool};
   std::atomic<std::uint32_t> gen{0};
-  std::array<AccessEvent, kCapacity> events;
+
+  /// The carried events, as delivered (byte addresses).  Only the first
+  /// `count` are ever written or read.
+  AccessEvent* data() {
+    return std::launder(reinterpret_cast<AccessEvent*>(events_));
+  }
+  const AccessEvent* data() const {
+    return std::launder(reinterpret_cast<const AccessEvent*>(events_));
+  }
+
+ private:
+  // Raw storage rather than AccessEvent[]: AccessEvent has default member
+  // initializers, so an array of it would be zero-filled (64 KiB) by every
+  // `new Chunk`, and the pool builds hundreds of chunks before the target
+  // runs.  AccessEvent is an implicit-lifetime type, so the bytes become
+  // events as the producer copies them in.
+  static_assert(std::is_trivially_copyable_v<AccessEvent> &&
+                std::is_trivially_destructible_v<AccessEvent>);
+  alignas(AccessEvent) unsigned char events_[kCapacity * sizeof(AccessEvent)];
 };
+
+// Pinned: sizeof(Chunk) is what MemStats charges per chunk, and the pool's
+// allocations of it shape the target's heap, which the committed schedule
+// in tests/corpus replays against.
+static_assert(sizeof(Chunk) == 32 + Chunk::kCapacity * sizeof(AccessEvent));
 
 /// Validates one ownership hand-off: atomically installs `next` and flags a
 /// violation when the chunk was not in the expected prior state.  Always on
@@ -203,7 +227,7 @@ class ChunkPool {
 
  private:
   Chunk* allocate() {
-    Chunk* c = new Chunk();
+    Chunk* c = new Chunk;  // default-init: the payload is not zero-filled
     {
       std::lock_guard lock(owned_mu_);
       owned_.insert(c);

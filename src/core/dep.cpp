@@ -52,7 +52,7 @@ void DepMap::add(const DepKey& key, std::uint8_t flags,
   if (inserted)
     MemStats::instance().add(MemComponent::kDepMaps,
                              static_cast<std::int64_t>(kEntryBytes));
-  apply_dep_instance(it->second, flags, at);
+  apply_dep_instance(it->second, flags, at, 1);
 }
 
 namespace {

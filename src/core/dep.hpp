@@ -154,29 +154,30 @@ struct DepInfo {
 };
 
 /// The per-instance update rule: count, flags, and the level bucket of the
-/// instance's attribution.  Shared by DepMap::add and the detect kernel's
-/// stack accumulator so the two paths cannot drift apart.  Note the level
-/// buckets key on *depth*: two different static loops at the same depth
-/// under one DepKey share a row (the loop id max-joins) — rare in practice,
-/// and the oracle aggregates identically, so the differential contract is
-/// unaffected.
+/// instance's attribution, applied for `n` identical instances at once.
+/// Shared by DepMap::add (n = 1) and the detect kernel's record table,
+/// which folds a dedup run's repeats with one call, so the two paths cannot
+/// drift apart.  Note the level buckets key on *depth*: two different
+/// static loops at the same depth under one DepKey share a row (the loop id
+/// max-joins) — rare in practice, and the oracle aggregates identically, so
+/// the differential contract is unaffected.
 inline void apply_dep_instance(DepInfo& info, std::uint8_t flags,
-                               const DepAttribution& at) {
-  info.count += 1;
+                               const DepAttribution& at, std::uint64_t n) {
+  info.count += n;
   info.flags |= flags;
-  if (flags & kReversed) info.reversed += 1;
-  if (flags & kLockProtected) info.locked += 1;
+  if (flags & kReversed) info.reversed += n;
+  if (flags & kLockProtected) info.locked += n;
   if (at.loop != 0 && at.level != 0) {
     const std::size_t d =
         at.level <= kNestLevels ? at.level - 1 : kNestLevels - 1;
     DepLevel& lvl = info.levels[d];
     lvl.loop = std::max(lvl.loop, at.loop);
     if (!at.distance_known || at.distance >= 2)
-      lvl.d2p += 1;
+      lvl.d2p += n;
     else if (at.distance == 1)
-      lvl.d1 += 1;
+      lvl.d1 += n;
     else
-      lvl.d0 += 1;
+      lvl.d0 += n;
   }
 }
 

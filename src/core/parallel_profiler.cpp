@@ -263,34 +263,32 @@ class ParallelProfiler final : public IProfiler {
   static constexpr std::uint32_t kMailboxCount = 64;
   /// Scatter granularity: one routing pass + one counting sort per this many
   /// events.  Matches the instrumentation flush batch; the scratch buffers
-  /// (two event arrays + destinations) stay comfortably on the stack, which
-  /// keeps the scatter path reentrant for concurrent MT producers.
+  /// (the sorted events, their run lengths and destinations) stay
+  /// comfortably on the stack, which keeps the scatter path reentrant for
+  /// concurrent MT producers.
   static constexpr std::size_t kScatterBatch = 256;
   /// Counting-sort scratch is stack-sized for this many workers; a (absurd)
   /// wider pipeline falls back to the per-event path.
   static constexpr unsigned kMaxScatterWorkers = 128;
 
-  /// The batched produce/route half of the hot path: canonicalize and route
-  /// the whole sub-batch once (route_batch hoists the override-table and
-  /// hash-kind branches), then counting-sort the events into contiguous
-  /// per-worker runs appended chunk-wise.  `reps` (nullable) carries the
-  /// front-end RLE run lengths: a run is routed once and expanded as it is
-  /// staged.  Batches containing lock-region accesses keep the per-event
-  /// path: those must push the moment they are staged so access + push stay
-  /// atomic (Fig. 4).
+  /// The batched produce/route half of the hot path: route the whole
+  /// sub-batch once (route_batch hoists the override-table and hash-kind
+  /// branches; ownership is by word unit), then counting-sort the events
+  /// into contiguous per-worker runs appended chunk-wise.  Chunks carry the
+  /// events as delivered — byte addresses, which the detect kernel
+  /// canonicalizes — so nothing is copied before the sort.  `reps`
+  /// (nullable) carries the front-end RLE run lengths: a run is routed once
+  /// and expanded as it is staged.  Batches containing lock-region accesses
+  /// keep the per-event path: those must push the moment they are staged so
+  /// access + push stay atomic (Fig. 4).
   void scatter(ProduceStage& prod, const AccessEvent* events,
                const std::uint32_t* reps, std::size_t n) {
-    std::array<AccessEvent, kScatterBatch> unit;
     std::array<unsigned, kScatterBatch> dest;
     bool lock_region = false;
     bool has_marker = false;
     for (std::size_t i = 0; i < n; ++i) {
-      // Canonicalize to the word-granular address unit once, here; routing,
-      // statistics, migration, and the detectors all operate on units.
-      unit[i] = events[i];
-      unit[i].addr = word_addr(events[i].addr);
-      lock_region |= (unit[i].flags & kInLockRegion) != 0;
-      has_marker |= unit[i].is_burst_mark();
+      lock_region |= (events[i].flags & kInLockRegion) != 0;
+      has_marker |= events[i].is_burst_mark();
     }
     const bool sample = lb_enabled_ && !cfg_.mt_targets;
     const unsigned W = obs_.workers();
@@ -301,7 +299,7 @@ class ParallelProfiler final : public IProfiler {
       // Per-event fallback.  Routing is re-consulted per event because a
       // push below can trigger a rebalance that changes it mid-batch.
       for (std::size_t i = 0; i < n; ++i) {
-        if (unit[i].is_burst_mark()) {
+        if (events[i].is_burst_mark()) {
           // A sampling gap cuts the WHOLE stream, so the marker is
           // broadcast: every worker's signatures hold addresses whose
           // pre-gap accesses must not pair with post-gap ones.  Staged
@@ -312,24 +310,26 @@ class ParallelProfiler final : public IProfiler {
           // lives in the runtime, and counting markers again would double
           // the stat on live runs.)
           for (unsigned w = 0; w < W; ++w)
-            prod.add_run(w, &unit[i], nullptr, 1, chunk_fill_,
+            prod.add_run(w, &events[i], nullptr, 1, chunk_fill_,
                          push_and_rebalance);
           continue;
         }
-        const unsigned w = router_.route(unit[i].addr);
-        prod.add_run(w, &unit[i], reps != nullptr ? reps + i : nullptr, 1,
+        const std::uint64_t unit = word_addr(events[i].addr);
+        const unsigned w = router_.route(unit);
+        prod.add_run(w, &events[i], reps != nullptr ? reps + i : nullptr, 1,
                      chunk_fill_, push_and_rebalance);
         // Lock-region accesses must be pushed the moment they are staged
         // (Fig. 4), even from a part-full chunk.
-        if ((unit[i].flags & kInLockRegion) != 0)
+        if ((events[i].flags & kInLockRegion) != 0)
           if (Chunk* ready = prod.take(w)) push_chunk(ready, w);
-        if (sample) router_.record_access(unit[i].addr);
+        if (sample) router_.record_access(unit);
       }
       return;
     }
-    router_.route_batch(unit.data(), n, dest.data());
+    router_.route_batch(events, n, dest.data());
     if (sample)
-      for (std::size_t i = 0; i < n; ++i) router_.record_access(unit[i].addr);
+      for (std::size_t i = 0; i < n; ++i)
+        router_.record_access(word_addr(events[i].addr));
     // Counting sort into contiguous per-worker runs (stable, so per-worker
     // program order is preserved — the soundness invariant of Fig. 2).
     std::array<std::uint32_t, kMaxScatterWorkers> offset{};
@@ -346,7 +346,7 @@ class ParallelProfiler final : public IProfiler {
     for (unsigned w = 0; w < W; ++w) start[w] = offset[w];
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t slot = offset[dest[i]]++;
-      run[slot] = unit[i];
+      run[slot] = events[i];
       run_reps[slot] = reps != nullptr ? reps[i] : 1;
     }
     // Rebalancing is deferred to the end of the sub-batch: the destinations
@@ -508,7 +508,7 @@ class ParallelProfiler final : public IProfiler {
                     "queue.pop");
       switch (c->kind) {
         case Chunk::Kind::kData:
-          me.process(c->events.data(), c->count);
+          me.process(c->data(), nullptr, c->count);
           pool_.release(c);
           break;
         case Chunk::Kind::kStop:

@@ -60,7 +60,7 @@ class ProduceStage {
       while (n > 0) {
         if (pending == nullptr) pending = pool_->acquire();
         const std::size_t room = std::min(n, fill - pending->count);
-        std::copy_n(events, room, pending->events.data() + pending->count);
+        std::copy_n(events, room, pending->data() + pending->count);
         pending->count += static_cast<std::uint32_t>(room);
         events += room;
         n -= room;
@@ -73,7 +73,7 @@ class ProduceStage {
       while (rep > 0) {
         if (pending == nullptr) pending = pool_->acquire();
         const std::size_t room = std::min(rep, fill - pending->count);
-        std::fill_n(pending->events.data() + pending->count, room, events[i]);
+        std::fill_n(pending->data() + pending->count, room, events[i]);
         pending->count += static_cast<std::uint32_t>(room);
         rep -= room;
         hand_on_if_full();
@@ -232,6 +232,8 @@ class RouteStage {
              obs::StageStats& stats)
       : cfg_(cfg), workers_(workers ? workers : 1), stats_(&stats) {}
 
+  /// Owner of word unit `addr`.  Ownership, statistics and migrations are
+  /// all keyed on word units; chunks carry the events' byte addresses.
   unsigned route(std::uint64_t addr) const {
     if (!overrides_.empty()) {
       if (const std::uint32_t* w = overrides_.find(addr)) return *w;
@@ -245,27 +247,29 @@ class RouteStage {
                                : hashed_worker(addr, workers_);
   }
 
-  /// Routes a whole batch of canonicalized events in one pass — the scatter
-  /// half of the batched hot path.  The override-table check and the routing-
-  /// function branch are hoisted out of the loop: while the balancer is
-  /// inactive (the common case, and always once max_rounds is exhausted)
-  /// each event costs exactly one modulo/mix, no table probe.
+  /// Routes a whole batch of events (byte addresses, owned by their word
+  /// unit) in one pass — the scatter half of the batched hot path.  The
+  /// override-table check and the routing-function branch are hoisted out
+  /// of the loop: while the balancer is inactive (the common case, and
+  /// always once max_rounds is exhausted) each event costs exactly one
+  /// modulo/mix, no table probe.
   void route_batch(const AccessEvent* events, std::size_t count,
                    unsigned* dest) const {
     if (!overrides_.empty()) {
-      for (std::size_t i = 0; i < count; ++i) dest[i] = route(events[i].addr);
+      for (std::size_t i = 0; i < count; ++i)
+        dest[i] = route(word_addr(events[i].addr));
     } else if (cfg_.modulo_routing) {
       for (std::size_t i = 0; i < count; ++i)
-        dest[i] = modulo_worker(events[i].addr, workers_);
+        dest[i] = modulo_worker(word_addr(events[i].addr), workers_);
     } else {
       for (std::size_t i = 0; i < count; ++i)
-        dest[i] = hashed_worker(events[i].addr, workers_);
+        dest[i] = hashed_worker(word_addr(events[i].addr), workers_);
     }
   }
 
-  /// Samples one access into the load-balancer statistics (every
-  /// 2^sample_shift events, Sec. IV-A).  The 64-bit mask matches the 64-bit
-  /// tick, and the shift is clamped: 1 << s is undefined for s >= the
+  /// Samples one access (its word unit) into the load-balancer statistics
+  /// (every 2^sample_shift events, Sec. IV-A).  The 64-bit mask matches the
+  /// 64-bit tick, and the shift is clamped: 1 << s is undefined for s >= the
   /// operand width, and a 32-bit mask would alias every 2^32 ticks.
   void record_access(std::uint64_t addr) {
     const unsigned shift = std::min(cfg_.load_balance.sample_shift, 63u);
@@ -463,16 +467,26 @@ class DetectStage {
   DetectStage(Store sig_read, Store sig_write, obs::StageStats& stats)
       : core_(std::move(sig_read), std::move(sig_write)), stats_(&stats) {}
 
-  void process(const AccessEvent* events, std::size_t count) {
+  /// One batch as delivered: byte addresses, and `reps` (nullable) the
+  /// dedup run lengths.  `events` counts the accesses the batch stands
+  /// for (the sum of the runs), so produce == sum of detect holds whether
+  /// or not the runs were expanded upstream.
+  void process(const AccessEvent* events, const std::uint32_t* reps,
+               std::size_t count) {
     // Both clock domains (see obs/stage_stats.hpp): wall busy_ns pairs with
     // the wall idle_ns for consistent busy/idle ratios; thread-CPU cpu_ns
     // excludes preemption and feeds the simulated parallel time.
     const std::uint64_t w0 = WallTimer::now();
     const std::uint64_t c0 = ThreadCpuTimer::now();
-    stats_->add_prefetches(core_.process(events, count, deps_));
+    stats_->add_prefetches(core_.process(events, reps, count, deps_));
     stats_->add_cpu_ns(ThreadCpuTimer::now() - c0);
     stats_->add_busy_ns(WallTimer::now() - w0);
-    stats_->add_events(count);
+    std::uint64_t accesses = count;
+    if (reps != nullptr) {
+      accesses = 0;
+      for (std::size_t i = 0; i < count; ++i) accesses += reps[i];
+    }
+    stats_->add_events(accesses);
     stats_->add_chunks(1);
   }
 

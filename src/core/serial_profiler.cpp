@@ -1,13 +1,11 @@
 // Serial profiler (Sec. III): the one-worker degenerate case of the shared
-// pipeline.  Batches go produce → detect with no queue in between; finish()
-// folds the single local map through the merge stage.  The store backend is
-// resolved once at construction (core/store_factory.hpp), so the detect
-// loop is one monomorphized DetectorCore instantiation.
+// pipeline.  Batches go produce → detect with no queue in between and no
+// copy: the detect kernel consumes each delivered buffer as it is (byte
+// addresses, dedup runs folded); finish() folds the single local map
+// through the merge stage.  The store backend is resolved once at
+// construction (core/store_factory.hpp), so the detect loop is one
+// monomorphized DetectorCore instantiation.
 
-#include <algorithm>
-#include <array>
-
-#include "common/hash.hpp"
 #include "common/huge_alloc.hpp"
 #include "core/pipeline.hpp"
 #include "core/profiler.hpp"
@@ -36,18 +34,7 @@ class SerialProfiler final : public IProfiler {
     // No queue between produce and detect here, so the "wire" cost is the
     // raw event bytes handed across the stage boundary.
     obs_.produce().add_bytes_on_wire(count * sizeof(AccessEvent));
-    // Canonicalize to the word-granular address unit once, here.
-    std::array<AccessEvent, kUnitBatch> unit;
-    while (count > 0) {
-      const std::size_t n = std::min(count, unit.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        unit[i] = events[i];
-        unit[i].addr = word_addr(events[i].addr);
-      }
-      detect_.process(unit.data(), n);
-      events += n;
-      count -= n;
-    }
+    detect_.process(events, nullptr, count);
   }
 
   void on_batch_rle(const AccessEvent* events, const std::uint32_t* reps,
@@ -58,28 +45,10 @@ class SerialProfiler final : public IProfiler {
     obs_.produce().add_events(logical);
     obs_.produce().add_chunks(1);
     obs_.produce().add_events_deduped(logical - count);
-    // One record per RLE run crosses the stage boundary.
+    // One record per RLE run crosses the stage boundary; the detect kernel
+    // folds each run without expanding it.
     obs_.produce().add_bytes_on_wire(count * sizeof(AccessEvent));
-    // Expand runs during the canonicalization copy: the detect kernel
-    // consumes the same raw event stream either way.
-    std::array<AccessEvent, kUnitBatch> unit;
-    std::size_t fill = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      AccessEvent ev = events[i];
-      ev.addr = word_addr(events[i].addr);
-      std::uint32_t rep = reps[i];
-      while (rep > 0) {
-        const std::size_t n = std::min<std::size_t>(rep, unit.size() - fill);
-        std::fill_n(unit.data() + fill, n, ev);
-        fill += n;
-        rep -= static_cast<std::uint32_t>(n);
-        if (fill == unit.size()) {
-          detect_.process(unit.data(), fill);
-          fill = 0;
-        }
-      }
-    }
-    if (fill > 0) detect_.process(unit.data(), fill);
+    detect_.process(events, reps, count);
   }
 
   void finish() override {
@@ -123,11 +92,6 @@ class SerialProfiler final : public IProfiler {
   }
 
  private:
-  // Matches Chunk capacity: bigger batches amortize the detect kernel's
-  // per-batch record-table flush over more events (the INIT key space is
-  // small, so instances-per-key grows with the batch).
-  static constexpr std::size_t kUnitBatch = 1024;
-
   obs::PipelineObs obs_;
   DetectStage<Store> detect_;
   MergeStage merge_;

@@ -66,7 +66,7 @@ enum class CounterKind {
   /* Load balancing (route): addresses rerouted, redistribution rounds. */                                     \
   X(migrations,            add_migrations,             "migrations",            "moved",        6, kCount)     \
   X(rounds,                add_rounds,                 "rounds",                "rounds",       6, kCount)     \
-  /* Detect kernel (detect): slot prefetches issued K events ahead. */                                         \
+  /* Detect kernel (detect): slot prefetches issued K records ahead (a dedup run is one record). */            \
   X(prefetches,            add_prefetches,             "prefetches",            "prefetch",    10, kCount)     \
   /* Dedup and wire (produce): repeats elided, chunk payload bytes queued (64 per event carried). */           \
   X(events_deduped,        add_events_deduped,         "events_deduped",        "deduped",     10, kCount)     \

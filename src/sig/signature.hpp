@@ -152,9 +152,10 @@ class Signature {
  private:
   std::size_t index(std::uint64_t addr) const {
     const std::uint64_t h = hash_ == SigHash::kModulo ? addr : hash_address(addr);
-    // h & mask_ == h % size for power-of-two sizes; the hot path calls this
-    // up to five times per event (find/find/insert plus two prefetches in
-    // the detect kernel), so sparing the 64-bit division matters.
+    // h & mask_ == h % size for power-of-two sizes; across its two
+    // signatures the detect kernel calls this four times per read record
+    // and five per write (two prefetches, the finds, one insert), six when
+    // the write heads a dedup run, so sparing the 64-bit division matters.
     if (mask_ != 0) return static_cast<std::size_t>(h & mask_);
     return static_cast<std::size_t>(h % size_);
   }

@@ -1,25 +1,37 @@
 // Tests for Algorithm 1 (the dependence detector) and the dependence model:
 // RAW/WAR/WAW/INIT construction, RAR suppression, lifetime removal,
 // loop-carried attribution over the interned nest contexts (innermost
-// common loop + per-level distance buckets), the address-tag gating,
-// merging, and migration state transfer.
+// common loop + per-level distance buckets) and its memo, the address-tag
+// gating, dedup-run folding, merging, and migration state transfer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/detector.hpp"
+#include "instrument/dedup.hpp"
+#include "sig/hash_table_recorder.hpp"
+#include "sig/packed_shadow_store.hpp"
 #include "sig/perfect_signature.hpp"
+#include "sig/shadow_memory.hpp"
 #include "sig/signature.hpp"
 #include "trace/nest.hpp"
 
 namespace depprof {
 namespace {
 
+/// `addr` is a word unit: the event carries its byte address, which the
+/// kernel canonicalizes back to the unit.
 AccessEvent ev(std::uint64_t addr, AccessKind kind, std::uint32_t line,
                std::uint32_t var = 7) {
   AccessEvent e;
-  e.addr = addr;
+  e.addr = addr << 2;
   e.kind = kind;
   e.loc = SourceLocation(1, line).packed();
   e.var = var;
@@ -52,7 +64,7 @@ PerfectDetector make_perfect() { return PerfectDetector{{}, {}}; }
 template <typename Detector>
 void detect(Detector& det, DepMap& deps,
             std::initializer_list<AccessEvent> events) {
-  det.process(events.begin(), events.size(), deps);
+  det.process(events.begin(), nullptr, events.size(), deps);
 }
 
 // ------------------------------------------------------------ Algorithm 1
@@ -428,6 +440,255 @@ TEST(Detector, ExtractAdoptMovesPerAddressState) {
   EXPECT_EQ(deps.find(key(DepType::kRaw, 30, 10)), nullptr);
 }
 
+// --------------------------------------------------------- run folding
+
+/// A seeded stream over twelve words, four of which share a slot of a
+/// 128-slot modulo signature with another, with exact repeats (which
+/// dedup_stream folds into runs), frees and burst marks, in nest contexts
+/// up to kNestIters + 2 deep.  `tids` > 1 spreads events over threads.
+std::vector<AccessEvent> folding_stream(std::uint64_t seed,
+                                        std::uint16_t tids) {
+  NestForest& f = nest_forest();
+  // A chain kNestIters + 2 deep with a sibling entry at every level, so
+  // pairs of contexts share every common depth, beyond the window too.
+  std::vector<std::uint32_t> ctxs{NestForest::kRoot};
+  std::uint32_t chain = NestForest::kRoot;
+  for (std::uint32_t d = 1; d <= kNestIters + 2; ++d) {
+    ctxs.push_back(f.enter(chain, 200 + d));
+    chain = f.enter(chain, 200 + d);
+    ctxs.push_back(chain);
+  }
+  Rng rng(seed);
+  std::vector<AccessEvent> out;
+  while (out.size() < 3000) {
+    // 1% burst marks (each costs a packed store a fresh leaf page), 4%
+    // frees, and about half of the rest repeats the previous event.
+    const std::uint64_t roll = rng.below(200);
+    if (roll < 2) {
+      AccessEvent mark;
+      mark.kind = AccessKind::kBurstMark;
+      out.push_back(mark);
+      continue;
+    }
+    // Words 0..7, plus 3 and 5 aliased 128 and 256 slots away.
+    const std::uint64_t word =
+        rng.below(3) == 0 ? 3 + 2 * rng.below(2) + 128 * (1 + rng.below(2))
+                          : rng.below(8);
+    if (roll < 10) {
+      out.push_back(fr(word));
+      continue;
+    }
+    if (roll < 110 && !out.empty() && !out.back().is_free() &&
+        !out.back().is_burst_mark()) {
+      out.push_back(out.back());  // an exact repeat: the run grows
+      continue;
+    }
+    AccessEvent e = ev(word, rng.below(3) == 0 ? AccessKind::kWrite
+                                               : AccessKind::kRead,
+                       10 + static_cast<std::uint32_t>(rng.below(4)),
+                       7 + static_cast<std::uint32_t>(rng.below(2)));
+    e.ctx = ctxs[rng.below(ctxs.size())];
+    const std::uint32_t depth = f.depth(e.ctx);
+    for (std::uint32_t d = 0; d < depth && d < kNestIters; ++d)
+      e.iters[d] = static_cast<std::uint32_t>(rng.below(3));
+    e.tid = static_cast<std::uint16_t>(rng.below(tids));
+    out.push_back(e);
+  }
+  return out;
+}
+
+/// Every field of every merged record, plus instances().
+void expect_same_maps(const DepMap& a, const DepMap& b, const char* what) {
+  EXPECT_EQ(a.instances(), b.instances()) << what;
+  const auto sa = a.sorted();
+  const auto sb = b.sorted();
+  ASSERT_EQ(sa.size(), sb.size()) << what;
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    const auto& [ka, ia] = sa[i];
+    const auto& [kb, ib] = sb[i];
+    ASSERT_TRUE(ka == kb) << what << " record " << i;
+    EXPECT_EQ(ia.count, ib.count) << what << " record " << i;
+    EXPECT_EQ(ia.reversed, ib.reversed) << what << " record " << i;
+    EXPECT_EQ(ia.locked, ib.locked) << what << " record " << i;
+    EXPECT_EQ(ia.flags, ib.flags) << what << " record " << i;
+    for (std::size_t d = 0; d < kNestLevels; ++d) {
+      EXPECT_EQ(ia.levels[d].loop, ib.levels[d].loop) << what << " level " << d;
+      EXPECT_EQ(ia.levels[d].d0, ib.levels[d].d0) << what << " level " << d;
+      EXPECT_EQ(ia.levels[d].d1, ib.levels[d].d1) << what << " level " << d;
+      EXPECT_EQ(ia.levels[d].d2p, ib.levels[d].d2p) << what << " level " << d;
+    }
+  }
+}
+
+/// Folding a dedup run inside the kernel must give exactly the map of
+/// processing its instances one by one: the same RLE stream, fed once
+/// expanded (reps == nullptr) and once as runs, in unrelated batch sizes.
+template <typename Store>
+void check_run_folding(Store (*make)(), std::uint16_t tids, const char* what) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::vector<AccessEvent> stream = folding_stream(seed, tids);
+    const RleStream rle = dedup_stream(stream.data(), stream.size());
+    const std::vector<AccessEvent> singles = expand_rle(rle);
+    ASSERT_LT(rle.events.size() * 3, singles.size() * 2)
+        << "the stream must carry runs";
+
+    DetectorCore<Store> one_by_one(make(), make());
+    DepMap expanded;
+    for (std::size_t i = 0; i < singles.size(); i += 100)
+      one_by_one.process(singles.data() + i, nullptr,
+                         std::min<std::size_t>(100, singles.size() - i),
+                         expanded);
+
+    DetectorCore<Store> folding(make(), make());
+    DepMap folded;
+    for (std::size_t i = 0; i < rle.events.size(); i += 37)
+      folding.process(rle.events.data() + i, rle.reps.data() + i,
+                      std::min<std::size_t>(37, rle.events.size() - i),
+                      folded);
+
+    ASSERT_GT(expanded.size(), 0u);
+    expect_same_maps(expanded, folded, what);
+  }
+}
+
+TEST(RunFolding, MatchesInstanceByInstanceOnEveryStore) {
+  check_run_folding<Signature<SeqSlot>>(
+      +[] { return Signature<SeqSlot>(128, SigHash::kModulo); }, 1,
+      "signature");
+  check_run_folding<PerfectSignature<SeqSlot>>(
+      +[] { return PerfectSignature<SeqSlot>(); }, 1, "perfect");
+  check_run_folding<ShadowMemory<SeqSlot>>(
+      +[] { return ShadowMemory<SeqSlot>(); }, 1, "shadow");
+  check_run_folding<HashTableRecorder<SeqSlot>>(
+      +[] { return HashTableRecorder<SeqSlot>(64); }, 1, "hashtable");
+  check_run_folding<PackedShadowStore<SeqSlot>>(
+      +[] { return PackedShadowStore<SeqSlot>(); }, 1, "packed");
+}
+
+TEST(RunFolding, MatchesInstanceByInstanceWithThreadSlots) {
+  check_run_folding<Signature<MtSlot>>(
+      +[] { return Signature<MtSlot>(128, SigHash::kModulo); }, 3,
+      "signature/mt");
+  check_run_folding<PackedShadowStore<MtSlot>>(
+      +[] { return PackedShadowStore<MtSlot>(); }, 3, "packed/mt");
+}
+
+TEST(RunFolding, WriteRunAfterReadCountsEveryInstance) {
+  // read x, then five writes to x in one iteration: the run makes INIT
+  // once, WAR five times, and four self-WAWs in the same iteration —
+  // distance 0 at the loop's level, or "carried, distance unknown" when
+  // the loop lies beyond the iteration window.
+  NestForest& f = nest_forest();
+  constexpr auto kDeep = static_cast<std::uint32_t>(kNestIters + 2);
+  for (const std::uint32_t depth : {1u, kDeep}) {
+    std::uint32_t ctx = NestForest::kRoot;
+    for (std::uint32_t d = 1; d <= depth; ++d) ctx = f.enter(ctx, 300 + d);
+    const std::initializer_list<std::uint32_t> iters = {2, 2, 2, 2, 2, 2, 2};
+    std::vector<AccessEvent> stream{with_nest(rd(100, 20), ctx, iters)};
+    for (int i = 0; i < 5; ++i)
+      stream.push_back(with_nest(wr(100, 10), ctx, iters));
+    const RleStream rle = dedup_stream(stream.data(), stream.size());
+    ASSERT_EQ(rle.events.size(), 2u);
+    ASSERT_EQ(rle.reps[1], 5u);
+
+    auto det = make_perfect();
+    DepMap deps;
+    det.process(rle.events.data(), rle.reps.data(), rle.events.size(), deps);
+    EXPECT_EQ(deps.instances(), 10u);
+    const DepInfo* init = deps.find(key(DepType::kInit, 10, 0));
+    ASSERT_NE(init, nullptr);
+    EXPECT_EQ(init->count, 1u);
+    const DepInfo* war = deps.find(key(DepType::kWar, 10, 20));
+    ASSERT_NE(war, nullptr);
+    EXPECT_EQ(war->count, 5u);
+    const DepInfo* waw = deps.find(key(DepType::kWaw, 10, 10));
+    ASSERT_NE(waw, nullptr);
+    EXPECT_EQ(waw->count, 4u);
+    if (depth <= kNestIters) {
+      EXPECT_EQ(waw->levels[depth - 1].d0, 4u);
+      EXPECT_EQ(waw->flags & kLoopCarried, 0);
+    } else {
+      EXPECT_EQ(waw->levels[kNestLevels - 1].d2p, 4u);
+      EXPECT_NE(waw->flags & kLoopCarried, 0);
+    }
+  }
+}
+
+// ------------------------------------------------------- LCA memo
+
+/// Independent reference: the deepest entry of the source's ancestor chain
+/// that is also on the sink's.
+NestLca chain_lca(std::uint32_t src, std::uint32_t sink) {
+  const NestForest& f = nest_forest();
+  std::vector<std::uint32_t> chain;
+  for (std::uint32_t c = src; c != NestForest::kRoot; c = f.parent(c))
+    chain.push_back(c);
+  for (std::uint32_t c = sink; c != NestForest::kRoot; c = f.parent(c))
+    for (const std::uint32_t a : chain)
+      if (a == c) return NestLca{f.loop(c), f.depth(c)};
+  return NestLca{};
+}
+
+TEST(NestLcaMemo, AgreesWithTheForestWalk) {
+  NestForest& f = nest_forest();
+  Rng rng(20);
+  // A random forest up to 12 deep.
+  std::vector<std::uint32_t> nodes{NestForest::kRoot};
+  while (nodes.size() < 400) {
+    const std::uint32_t parent = nodes[rng.below(nodes.size())];
+    if (f.depth(parent) >= 12) continue;
+    nodes.push_back(
+        f.enter(parent, 400 + static_cast<std::uint32_t>(rng.below(40))));
+  }
+  const auto pick = [&] { return nodes[rng.below(nodes.size())]; };
+  const auto same = [](NestLca a, NestLca b) {
+    return a.loop == b.loop && a.level == b.level;
+  };
+
+  // Pairs that share one memo slot but not one answer: a memo that skips
+  // its key check hands one pair's answer to the other.
+  std::map<std::size_t, std::vector<std::pair<std::uint32_t, std::uint32_t>>>
+      by_slot;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> colliding;
+  while (colliding.size() < 2) {
+    const std::uint32_t a = pick();
+    const std::uint32_t b = pick();
+    auto& bucket = by_slot[NestLcaMemo::slot(a, b)];
+    for (const auto& [c, d] : bucket) {
+      if (!same(nest_lca(a, b), nest_lca(c, d))) {
+        colliding = {{a, b}, {c, d}};
+        break;
+      }
+    }
+    bucket.emplace_back(a, b);
+  }
+
+  NestLcaMemo memo;
+  for (int i = 0; i < 100'000; ++i) {
+    std::uint32_t a = pick();
+    std::uint32_t b = pick();
+    switch (i % 5) {
+      case 0: break;  // random pair
+      case 1: b = a; break;
+      case 2:  // an ancestor pair, either way round
+        b = a;
+        for (std::uint64_t up = 1 + rng.below(4); up > 0; --up)
+          b = f.parent(b);
+        if (rng.below(2) != 0) std::swap(a, b);
+        break;
+      case 3:
+        (rng.below(2) != 0 ? a : b) = NestForest::kRoot;
+        break;
+      case 4:
+        std::tie(a, b) = colliding[(i / 5) % 2];
+        break;
+    }
+    const NestLca want = nest_lca(a, b);
+    ASSERT_TRUE(same(want, chain_lca(a, b))) << a << ", " << b;
+    ASSERT_TRUE(same(memo.lookup(a, b), want)) << "pair " << i;
+  }
+}
+
 // ------------------------------------------------------------- DepMap
 
 TEST(DepMap, MergesIdenticalInstances) {
@@ -480,9 +741,9 @@ TEST(DepMap, FoldMatchesReplayedAdds) {
   DepMap folded;
   DepInfo rec;
   // Build the pre-aggregated record exactly as the batch accumulator does.
-  apply_dep_instance(rec, kLoopCarried, {3, 2, 1, true});
-  apply_dep_instance(rec, kLoopCarried, {3, 2, 9, true});
-  apply_dep_instance(rec, kCrossThread, {});
+  apply_dep_instance(rec, kLoopCarried, {3, 2, 1, true}, 1);
+  apply_dep_instance(rec, kLoopCarried, {3, 2, 9, true}, 1);
+  apply_dep_instance(rec, kCrossThread, {}, 1);
   folded.fold(k, rec);
 
   EXPECT_EQ(folded.instances(), replayed.instances());
@@ -507,8 +768,8 @@ TEST(DepMap, FoldCombinesLevelBuckets) {
   DepMap deps;
   deps.add(k, kLoopCarried, {3, 1, 5, true});  // level 1, d>=2 bucket
   DepInfo rec;
-  apply_dep_instance(rec, kLoopCarried, {7, 1, 1, true});  // level 1, d=1
-  apply_dep_instance(rec, 0, {2, 2, 0, true});             // level 2, d=0
+  apply_dep_instance(rec, kLoopCarried, {7, 1, 1, true}, 1);  // level 1, d=1
+  apply_dep_instance(rec, 0, {2, 2, 0, true}, 1);             // level 2, d=0
   deps.fold(k, rec);
   const DepInfo* info = deps.find(k);
   ASSERT_NE(info, nullptr);

@@ -322,8 +322,43 @@ TEST(SerialProfiler, DetectKernelCountersTrack) {
   ASSERT_NE(d, nullptr);
   EXPECT_GT(d->chunks, 0u);
   EXPECT_GT(d->prefetches, 0u);
-  // K events ahead within each batch: never more prefetches than events.
+  // K records ahead within each batch: never more prefetches than events.
   EXPECT_LE(d->prefetches, 5'000u);
+}
+
+TEST(Profilers, DetectCountsEveryAccessOfAnRleStreamOnce) {
+  // The serial kernel folds dedup runs without expanding them; the
+  // pipeline expands them into chunks.  Either way detect counts every
+  // access once (produce == sum of detect == sum of the runs), and the
+  // serial kernel prefetches per record, not per instance.
+  std::vector<AccessEvent> events;
+  for (std::uint32_t i = 0; i < 2'000; ++i) {
+    AccessEvent e;
+    e.addr = 0x1000 + (i % 50) * 4;
+    e.kind = i % 3 == 0 ? AccessKind::kWrite : AccessKind::kRead;
+    e.loc = SourceLocation(1, 10 + i % 3).packed();
+    for (std::uint32_t r = 0; r <= i % 5; ++r) events.push_back(e);
+  }
+  const RleStream rle = dedup_stream(events.data(), events.size());
+  ASSERT_EQ(rle.logical_events(), events.size());
+  ASSERT_LT(rle.events.size() * 2, events.size());
+  for (const bool parallel : {false, true}) {
+    ProfilerConfig cfg = perfect_cfg();
+    cfg.workers = 3;
+    auto prof = parallel ? make_parallel_profiler(cfg)
+                         : make_serial_profiler(cfg);
+    replay_rle(rle, *prof);
+    const obs::PipelineSnapshot snap = prof->stats().stages;
+    ASSERT_NE(snap.find("produce"), nullptr);
+    EXPECT_EQ(snap.find("produce")->events, events.size()) << parallel;
+    EXPECT_EQ(snap.detect_events(), events.size()) << parallel;
+    std::uint64_t prefetches = 0;
+    for (const auto& s : snap.stages)
+      if (s.stage.rfind("detect", 0) == 0) prefetches += s.prefetches;
+    EXPECT_GT(prefetches, 0u) << parallel;
+    EXPECT_LE(prefetches, parallel ? events.size() : rle.events.size())
+        << parallel;
+  }
 }
 
 TEST(ParallelProfiler, FinishIsIdempotent) {
