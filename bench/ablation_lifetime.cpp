@@ -9,8 +9,8 @@
 //     the stale write-signature entries fabricate carried RAW dependences
 //     between independent iterations;
 //  2. the workloads that emit DP_FREE (kmeans), replayed with and without
-//     their lifetime events, measured as FPR against a perfect baseline
-//     that honours the frees.
+//     their lifetime events, measured as FPR against an exact (packed)
+//     baseline that honours the frees.
 
 #include <cstdio>
 #include <sstream>
@@ -116,7 +116,7 @@ int main() {
 
   // -- 2. real workloads with DP_FREE -------------------------------------
   TextTable table("\nLifetime events on instrumented workloads (signature vs "
-                  "free-honouring perfect baseline)");
+                  "free-honouring exact baseline)");
   table.set_header({"workload", "free events", "FPR w/ lifetime",
                     "FPR w/o lifetime", "extra deps w/o"});
   for (const char* name : {"kmeans"}) {
@@ -126,7 +126,7 @@ int main() {
     std::size_t frees = 0;
     for (const auto& ev : full.events) frees += ev.is_free() ? 1 : 0;
 
-    const DepMap baseline = run_trace(full, StorageKind::kPerfect);
+    const DepMap baseline = run_trace(full, StorageKind::kPacked);
     const DepMap with_lifetime = run_trace(full, StorageKind::kSignature);
     const DepMap without = run_trace(strip_frees(full), StorageKind::kSignature);
 

@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
     opts.scale = scale;
     opts.native_reps = 1;
 
-    ProfilerConfig perfect;
-    perfect.storage = StorageKind::kPerfect;
-    const RunMeasurement base = profile_workload(*w, perfect, opts);
+    ProfilerConfig exact;
+    exact.storage = StorageKind::kPacked;
+    const RunMeasurement base = profile_workload(*w, exact, opts);
 
     AccuracyResult acc[2];
     const SigHash hashes[2] = {SigHash::kModulo, SigHash::kMix};

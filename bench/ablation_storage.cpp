@@ -2,7 +2,8 @@
 //   * time — "the hash table approach is about 1.5-3.7x slower than our
 //     approach": identical access streams through Algorithm 1 backed by the
 //     fixed-size signature, the chained hash table, the multi-level shadow
-//     memory, and the perfect signature; google-benchmark measures ns/access.
+//     memory, and the packed paged shadow store; google-benchmark measures
+//     ns/access.
 //   * space — shadow memory's blow-up on sparse, widely spread address sets
 //     vs the signature's fixed footprint.
 
@@ -18,7 +19,6 @@
 #include "obs/bench_report.hpp"
 #include "sig/hash_table_recorder.hpp"
 #include "sig/packed_shadow_store.hpp"
-#include "sig/perfect_signature.hpp"
 #include "sig/shadow_memory.hpp"
 #include "sig/signature.hpp"
 #include "trace/generators.hpp"
@@ -85,13 +85,6 @@ void BM_ShadowMemory(benchmark::State& state) {
       +[] { return ShadowMemory<SeqSlot>(); });
 }
 BENCHMARK(BM_ShadowMemory);
-
-void BM_PerfectSignature(benchmark::State& state) {
-  run_detector<PerfectSignature<SeqSlot>>(
-      state, +[] { return PerfectSignature<SeqSlot>(); },
-      +[] { return PerfectSignature<SeqSlot>(); });
-}
-BENCHMARK(BM_PerfectSignature);
 
 void BM_PackedShadowStore(benchmark::State& state) {
   run_detector<PackedShadowStore<SeqSlot>>(
@@ -181,15 +174,12 @@ void machine_report() {
       t, HashTableRecorder<SeqSlot>(1u << 14), HashTableRecorder<SeqSlot>(1u << 14));
   const double shadow_ns = measured_ns_per_access<ShadowMemory<SeqSlot>>(
       t, ShadowMemory<SeqSlot>(), ShadowMemory<SeqSlot>());
-  const double perfect_ns = measured_ns_per_access<PerfectSignature<SeqSlot>>(
-      t, PerfectSignature<SeqSlot>(), PerfectSignature<SeqSlot>());
   const double packed_ns = measured_ns_per_access<PackedShadowStore<SeqSlot>>(
       t, PackedShadowStore<SeqSlot>(), PackedShadowStore<SeqSlot>());
 
   report.metric("signature_ns_per_access", sig_ns);
   report.metric("hashtable_ns_per_access", table_ns);
   report.metric("shadow_ns_per_access", shadow_ns);
-  report.metric("perfect_ns_per_access", perfect_ns);
   report.metric("packed_ns_per_access", packed_ns);
   report.metric("hashtable_over_signature", sig_ns > 0 ? table_ns / sig_ns : 0);
   report.metric("hashtable_over_packed", packed_ns > 0 ? table_ns / packed_ns : 0);
@@ -200,7 +190,6 @@ void machine_report() {
   report.stages("serial_signature", replay_stages(t, StorageKind::kSignature));
   report.stages("serial_hashtable", replay_stages(t, StorageKind::kHashTable));
   report.stages("serial_shadow", replay_stages(t, StorageKind::kShadow));
-  report.stages("serial_perfect", replay_stages(t, StorageKind::kPerfect));
   report.stages("serial_packed", replay_stages(t, StorageKind::kPacked));
   report.write();
 }

@@ -1,6 +1,6 @@
 // Fig. 8: memory consumption of the profiler on *parallel* Starbench
-// analogues (pthread version, 4 target threads): naive (perfect signature)
-// vs 8 and 16 profiling threads.
+// analogues (pthread version, 4 target threads): naive (a chained
+// per-address hash table) vs 8 and 16 profiling threads.
 //
 // MT profiling costs more than sequential profiling because of the wider
 // MtSlot layout (thread id + timestamp per slot, Sec. V), the MPMC queues,
@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
     // Naive baseline: exact per-address table behind the MT pipeline (the
     // serial profiler is single-producer only).
     ProfilerConfig naive;
-    naive.storage = StorageKind::kPerfect;
+    naive.storage = StorageKind::kHashTable;
+    naive.slots = 1u << 16;
     naive.mt_targets = true;
     naive.workers = 1;
     naive.queue = QueueKind::kLockFreeMpmc;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   }
 
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;  // exact deps for the pattern figure
+  cfg.storage = StorageKind::kPacked;  // exact deps for the pattern figure
   cfg.mt_targets = true;
   cfg.workers = 4;
   cfg.queue = QueueKind::kLockFreeMpmc;

@@ -19,7 +19,6 @@
 #include "harness/accuracy.hpp"
 #include "obs/bench_report.hpp"
 #include "sig/fpr_model.hpp"
-#include "sig/perfect_signature.hpp"
 #include "sig/signature.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace.hpp"

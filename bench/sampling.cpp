@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
 
   Runtime& rt = Runtime::instance();
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.workers = workers;
 
   // Native baseline: same kernel, runtime disabled — the per-access cost is

@@ -2,7 +2,7 @@
 //
 // "# OMP" counts the loops annotated parallel in the OpenMP version of each
 // analogue (ground truth); "# identified (DP)" runs the DiscoPoP-style
-// analysis on perfect-signature dependences; "# identified (sig)" runs the
+// analysis on exact (packed-store) dependences; "# identified (sig)" runs the
 // same analysis on finite-signature dependences; "# missed" is DP-but-not-
 // sig.  The paper's headline: with sufficiently large signatures the sig
 // column equals the DP column with zero missed loops.

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   }
 
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;  // exact dependences for the figure
+  cfg.storage = StorageKind::kPacked;  // exact dependences for the figure
   cfg.mt_targets = true;
   cfg.workers = 4;
   cfg.queue = QueueKind::kLockFreeMpmc;

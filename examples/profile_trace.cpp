@@ -38,17 +38,17 @@ int main(int argc, char** argv) {
   std::printf("captured %zu accesses (%zu distinct addresses) to %s\n",
               trace.size(), n, path);
 
-  // 2. Reload and replay under a perfect baseline.
+  // 2. Reload and replay under an exact baseline (the packed shadow store).
   Trace loaded;
   if (!read_trace(loaded, path)) {
     std::fprintf(stderr, "cannot read %s back\n", path);
     return 1;
   }
-  ProfilerConfig perfect;
-  perfect.storage = StorageKind::kPerfect;
-  auto base = make_serial_profiler(perfect);
+  ProfilerConfig exact;
+  exact.storage = StorageKind::kPacked;
+  auto base = make_serial_profiler(exact);
   replay(loaded, *base);
-  std::printf("perfect baseline: %zu merged dependences\n\n",
+  std::printf("exact baseline: %zu merged dependences\n\n",
               base->dependences().size());
 
   // 3. Sweep signature sizes against the baseline, next to the formula-2

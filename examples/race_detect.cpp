@@ -59,7 +59,7 @@ void racy_kernel(int rounds) {
 
 RaceReport profile(void (*kernel)(int), int rounds) {
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.mt_targets = true;
   cfg.workers = 2;
   cfg.chunk_size = 64;

@@ -22,7 +22,7 @@
 //
 // WAR/WAW dependences carried by L never block — they are removable by
 // privatization and are reported as the privatization work list.  Table II
-// compares this classification under perfect vs signature dependences.
+// compares this classification under exact vs signature dependences.
 
 #include <cstdint>
 #include <string>

@@ -15,7 +15,7 @@
 //
 // DetectorCore is the single Algorithm 1 implementation, templated over any
 // type satisfying the AccessStore concept: the fixed-size Signature, the
-// PerfectSignature baseline, the ShadowMemory baseline, and the
+// packed paged shadow store, the ShadowMemory baseline, and the
 // HashTableRecorder baseline.  The slot layout is deduced from the store
 // (Store::slot_type), so each (backend, target kind) pair is one full
 // monomorphization — there is no per-access branch on the storage kind

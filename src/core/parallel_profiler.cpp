@@ -353,8 +353,7 @@ class ParallelProfiler final : public IProfiler {
     // above were computed against the current routing, and a mid-batch
     // routing change would strand the tail of a run on the old owner.
     const auto push = [this](Chunk* c, unsigned worker) {
-      enqueue(worker, c);
-      obs_.produce().chunks.fetch_add(1, std::memory_order_relaxed);
+      push_counted(c, worker);
     };
     for (unsigned w = 0; w < W; ++w) {
       if (start[w] == offset[w]) continue;
@@ -401,10 +400,14 @@ class ParallelProfiler final : public IProfiler {
     return producer_owned_.back().get();
   }
 
-  void push_chunk(Chunk* c, unsigned w) {
+  /// Enqueues and counts `c`; returns the chunks produced so far.
+  std::uint64_t push_counted(Chunk* c, unsigned w) {
     enqueue(w, c);
-    const std::uint64_t produced =
-        obs_.produce().chunks.fetch_add(1, std::memory_order_relaxed) + 1;
+    return obs_.produce().chunks.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+
+  void push_chunk(Chunk* c, unsigned w) {
+    const std::uint64_t produced = push_counted(c, w);
     if (lb_enabled_ && !cfg_.mt_targets && router_.due(produced))
       rebalance(produced);
   }
@@ -440,9 +443,11 @@ class ParallelProfiler final : public IProfiler {
       // Flush staged accesses of the old owner so they arrive before the
       // handoff chunk; FIFO order makes the migration sound (see
       // chunk.hpp).  Only reachable with sequential targets, whose single
-      // producing thread is the caller.
+      // producing thread is the caller.  The flush counts the chunk but
+      // must not run the due() check: a nested round would extract an
+      // address from an owner this round has not yet handed it to.
       ProduceStage& prod = producer_for_caller();
-      if (Chunk* c = prod.take(m.from)) push_chunk(c, m.from);
+      if (Chunk* c = prod.take(m.from)) push_counted(c, m.from);
       hand_off(m);
     }
   }

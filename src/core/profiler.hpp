@@ -23,7 +23,6 @@ namespace depprof {
 /// Which access store backs Algorithm 1.
 enum class StorageKind {
   kSignature,  ///< fixed-size signature (the paper's design)
-  kPerfect,    ///< collision-free baseline (Sec. VI-A)
   kShadow,     ///< multi-level shadow memory baseline (Sec. III-B)
   kHashTable,  ///< chained hash table baseline (Sec. III-B)
   kPacked,     ///< SLAMP-style paged shadow memory, packed 64-bit words
@@ -109,6 +108,7 @@ struct ProfilerConfig {
   /// schedule (budget is then ignored) — the mode the equivalence matrix,
   /// the depfuzz lattice, and bench/sampling sweep.
   unsigned sampling_skip = 0;
+  bool sampled() const { return budget < 1.0 || sampling_skip > 0; }
   /// Chunks preallocated by the pipeline's pool before the target starts
   /// running (0 = auto: enough for full queues + in-flight + migration).
   /// For sequential targets the pool is *sealed* to this population — an
@@ -153,8 +153,7 @@ class IProfiler : public AccessSink {
 /// the same combinations with a usage error before ever building a config.
 inline bool races_config_ok(const ProfilerConfig& c) {
   if (!c.races) return true;
-  const bool sampled = c.budget < 1.0 || c.sampling_skip > 0;
-  return c.mt_targets && !sampled;
+  return c.mt_targets && !c.sampled();
 }
 
 /// Serial profiler (Sec. III): Algorithm 1 on the calling thread.  Its

@@ -106,7 +106,6 @@ class SerialProfiler final : public IProfiler {
 const char* storage_kind_name(StorageKind kind) {
   switch (kind) {
     case StorageKind::kSignature: return "signature";
-    case StorageKind::kPerfect: return "perfect";
     case StorageKind::kShadow: return "shadow";
     case StorageKind::kHashTable: return "hashtable";
     case StorageKind::kPacked: return "packed";

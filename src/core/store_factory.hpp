@@ -12,7 +12,6 @@
 #include "sig/access_store.hpp"
 #include "sig/hash_table_recorder.hpp"
 #include "sig/packed_shadow_store.hpp"
-#include "sig/perfect_signature.hpp"
 #include "sig/shadow_memory.hpp"
 #include "sig/signature.hpp"
 #include "sig/slots.hpp"
@@ -28,17 +27,23 @@ template <typename T>
 struct is_hash_table : std::false_type {};
 template <typename S>
 struct is_hash_table<HashTableRecorder<S>> : std::true_type {};
+template <typename T>
+struct is_packed : std::false_type {};
+template <typename S>
+struct is_packed<PackedShadowStore<S>> : std::true_type {};
 }  // namespace detail
 
 /// Builds one empty store of the given backend from the configuration.
 /// Signature sizing (slots, hash) and hash-table bucket counts come from the
-/// config; the exact baselines start empty.
+/// config, and a sampled run arms the packed store's clear log.
 template <AccessStore Store>
 Store make_store(const ProfilerConfig& c) {
   if constexpr (detail::is_signature<Store>::value)
     return Store(c.slots, c.sig_hash);
   else if constexpr (detail::is_hash_table<Store>::value)
     return Store(c.slots);
+  else if constexpr (detail::is_packed<Store>::value)
+    return Store(c.sampled());
   else
     return Store{};
 }
@@ -52,8 +57,6 @@ template <typename Fn>
 auto with_store(const ProfilerConfig& c, Fn&& fn) {
   auto dispatch = [&]<typename Slot>() {
     switch (c.storage) {
-      case StorageKind::kPerfect:
-        return fn(std::type_identity<PerfectSignature<Slot>>{});
       case StorageKind::kShadow:
         return fn(std::type_identity<ShadowMemory<Slot>>{});
       case StorageKind::kHashTable:

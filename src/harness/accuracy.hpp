@@ -6,14 +6,16 @@
 // positive when the signature-based profiler reports it but the perfect
 // baseline does not (a hash collision fabricated it or corrupted its source
 // location), and false negative when the baseline reports it but the
-// signature run misses it (a collision overwrote the recording).
+// signature run misses it (a collision overwrote the recording).  The
+// perfect signature is "a table where each memory address has its own
+// entry"; the benches use the exact packed shadow store as that baseline.
 
 #include "core/dep.hpp"
 
 namespace depprof {
 
 struct AccuracyResult {
-  std::size_t baseline_deps = 0;  ///< |perfect|
+  std::size_t baseline_deps = 0;  ///< |exact baseline|
   std::size_t tested_deps = 0;    ///< |signature|
   std::size_t false_positives = 0;
   std::size_t false_negatives = 0;

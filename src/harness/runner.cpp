@@ -106,6 +106,15 @@ Trace record_workload(const Workload& w, const RunOptions& opts) {
   return std::move(recorder.trace());
 }
 
+void attach_runtime(IProfiler& profiler, const ProfilerConfig& config) {
+  SamplingConfig sampling;
+  sampling.budget = config.budget;
+  sampling.burst = config.sampling_burst;
+  sampling.skip = config.sampling_skip;
+  Runtime::instance().attach(&profiler, config.mt_targets, config.dedup,
+                             sampling);
+}
+
 RunMeasurement profile_workload(const Workload& w, const ProfilerConfig& config,
                                 const RunOptions& opts) {
   RunMeasurement m;
@@ -131,7 +140,7 @@ RunMeasurement profile_workload(const Workload& w, const ProfilerConfig& config,
   SchedEnvSession sched_session(opts.parallel_pipeline &&
                                 opts.target_threads == 0);
   auto profiler = make_profiler(cfg, opts);
-  Runtime::instance().attach(profiler.get(), cfg.mt_targets);
+  attach_runtime(*profiler, cfg);
   ThreadCpuTimer producer_cpu;
   WallTimer wall;
   m.profiled_checksum = invoke(w, opts).checksum;

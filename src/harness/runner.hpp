@@ -69,6 +69,10 @@ struct RunOptions {
 RunMeasurement profile_workload(const Workload& w, const ProfilerConfig& config,
                                 const RunOptions& opts = {});
 
+/// Attaches the instrumentation runtime to `profiler` with the front end
+/// `config` asks for: MT mode, dedup and the sampling schedule.
+void attach_runtime(IProfiler& profiler, const ProfilerConfig& config);
+
 /// Environment-activated deterministic-schedule session (ISSUE 7).  When
 /// constructed with `enabled` true and DEPPROF_SCHED=1 in the environment,
 /// the scope runs under the schedule controller: DEPPROF_SCHED_SEED /

@@ -48,9 +48,9 @@ Table2Row run_table2(const Workload& w, std::size_t sig_slots, int scale) {
   row.program = w.name;
   for (const auto& t : w.loops) row.omp_loops += t.parallelizable ? 1 : 0;
 
-  ProfilerConfig perfect;
-  perfect.storage = StorageKind::kPerfect;
-  const auto dp_verdicts = analyze_run(w, perfect, scale);
+  ProfilerConfig exact;
+  exact.storage = StorageKind::kPacked;
+  const auto dp_verdicts = analyze_run(w, exact, scale);
   const Scored dp = score(dp_verdicts, w.loops);
   row.identified_dp = dp.identified;
 

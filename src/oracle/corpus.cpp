@@ -28,7 +28,6 @@ const char* sig_hash_name(SigHash h) {
 
 bool parse_storage(std::string_view v, StorageKind& out) {
   if (v == "signature") out = StorageKind::kSignature;
-  else if (v == "perfect") out = StorageKind::kPerfect;
   else if (v == "shadow") out = StorageKind::kShadow;
   else if (v == "hashtable") out = StorageKind::kHashTable;
   else if (v == "packed") out = StorageKind::kPacked;

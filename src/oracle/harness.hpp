@@ -6,7 +6,7 @@
 // and the parallel profiler over the same trace and checks the paper's
 // correctness contract:
 //
-//   * exact stores (PerfectSignature, ShadowMemory, HashTableRecorder) and
+//   * exact stores (PackedShadowStore, ShadowMemory, HashTableRecorder) and
 //     signatures operating in the collision-free regime must produce maps
 //     byte-identical to the oracle — keys, instance counts, qualifier
 //     flags, carried loops and distances;

@@ -137,17 +137,10 @@ ProfilerConfig shrink_config(const Trace& trace, ProfilerConfig cfg,
   // Strip the front-end reduction layer: a failure that survives with
   // dedup off did not need it, and the repro should say so.
   if (cfg.dedup) try_apply([](ProfilerConfig& c) { c.dedup = false; });
-  // Backend-simplification rung: the packed paged store and the plain
-  // perfect hash map implement the same exact-store contract, so a failure
-  // that survives on kPerfect was not about the paged layout — and the
-  // perfect map is the simpler diagnosis target (no page table, no token
-  // intern, no sidecar).
-  if (cfg.storage == StorageKind::kPacked)
-    try_apply([](ProfilerConfig& c) { c.storage = StorageKind::kPerfect; });
   // Sampling-off rung: a failure that survives with the burst gate removed
   // did not need sampling, and the repro then judges the profilers against
   // the plain full-trace oracle — the simpler diagnosis target.
-  if (cfg.sampling_skip != 0 || cfg.budget < 1.0)
+  if (cfg.sampled())
     try_apply([](ProfilerConfig& c) {
       c.sampling_skip = 0;
       c.budget = 1.0;

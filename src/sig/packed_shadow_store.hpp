@@ -1,9 +1,9 @@
 #pragma once
 // Packed paged shadow memory (SLAMP/PROMPT-style exact store).
 //
-// The exact baselines pay for precision in cache traffic: PerfectSignature
-// and HashTableRecorder keep a full 40/56-byte slot per live address behind
-// a hash probe, so every access touches a bucket walk plus one or two slot
+// The chained baseline pays for precision in cache traffic:
+// HashTableRecorder keeps a full 40/56-byte slot per live address behind a
+// hash probe, so every access touches a bucket walk plus one or two slot
 // lines scattered across a node heap.  SLAMP's shadow memory shows the
 // production alternative: a lazily-allocated page table whose leaf pages
 // hold one packed machine word per tracked word of target memory, giving
@@ -43,7 +43,15 @@
 // huge page, so the detect kernel's 8-ahead prefetches hit TLB-resident
 // lines — and every level is a power-of-two array indexed by masked address
 // bits (no hashing anywhere on the walk).  Pages and directories are
-// charged to MemComponent::kStore and released in full by clear()/teardown.
+// charged to MemComponent::kStore and released in full at teardown.
+//
+// clear() (a sampling burst mark) costs what the burst wrote.  An armed
+// store logs a pointer to each word that becomes resident, up to kLogCap
+// entries, and clear() zeroes just those words, keeping pages and
+// directories mapped and charged.  A clear() with no log (an unarmed
+// store) or an overflowed one releases every page, then arms the log;
+// pages are freed only on that path, so a logged pointer never dangles.
+// Stores of unsampled runs stay unarmed and pay one flag test per new word.
 //
 // find() decodes the packed word into a per-store scratch slot and returns
 // its address: the pointer is valid until the next call on the same store.
@@ -51,7 +59,7 @@
 // fully folded into a dependence record before the next probe of the same
 // store object (read and write stores are distinct objects) — and is
 // asserted by the equivalence matrix, which pins this backend byte-for-byte
-// to PerfectSignature across every driver.
+// to the other exact stores across every driver.
 
 #include <array>
 #include <cstdint>
@@ -189,7 +197,10 @@ class PackedShadowStore {
     return static_cast<std::uint32_t>(w);
   }
 
-  PackedShadowStore() {
+  PackedShadowStore() : PackedShadowStore(false) {}
+  /// A store built for a sampled run is armed from the start, so the first
+  /// burst mark also costs only what the first burst wrote.
+  explicit PackedShadowStore(bool sampled) : logging_(sampled) {
     root_ = static_cast<L2**>(alloc_block(kRootBytes));
   }
 
@@ -203,7 +214,10 @@ class PackedShadowStore {
         root_(std::exchange(o.root_, nullptr)),
         table_bytes_(std::exchange(o.table_bytes_, 0)),
         pages_(std::exchange(o.pages_, 0)),
-        resident_(std::exchange(o.resident_, 0)) {}
+        resident_(std::exchange(o.resident_, 0)),
+        logging_(std::exchange(o.logging_, false)),
+        log_(std::exchange(o.log_, nullptr)),
+        log_len_(std::exchange(o.log_len_, 0)) {}
 
   PackedShadowStore& operator=(PackedShadowStore&& o) noexcept {
     if (this != &o) {
@@ -213,6 +227,9 @@ class PackedShadowStore {
       table_bytes_ = std::exchange(o.table_bytes_, 0);
       pages_ = std::exchange(o.pages_, 0);
       resident_ = std::exchange(o.resident_, 0);
+      logging_ = std::exchange(o.logging_, false);
+      log_ = std::exchange(o.log_, nullptr);
+      log_len_ = std::exchange(o.log_len_, 0);
     }
     return *this;
   }
@@ -251,10 +268,12 @@ class PackedShadowStore {
     // Acquire before release so an overwrite with the same snapshot never
     // bounces its refcount through zero (onto the free list, past the hint).
     const std::uint32_t token = pool_.acquire(k);
-    if (w != 0)
+    if (w != 0) {
       pool_.release(word_token(w));
-    else
+    } else {
       ++resident_;
+      if (logging_) [[unlikely]] log_word(&w);
+    }
     w = pack_word(value.loc, token);
     if constexpr (kMt) page.side[off] = Sidecar{value.tid, value.flags, value.ts};
   }
@@ -287,22 +306,23 @@ class PackedShadowStore {
     if constexpr (kMt) prefetch_obj_rw(&page->side[off], sizeof(Sidecar));
   }
 
-  /// Releases every page and directory (bytes return to MemStats::kStore);
-  /// the root directory survives, zeroed, for reuse — burst-mark resets
-  /// clear the store and keep profiling.
+  /// Empties the store and keeps profiling (see the header comment); a
+  /// full release keeps only the root directory, zeroed.
   void clear() {
-    if (root_ != nullptr) {
-      for (std::size_t a = 0; a < kL1Size; ++a) {
-        L2* l2 = root_[a];
-        if (l2 == nullptr) continue;
-        free_levels(l2);
-        root_[a] = nullptr;
-      }
+    if (root_ == nullptr) return;
+    if (logging_) {
+      for (std::size_t i = 0; i < log_len_; ++i) *log_[i] = 0;
+    } else {
+      release_pages();
+      logging_ = true;
     }
+    log_len_ = 0;
     pool_.clear();
-    pages_ = 0;
     resident_ = 0;
   }
+
+  /// New words a logged clear() can zero.
+  static constexpr std::size_t kLogCap = std::size_t{1} << 16;
 
   std::size_t page_count() const { return pages_; }
   std::size_t occupied() const { return resident_; }
@@ -334,6 +354,7 @@ class PackedShadowStore {
     L3* dirs[kL2Size];
   };
   static constexpr std::size_t kRootBytes = kL1Size * sizeof(L2*);
+  static constexpr std::size_t kLogBytes = kLogCap * sizeof(std::uint64_t*);
   static_assert(sizeof(PageSeq) == huge::kHugeThreshold,
                 "a leaf page is exactly one transparent huge page of words");
 
@@ -390,6 +411,27 @@ class PackedShadowStore {
     return *page;
   }
 
+  /// Out of line, so an unarmed store pays only the flag test in insert().
+  [[gnu::noinline]] void log_word(std::uint64_t* w) {
+    if (log_len_ == kLogCap) {
+      logging_ = false;  // overflow: the next clear() releases every page
+      return;
+    }
+    if (log_ == nullptr)
+      log_ = static_cast<std::uint64_t**>(alloc_block(kLogBytes));
+    log_[log_len_++] = w;
+  }
+
+  void release_pages() {
+    for (std::size_t a = 0; a < kL1Size; ++a) {
+      L2* l2 = root_[a];
+      if (l2 == nullptr) continue;
+      free_levels(l2);
+      root_[a] = nullptr;
+    }
+    pages_ = 0;
+  }
+
   void free_levels(L2* l2) {
     for (std::size_t b = 0; b < kL2Size; ++b) {
       L3* l3 = l2->dirs[b];
@@ -403,7 +445,8 @@ class PackedShadowStore {
 
   void destroy() {
     if (root_ == nullptr) return;
-    clear();
+    release_pages();
+    if (log_ != nullptr) free_block(log_, kLogBytes);
     free_block(root_, kRootBytes);
     root_ = nullptr;
   }
@@ -413,7 +456,11 @@ class PackedShadowStore {
   std::size_t table_bytes_ = 0;
   std::size_t pages_ = 0;
   std::size_t resident_ = 0;
+  bool logging_ = false;
   mutable Slot scratch_{};  ///< find() decode buffer (see header comment)
+  /// Words made resident since the last clear(); valid while logging_.
+  std::uint64_t** log_ = nullptr;
+  std::size_t log_len_ = 0;
 };
 
 static_assert(AccessStore<PackedShadowStore<SeqSlot>>);

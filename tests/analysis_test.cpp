@@ -290,14 +290,14 @@ TEST(Report, CheckScoresVerdictsAgainstTruth) {
 }
 
 TEST(Report, GoldenIsWorkloadMatchesOmpTruth) {
-  // End-to-end golden: profile the NAS IS analogue with perfect storage and
+  // End-to-end golden: profile the NAS IS analogue with exact storage and
   // pin each loop's verdict against the OpenMP annotation ground truth —
   // histogram parallel via reduction, prefix and permute serial (scan and
   // cursor recurrence), verify DOALL.
   const Workload* w = find_workload("is");
   ASSERT_NE(w, nullptr);
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   RunOptions opts;
   opts.native_reps = 1;
   const RunMeasurement m = profile_workload(*w, cfg, opts);

@@ -205,7 +205,7 @@ TEST(Harness, ClassifiesExpectations) {
   const Trace t = gen_uniform(p);
 
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   EXPECT_EQ(classify_expectation(cfg, t), Expectation::kExact);
 
   cfg.storage = StorageKind::kSignature;
@@ -227,8 +227,8 @@ TEST(Harness, ExactCasesHoldAcrossBackends) {
   p.distinct = 400;
   const Trace t = gen_churn(p, 0.2);
   for (const StorageKind storage :
-       {StorageKind::kPerfect, StorageKind::kShadow, StorageKind::kHashTable,
-        StorageKind::kPacked, StorageKind::kSignature}) {
+       {StorageKind::kShadow, StorageKind::kHashTable, StorageKind::kPacked,
+        StorageKind::kSignature}) {
     ProfilerConfig cfg;
     cfg.storage = storage;
     cfg.workers = 3;
@@ -336,8 +336,8 @@ TEST(Harness, SampledCasesHoldAcrossBackends) {
   p.distinct = 256;
   const Trace t = gen_loop(p, 32, true);
   for (const StorageKind storage :
-       {StorageKind::kPerfect, StorageKind::kShadow, StorageKind::kHashTable,
-        StorageKind::kPacked, StorageKind::kSignature}) {
+       {StorageKind::kShadow, StorageKind::kHashTable, StorageKind::kPacked,
+        StorageKind::kSignature}) {
     ProfilerConfig cfg;
     cfg.storage = storage;
     cfg.workers = 3;

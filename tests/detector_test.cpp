@@ -18,7 +18,6 @@
 #include "instrument/dedup.hpp"
 #include "sig/hash_table_recorder.hpp"
 #include "sig/packed_shadow_store.hpp"
-#include "sig/perfect_signature.hpp"
 #include "sig/shadow_memory.hpp"
 #include "sig/signature.hpp"
 #include "trace/nest.hpp"
@@ -56,9 +55,9 @@ DepKey key(DepType type, std::uint32_t sink_line, std::uint32_t src_line,
   return k;
 }
 
-using PerfectDetector = DetectorCore<PerfectSignature<SeqSlot>>;
+using ExactDetector = DetectorCore<PackedShadowStore<SeqSlot>>;
 
-PerfectDetector make_perfect() { return PerfectDetector{{}, {}}; }
+ExactDetector make_exact() { return ExactDetector{{}, {}}; }
 
 /// Runs `events` through the detector as one batch, in order.
 template <typename Detector>
@@ -70,7 +69,7 @@ void detect(Detector& det, DepMap& deps,
 // ------------------------------------------------------------ Algorithm 1
 
 TEST(Detector, FirstWriteIsInit) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {wr(100, 10)});
   ASSERT_EQ(deps.size(), 1u);
@@ -78,21 +77,21 @@ TEST(Detector, FirstWriteIsInit) {
 }
 
 TEST(Detector, ReadAfterWriteBuildsRaw) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {wr(100, 10), rd(100, 20)});
   EXPECT_NE(deps.find(key(DepType::kRaw, 20, 10)), nullptr);
 }
 
 TEST(Detector, WriteAfterReadBuildsWar) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {rd(100, 10), wr(100, 20)});
   EXPECT_NE(deps.find(key(DepType::kWar, 20, 10)), nullptr);
 }
 
 TEST(Detector, WriteAfterWriteBuildsWaw) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {wr(100, 10), wr(100, 20)});
   EXPECT_NE(deps.find(key(DepType::kWaw, 20, 10)), nullptr);
@@ -101,7 +100,7 @@ TEST(Detector, WriteAfterWriteBuildsWaw) {
 TEST(Detector, InitAndWarCoexistOnOneSink) {
   // Fig. 1 line 1:65: "{WAR 1:67|temp2} {INIT *}" — a first write that is
   // also the sink of a WAR against an earlier read.
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {rd(100, 67), wr(100, 65)});
   EXPECT_NE(deps.find(key(DepType::kInit, 65, 0)), nullptr);
@@ -109,21 +108,21 @@ TEST(Detector, InitAndWarCoexistOnOneSink) {
 }
 
 TEST(Detector, RarIsIgnored) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {rd(100, 10), rd(100, 20)});
   EXPECT_EQ(deps.size(), 0u);
 }
 
 TEST(Detector, ReadWithoutPriorWriteBuildsNothing) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {rd(100, 10)});
   EXPECT_EQ(deps.size(), 0u);
 }
 
 TEST(Detector, RawUsesLatestWrite) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {wr(100, 10), wr(100, 11), rd(100, 20)});
   EXPECT_NE(deps.find(key(DepType::kRaw, 20, 11)), nullptr);
@@ -131,7 +130,7 @@ TEST(Detector, RawUsesLatestWrite) {
 }
 
 TEST(Detector, VarNameComesFromSink) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {ev(100, AccessKind::kWrite, 10, /*var=*/3),
                      ev(100, AccessKind::kRead, 20, /*var=*/4)});
@@ -141,7 +140,7 @@ TEST(Detector, VarNameComesFromSink) {
 // ----------------------------------------------------- lifetime analysis
 
 TEST(Detector, FreeRemovesAddressState) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {wr(100, 10), fr(100)});
   detect(det, deps, {rd(100, 20)});  // re-used memory: no stale RAW
@@ -151,7 +150,7 @@ TEST(Detector, FreeRemovesAddressState) {
 }
 
 TEST(Detector, FreeRemovesReadStateToo) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {rd(100, 10), fr(100), wr(100, 20)});
   EXPECT_EQ(deps.find(key(DepType::kWar, 20, 10)), nullptr);
@@ -173,7 +172,7 @@ AccessEvent with_nest(AccessEvent e, std::uint32_t ctx,
 
 TEST(Detector, SameIterationIsNotCarried) {
   const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), ctx, {5}),
                      with_nest(rd(100, 20), ctx, {5})});
@@ -187,7 +186,7 @@ TEST(Detector, SameIterationIsNotCarried) {
 
 TEST(Detector, DifferentIterationIsCarried) {
   const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), ctx, {5}),
                      with_nest(rd(100, 20), ctx, {6})});
@@ -205,7 +204,7 @@ TEST(Detector, DifferentEntryOfSameLoopIsNotCarriedByIt) {
   NestForest& f = nest_forest();
   const std::uint32_t e1 = f.enter(NestForest::kRoot, 1);
   const std::uint32_t e2 = f.enter(NestForest::kRoot, 1);
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), e1, {5}),
                      with_nest(rd(100, 20), e2, {5})});
@@ -224,7 +223,7 @@ TEST(Detector, OuterLoopCarriedThroughParentLevel) {
   const std::uint32_t outer = f.enter(NestForest::kRoot, 1);
   const std::uint32_t in1 = f.enter(outer, 2);
   const std::uint32_t in2 = f.enter(outer, 2);
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), in1, {0, 3}),
                      with_nest(rd(100, 20), in2, {1, 3})});
@@ -245,7 +244,7 @@ TEST(Detector, GrandparentLoopCarriedThroughThirdLevel) {
   const std::uint32_t s2 = f.enter(frames, 2);
   const std::uint32_t m1 = f.enter(s1, 3);
   const std::uint32_t m2 = f.enter(s2, 3);
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), m1, {0, 1, 2}),
                      with_nest(rd(100, 20), m2, {1, 1, 2})});
@@ -262,7 +261,7 @@ TEST(Detector, InnermostCommonLoopWins) {
   NestForest& f = nest_forest();
   const std::uint32_t outer = f.enter(NestForest::kRoot, 1);
   const std::uint32_t inner = f.enter(outer, 2);
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), inner, {0, 3}),
                      with_nest(rd(100, 20), inner, {0, 4})});
@@ -277,7 +276,7 @@ TEST(Detector, CarriedDistanceBucketed) {
   // Reads of a[i-4]: every carried instance has iteration distance 4,
   // which lands in the >= 2 bucket.
   const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   for (std::uint32_t i = 0; i < 16; ++i) {
     if (i >= 4)
@@ -295,7 +294,7 @@ TEST(Detector, CarriedDistanceBucketed) {
 
 TEST(Detector, DistanceBucketsAccumulate) {
   const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   // One batch: both instances of the key meet in the batch table.
   detect(det, deps, {with_nest(wr(100, 10), ctx, {0}),
@@ -316,7 +315,7 @@ TEST(Detector, DeepNestBeyondWindowIsConservativelyCarried) {
   NestForest& f = nest_forest();
   std::uint32_t ctx = NestForest::kRoot;
   for (std::uint32_t d = 1; d <= kNestIters + 2; ++d) ctx = f.enter(ctx, d);
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), ctx, {1, 1, 1, 1, 1, 1, 1}),
                      with_nest(rd(100, 20), ctx, {1, 1, 1, 1, 1, 1, 1})});
@@ -340,7 +339,7 @@ TEST(DepMap, MergeCombinesBuckets) {
 }
 
 TEST(Detector, NoLoopContextNoFlags) {
-  auto det = make_perfect();
+  auto det = make_exact();
   DepMap deps;
   detect(det, deps, {wr(100, 10), rd(100, 20)});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
@@ -390,7 +389,7 @@ AccessEvent mt_ev(std::uint64_t addr, AccessKind kind, std::uint32_t line,
 }
 
 TEST(Detector, CrossThreadFlagAndThreadIds) {
-  DetectorCore<PerfectSignature<MtSlot>> det{{}, {}};
+  DetectorCore<PackedShadowStore<MtSlot>> det{{}, {}};
   DepMap deps;
   detect(det, deps, {mt_ev(100, AccessKind::kWrite, 10, /*tid=*/1, /*ts=*/1),
                      mt_ev(100, AccessKind::kRead, 20, /*tid=*/2, /*ts=*/2)});
@@ -404,7 +403,7 @@ TEST(Detector, CrossThreadFlagAndThreadIds) {
 }
 
 TEST(Detector, TimestampReversalFlagsPotentialRace) {
-  DetectorCore<PerfectSignature<MtSlot>> det{{}, {}};
+  DetectorCore<PackedShadowStore<MtSlot>> det{{}, {}};
   DepMap deps;
   // The write reached the worker first but carries a LATER timestamp than
   // the read that follows: access/push atomicity was violated (Sec. V-B).
@@ -421,8 +420,8 @@ TEST(Detector, TimestampReversalFlagsPotentialRace) {
 // ------------------------------------------------------------- migration
 
 TEST(Detector, ExtractAdoptMovesPerAddressState) {
-  auto from = make_perfect();
-  auto to = make_perfect();
+  auto from = make_exact();
+  auto to = make_exact();
   DepMap deps;
   detect(from, deps, {wr(100, 10), rd(100, 15)});
 
@@ -555,8 +554,6 @@ TEST(RunFolding, MatchesInstanceByInstanceOnEveryStore) {
   check_run_folding<Signature<SeqSlot>>(
       +[] { return Signature<SeqSlot>(128, SigHash::kModulo); }, 1,
       "signature");
-  check_run_folding<PerfectSignature<SeqSlot>>(
-      +[] { return PerfectSignature<SeqSlot>(); }, 1, "perfect");
   check_run_folding<ShadowMemory<SeqSlot>>(
       +[] { return ShadowMemory<SeqSlot>(); }, 1, "shadow");
   check_run_folding<HashTableRecorder<SeqSlot>>(
@@ -591,7 +588,7 @@ TEST(RunFolding, WriteRunAfterReadCountsEveryInstance) {
     ASSERT_EQ(rle.events.size(), 2u);
     ASSERT_EQ(rle.reps[1], 5u);
 
-    auto det = make_perfect();
+    auto det = make_exact();
     DepMap deps;
     det.process(rle.events.data(), rle.reps.data(), rle.events.size(), deps);
     EXPECT_EQ(deps.instances(), 10u);

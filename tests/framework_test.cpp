@@ -164,7 +164,7 @@ TEST(LoopTableTest, AggregatesPerLoop) {
 TEST(ProgramModelTest, FromRunBundlesEverything) {
   Runtime::instance().reset();
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   auto profiler = make_serial_profiler(cfg);
   Runtime::instance().attach(profiler.get());
   {

@@ -84,7 +84,7 @@ TEST(FreeSpanRegression, WriteAfterUnalignedFreeIsInitNotWaw) {
   rt.reset();
 
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   auto profiler = make_serial_profiler(cfg);
   replay(rec.trace(), *profiler);
 
@@ -260,7 +260,7 @@ TEST(MergeAccountingRegression, FinishDoesNotDoubleCountDepMaps) {
 
   MemStats::instance().reset();
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.workers = 4;
   auto prof = make_parallel_profiler(cfg);
   replay(t, *prof);
@@ -391,7 +391,7 @@ TEST(DedupRegression, FreeInvalidatesCachedWordSoReuseStartsAFreshLifetime) {
   rt.reset();
 
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   auto profiler = make_serial_profiler(cfg);
   replay(rec.trace(), *profiler);
 

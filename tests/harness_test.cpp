@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/formatter.hpp"
 #include "harness/accuracy.hpp"
 #include "harness/runner.hpp"
 #include "harness/table2.hpp"
@@ -62,7 +63,7 @@ TEST(Runner, ProfileWorkloadFillsMeasurement) {
   const Workload* w = find_workload("ep");
   ASSERT_NE(w, nullptr);
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   RunOptions opts;
   opts.native_reps = 1;
   const RunMeasurement m = profile_workload(*w, cfg, opts);
@@ -73,6 +74,29 @@ TEST(Runner, ProfileWorkloadFillsMeasurement) {
   EXPECT_FALSE(m.control_flow.loops.empty());
   EXPECT_EQ(m.native_checksum, m.profiled_checksum);
   EXPECT_GT(m.peak_component_bytes, 0);
+}
+
+TEST(Runner, ProfileWorkloadAttachesWithTheProfilersConfig) {
+  // The runtime runs the profiler's own front end, as depprof's does:
+  // dedup and the sampling schedule reach it instead of being dropped.
+  const Workload* w = find_workload("rgbyuv");
+  ASSERT_NE(w, nullptr);
+  ProfilerConfig cfg;
+  cfg.storage = StorageKind::kPacked;
+  cfg.dedup = false;
+  const RunMeasurement plain = profile_workload(*w, cfg);
+  cfg.dedup = true;
+  const RunMeasurement deduped = profile_workload(*w, cfg);
+  cfg.sampling_skip = 8;
+  const RunMeasurement sampled = profile_workload(*w, cfg);
+  const auto produce = [](const RunMeasurement& m) {
+    return *m.stats.stages.find("produce");
+  };
+  EXPECT_EQ(produce(plain).events_deduped, 0u);
+  EXPECT_GT(produce(deduped).events_deduped, 0u);
+  EXPECT_EQ(deps_csv(deduped.deps), deps_csv(plain.deps));
+  EXPECT_EQ(produce(deduped).events_sampled_out, 0u);
+  EXPECT_GT(produce(sampled).events_sampled_out, 0u);
 }
 
 TEST(Runner, SimulatedParallelTimeBounded) {
@@ -106,7 +130,7 @@ TEST(Runner, UnionOverInputsIsSuperset) {
   const Workload* w = find_workload("is");
   ASSERT_NE(w, nullptr);
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   RunOptions opts;
   opts.native_reps = 1;
   const RunMeasurement single = profile_workload(*w, cfg, opts);
@@ -119,7 +143,7 @@ TEST(Runner, UnionOverInputsIsSuperset) {
   EXPECT_GE(unioned.size(), single.deps.size());
 }
 
-TEST(Table2Harness, PerfectAndLargeSignatureAgree) {
+TEST(Table2Harness, ExactAndLargeSignatureAgree) {
   const Workload* w = find_workload("ep");
   ASSERT_NE(w, nullptr);
   const Table2Row row = run_table2(*w, /*sig_slots=*/1u << 20);

@@ -26,7 +26,7 @@ namespace {
 
 std::unique_ptr<IProfiler> make_mt_profiler(unsigned workers = 4) {
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.mt_targets = true;
   cfg.workers = workers;
   cfg.queue = QueueKind::kLockFreeMpmc;
@@ -99,7 +99,7 @@ TEST(MtProfiling, RacyKernelYieldsPotentialRace) {
   // timestamp check exposes the reversal (Sec. V-B).  The race is real: the
   // unsynchronized counter is exactly what the check is designed to catch.
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.mt_targets = true;
   cfg.workers = 2;
   cfg.chunk_size = 64;  // buffering without lock-region flushes
@@ -132,7 +132,7 @@ TEST(MtProfiling, WaterSpatialShowsNeighbourPattern) {
   const unsigned threads = 4;
 
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.mt_targets = true;
   cfg.workers = 4;
   RunOptions opts;

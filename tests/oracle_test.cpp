@@ -115,10 +115,10 @@ bool equal_sets(const DepMap& a, const DepMap& b) {
 
 class OracleSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(OracleSweep, SerialPerfectMatchesOracle) {
+TEST_P(OracleSweep, SerialExactMatchesOracle) {
   const Trace t = random_trace(GetParam(), 20'000, 256, false);
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   auto prof = make_serial_profiler(cfg);
   replay(t, *prof);
   EXPECT_TRUE(equal_sets(oracle(t), prof->dependences()));
@@ -139,7 +139,7 @@ TEST_P(OracleSweep, SerialLargeSignatureMatchesOracle) {
 TEST_P(OracleSweep, ParallelPipelineMatchesOracle) {
   const Trace t = random_trace(GetParam() ^ 0x1234, 20'000, 256, false);
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.workers = 4;
   cfg.chunk_size = 32;
   auto prof = make_parallel_profiler(cfg);
@@ -152,7 +152,7 @@ TEST_P(OracleSweep, MtEventsMatchOracleIncludingThreadIds) {
   // program order, so thread-id-qualified dependences must match exactly.
   const Trace t = random_trace(GetParam() ^ 0x77, 20'000, 256, true);
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.mt_targets = true;
   auto prof = make_serial_profiler(cfg);
   replay(t, *prof);

@@ -43,9 +43,9 @@ bool same_deps(const DepMap& a, const DepMap& b) {
          a.size() == b.size();
 }
 
-ProfilerConfig perfect_cfg() {
+ProfilerConfig exact_cfg() {
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   return cfg;
 }
 
@@ -55,13 +55,13 @@ TEST(SerialProfiler, CountsEvents) {
   GenParams p;
   p.accesses = 1000;
   const Trace t = gen_uniform(p);
-  auto prof = make_serial_profiler(perfect_cfg());
+  auto prof = make_serial_profiler(exact_cfg());
   replay(t, *prof);
   EXPECT_EQ(prof->stats().events, 1000u);
 }
 
 TEST(SerialProfiler, WordGranularityUnifiesSubWordAccesses) {
-  auto prof = make_serial_profiler(perfect_cfg());
+  auto prof = make_serial_profiler(exact_cfg());
   AccessEvent w;
   w.addr = 0x1000;
   w.kind = AccessKind::kWrite;
@@ -85,9 +85,8 @@ TEST(SerialProfiler, AllStorageBackendsRun) {
   p.accesses = 5000;
   p.distinct = 500;
   const Trace t = gen_uniform(p);
-  for (StorageKind s : {StorageKind::kSignature, StorageKind::kPerfect,
-                        StorageKind::kShadow, StorageKind::kHashTable,
-                        StorageKind::kPacked}) {
+  for (StorageKind s : {StorageKind::kSignature, StorageKind::kShadow,
+                        StorageKind::kHashTable, StorageKind::kPacked}) {
     ProfilerConfig cfg;
     cfg.storage = s;
     cfg.slots = 1u << 16;
@@ -98,27 +97,24 @@ TEST(SerialProfiler, AllStorageBackendsRun) {
 }
 
 TEST(SerialProfiler, ExactBackendsAgree) {
-  // Perfect signature, shadow memory, and hash table are all exact: they
+  // Packed shadow store, shadow memory, and hash table are all exact: they
   // must produce identical dependence sets on any trace.
   GenParams p;
   p.accesses = 20'000;
   p.distinct = 2'000;
   const Trace t = gen_uniform(p);
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
-  const DepMap perfect = run_serial(t, cfg);
+  cfg.storage = StorageKind::kPacked;
+  const DepMap packed = run_serial(t, cfg);
   cfg.storage = StorageKind::kShadow;
   const DepMap shadow = run_serial(t, cfg);
   cfg.storage = StorageKind::kHashTable;
   const DepMap table = run_serial(t, cfg);
-  cfg.storage = StorageKind::kPacked;
-  const DepMap packed = run_serial(t, cfg);
-  EXPECT_TRUE(same_deps(perfect, shadow));
-  EXPECT_TRUE(same_deps(perfect, table));
-  EXPECT_TRUE(same_deps(perfect, packed));
+  EXPECT_TRUE(same_deps(packed, shadow));
+  EXPECT_TRUE(same_deps(packed, table));
 }
 
-TEST(SerialProfiler, LargeSignatureMatchesPerfectOnSmallTrace) {
+TEST(SerialProfiler, LargeSignatureMatchesExactOnSmallTrace) {
   GenParams p;
   p.accesses = 10'000;
   p.distinct = 1'000;
@@ -126,8 +122,7 @@ TEST(SerialProfiler, LargeSignatureMatchesPerfectOnSmallTrace) {
   ProfilerConfig sig;
   sig.storage = StorageKind::kSignature;
   sig.slots = 1u << 22;  // far larger than the footprint: zero collisions
-  ProfilerConfig perfect = perfect_cfg();
-  EXPECT_TRUE(same_deps(run_serial(t, perfect), run_serial(t, sig)));
+  EXPECT_TRUE(same_deps(run_serial(t, exact_cfg()), run_serial(t, sig)));
 }
 
 // ------------------------------------------- serial == parallel (property)
@@ -149,7 +144,7 @@ TEST_P(SerialParallelEquivalence, IdenticalDependences) {
   p.write_ratio = 0.4;
   const Trace t = gen_uniform(p);
 
-  ProfilerConfig cfg = perfect_cfg();
+  ProfilerConfig cfg = exact_cfg();
   const DepMap serial = run_serial(t, cfg);
 
   cfg.queue = c.queue;
@@ -197,7 +192,7 @@ TEST(SerialParallelEquivalence, OversubscribedWorkersMatchSerial) {
   p.distinct = 3'000;
   p.write_ratio = 0.4;
   const Trace t = gen_uniform(p);
-  ProfilerConfig cfg = perfect_cfg();
+  ProfilerConfig cfg = exact_cfg();
   const DepMap serial = run_serial(t, cfg);
   cfg.workers = 8;
   cfg.chunk_size = 64;
@@ -216,7 +211,7 @@ TEST(ParallelProfiler, EquivalenceOnLoopTrace) {
   GenParams p;
   p.distinct = 500;
   const Trace t = gen_loop(p, /*iters=*/20, /*carried=*/true);
-  ProfilerConfig cfg = perfect_cfg();
+  ProfilerConfig cfg = exact_cfg();
   const DepMap serial = run_serial(t, cfg);
   cfg.workers = 8;
   const DepMap parallel = run_parallel(t, cfg);
@@ -255,7 +250,7 @@ TEST(ParallelProfiler, LoadBalancerPreservesDependences) {
   p.distinct = 2'000;
   const Trace t = gen_zipf(p, 1.4);
 
-  ProfilerConfig cfg = perfect_cfg();
+  ProfilerConfig cfg = exact_cfg();
   const DepMap serial = run_serial(t, cfg);
 
   cfg.workers = 4;
@@ -279,7 +274,7 @@ TEST(ParallelProfiler, LoadBalancerRespectsMaxRounds) {
   p.accesses = 100'000;
   p.distinct = 500;
   const Trace t = gen_zipf(p, 1.5);
-  ProfilerConfig cfg = perfect_cfg();
+  ProfilerConfig cfg = exact_cfg();
   cfg.workers = 4;
   cfg.chunk_size = 16;
   cfg.load_balance.enabled = true;
@@ -297,7 +292,7 @@ TEST(ParallelProfiler, StatsAccountAllEvents) {
   GenParams p;
   p.accesses = 10'000;
   const Trace t = gen_uniform(p);
-  ProfilerConfig cfg = perfect_cfg();
+  ProfilerConfig cfg = exact_cfg();
   cfg.workers = 4;
   auto prof = make_parallel_profiler(cfg);
   replay(t, *prof);
@@ -315,7 +310,7 @@ TEST(SerialProfiler, DetectKernelCountersTrack) {
   p.accesses = 5'000;
   p.distinct = 200;
   const Trace t = gen_uniform(p);
-  auto prof = make_serial_profiler(perfect_cfg());
+  auto prof = make_serial_profiler(exact_cfg());
   replay(t, *prof);
   const ProfilerStats st = prof->stats();
   const obs::StageSnapshot* d = st.stages.find("detect[0]");
@@ -343,7 +338,7 @@ TEST(Profilers, DetectCountsEveryAccessOfAnRleStreamOnce) {
   ASSERT_EQ(rle.logical_events(), events.size());
   ASSERT_LT(rle.events.size() * 2, events.size());
   for (const bool parallel : {false, true}) {
-    ProfilerConfig cfg = perfect_cfg();
+    ProfilerConfig cfg = exact_cfg();
     cfg.workers = 3;
     auto prof = parallel ? make_parallel_profiler(cfg)
                          : make_serial_profiler(cfg);
@@ -362,7 +357,7 @@ TEST(Profilers, DetectCountsEveryAccessOfAnRleStreamOnce) {
 }
 
 TEST(ParallelProfiler, FinishIsIdempotent) {
-  ProfilerConfig cfg = perfect_cfg();
+  ProfilerConfig cfg = exact_cfg();
   cfg.workers = 2;
   auto prof = make_parallel_profiler(cfg);
   AccessEvent e;
@@ -376,7 +371,7 @@ TEST(ParallelProfiler, FinishIsIdempotent) {
 }
 
 TEST(ParallelProfiler, DestructionWithoutFinishIsSafe) {
-  ProfilerConfig cfg = perfect_cfg();
+  ProfilerConfig cfg = exact_cfg();
   cfg.workers = 4;
   auto prof = make_parallel_profiler(cfg);
   AccessEvent e;
@@ -465,9 +460,6 @@ INSTANTIATE_TEST_SUITE_P(
         BackendQueueCase{StorageKind::kSignature, QueueKind::kLockFreeSpsc},
         BackendQueueCase{StorageKind::kSignature, QueueKind::kLockFreeMpmc},
         BackendQueueCase{StorageKind::kSignature, QueueKind::kMutex},
-        BackendQueueCase{StorageKind::kPerfect, QueueKind::kLockFreeSpsc},
-        BackendQueueCase{StorageKind::kPerfect, QueueKind::kLockFreeMpmc},
-        BackendQueueCase{StorageKind::kPerfect, QueueKind::kMutex},
         BackendQueueCase{StorageKind::kShadow, QueueKind::kLockFreeSpsc},
         BackendQueueCase{StorageKind::kShadow, QueueKind::kLockFreeMpmc},
         BackendQueueCase{StorageKind::kShadow, QueueKind::kMutex},
@@ -532,7 +524,6 @@ TEST_P(SamplingEquivalence, SubsetContractAndSerialParallelIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SamplingEquivalence,
                          ::testing::Values(StorageKind::kSignature,
-                                           StorageKind::kPerfect,
                                            StorageKind::kShadow,
                                            StorageKind::kHashTable,
                                            StorageKind::kPacked));

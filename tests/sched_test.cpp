@@ -33,7 +33,7 @@ Trace small_trace() {
 
 ProfilerConfig sched_cfg(unsigned workers) {
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.workers = workers;
   cfg.chunk_size = 16;
   return cfg;

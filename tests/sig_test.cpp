@@ -1,6 +1,6 @@
 // Unit and property tests for the signature substrate: fixed-size
-// signature, perfect signature, shadow memory, hash-table recorder, and the
-// formula-2 FPR model.
+// signature, shadow memory, packed paged shadow store, hash-table recorder,
+// and the formula-2 FPR model.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "sig/fpr_model.hpp"
 #include "sig/hash_table_recorder.hpp"
 #include "sig/packed_shadow_store.hpp"
-#include "sig/perfect_signature.hpp"
 #include "sig/shadow_memory.hpp"
 #include "sig/signature.hpp"
 #include "sig/slots.hpp"
@@ -174,36 +173,6 @@ TEST_P(SignatureHashProperty, OccupancyNeverExceedsInsertions) {
 
 INSTANTIATE_TEST_SUITE_P(BothHashes, SignatureHashProperty,
                          ::testing::Values(SigHash::kModulo, SigHash::kMix));
-
-// -------------------------------------------------------- PerfectSignature
-
-TEST(PerfectSignature, NeverCollides) {
-  PerfectSignature<SeqSlot> sig;
-  sig.insert(5, slot_at(10));
-  EXPECT_EQ(sig.find(5 + 128), nullptr);
-  EXPECT_EQ(sig.find(5 + (1u << 20)), nullptr);
-  ASSERT_NE(sig.find(5), nullptr);
-}
-
-TEST(PerfectSignature, RemoveIsExact) {
-  PerfectSignature<SeqSlot> sig;
-  sig.insert(5, slot_at(10));
-  sig.insert(6, slot_at(11));
-  sig.remove(5);
-  EXPECT_EQ(sig.find(5), nullptr);
-  ASSERT_NE(sig.find(6), nullptr);
-  EXPECT_EQ(sig.occupied(), 1u);
-}
-
-TEST(PerfectSignature, ExtractAndBytesGrowWithContent) {
-  PerfectSignature<SeqSlot> sig;
-  EXPECT_EQ(sig.bytes(), 0u);
-  sig.insert(1, slot_at(1));
-  EXPECT_GT(sig.bytes(), 0u);
-  auto st = sig.extract(1);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(sig.bytes(), 0u);
-}
 
 // ------------------------------------------------------------ ShadowMemory
 
@@ -515,8 +484,9 @@ TEST(PackedShadowStore, PagesAllocatedOnTouchOnly) {
 }
 
 TEST(PackedShadowStore, TeardownReleasesEveryByte) {
-  // Page-table teardown must return every charged byte: clear() keeps only
-  // the (re-zeroed) root directory, destruction releases that too.
+  // Page-table teardown must return every charged byte: an unarmed store's
+  // clear() keeps only the (re-zeroed) root directory, destruction releases
+  // that too.
   const std::int64_t base = MemStats::instance().bytes(MemComponent::kStore);
   std::int64_t after_clear = 0;
   {
@@ -536,6 +506,66 @@ TEST(PackedShadowStore, TeardownReleasesEveryByte) {
     // The store stays usable after a reset (burst-mark semantics).
     store.insert(42, slot_at(10));
     ASSERT_NE(store.find(42), nullptr);
+  }
+  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kStore), base);
+}
+
+TEST(PackedShadowStore, LoggedClearZeroesWhatTheBurstWroteAndKeepsPages) {
+  // An armed store's clear() zeroes only the words made resident since the
+  // last one: pages and their MemStats charge stay, and every earlier word
+  // reads absent with no live token.  Teardown still returns every byte.
+  const std::int64_t base = MemStats::instance().bytes(MemComponent::kStore);
+  {
+    PackedSeq store(/*sampled=*/true);
+    std::vector<std::uint64_t> addrs;
+    for (std::uint64_t i = 0; i < 150; ++i)
+      addrs.push_back((i % 3) * PackedSeq::kPageWords + i * 977);
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      SeqSlot s = slot_at(static_cast<std::uint32_t>(10 + i));
+      s.ctx = static_cast<std::uint32_t>(i % 7);
+      store.insert(addrs[i], s);
+    }
+    store.insert(addrs[0], slot_at(99));  // overwrite: nothing new to log
+    store.remove(addrs[1]);
+    store.insert(addrs[1], slot_at(98));  // resident again: logged twice
+    const std::int64_t charged =
+        MemStats::instance().bytes(MemComponent::kStore);
+    ASSERT_EQ(store.page_count(), 3u);
+    store.clear();
+    EXPECT_EQ(store.page_count(), 3u);
+    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kStore), charged);
+    EXPECT_EQ(store.occupied(), 0u);
+    EXPECT_EQ(store.interned_snapshots(), 0u);
+    for (const std::uint64_t a : addrs) EXPECT_EQ(store.find(a), nullptr) << a;
+    store.insert(addrs[2], slot_at(7));
+    ASSERT_NE(store.find(addrs[2]), nullptr);
+    EXPECT_EQ(store.find(addrs[2])->location().line(), 7u);
+  }
+  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kStore), base);
+}
+
+TEST(PackedShadowStore, LogOverflowMakesClearReleaseEveryPage) {
+  // The first clear() of an unarmed store, and any clear() after more than
+  // kLogCap new words, releases every page; only the root directory and the
+  // log stay charged, and the re-armed log covers the next burst.
+  const std::int64_t base = MemStats::instance().bytes(MemComponent::kStore);
+  {
+    PackedSeq store;
+    const std::int64_t rooted =
+        MemStats::instance().bytes(MemComponent::kStore);
+    store.clear();
+    for (std::uint64_t i = 0; i <= PackedSeq::kLogCap; ++i)
+      store.insert(i * 3, slot_at(1));
+    store.clear();
+    EXPECT_EQ(store.page_count(), 0u);
+    EXPECT_EQ(store.find(3), nullptr);
+    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kStore),
+              rooted + static_cast<std::int64_t>(PackedSeq::kLogCap *
+                                                 sizeof(std::uint64_t*)));
+    store.insert(5, slot_at(2));
+    store.clear();
+    EXPECT_EQ(store.page_count(), 1u);
+    EXPECT_EQ(store.find(5), nullptr);
   }
   EXPECT_EQ(MemStats::instance().bytes(MemComponent::kStore), base);
 }

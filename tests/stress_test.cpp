@@ -85,7 +85,7 @@ TEST(ParallelStress, ConcurrentProducersHighTidsTinyQueues) {
   }
 
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.mt_targets = true;
   auto serial = make_serial_profiler(cfg);
   replay(serial_trace, *serial);
@@ -130,7 +130,7 @@ TEST(ParallelStress, MigrationsUnderTinyQueuesPreserveDeps) {
   const Trace t = gen_zipf(p, 1.4);
 
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   const DepMap serial = [&] {
     auto s = make_serial_profiler(cfg);
     replay(t, *s);
@@ -164,7 +164,7 @@ TEST(ParallelStress, MigrationsUnderTinyQueuesPreserveDeps) {
 TEST(ParallelStress, ShutdownWakesParkedWorkers) {
   for (int round = 0; round < 4; ++round) {
     ProfilerConfig cfg;
-    cfg.storage = StorageKind::kPerfect;
+    cfg.storage = StorageKind::kPacked;
     cfg.workers = 4;
     cfg.wait = WaitKind::kPark;
     auto prof = make_parallel_profiler(cfg);
@@ -187,7 +187,7 @@ TEST(ParallelStress, ShutdownWakesParkedWorkers) {
 // starved).
 TEST(ParallelStress, BackpressureCountersReflectBlocking) {
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   cfg.workers = 2;
   cfg.chunk_size = 1;
   cfg.queue_capacity = 1;
@@ -232,7 +232,7 @@ TEST(ParallelStress, UndersizedSealedPoolIsClampedNotDeadlocked) {
   const Trace t = gen_uniform(p);
 
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   const DepMap serial = [&] {
     auto s = make_serial_profiler(cfg);
     replay(t, *s);

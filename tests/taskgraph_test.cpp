@@ -86,7 +86,7 @@ TEST(TaskGraphRaces, InjectedRacesAllConfirmedByName) {
   ASSERT_NE(w, nullptr);
   ASSERT_EQ(w->races.size(), workloads::taskgraph::kRaceSites);
 
-  const RunMeasurement m = profile_workload(*w, races_cfg(StorageKind::kPerfect),
+  const RunMeasurement m = profile_workload(*w, races_cfg(StorageKind::kPacked),
                                             mt_opts(2));
   const RaceReport report = find_races(m.deps);
   const auto vars = confirmed_vars(report);
@@ -104,7 +104,7 @@ TEST(TaskGraphRaces, RaceFreeVariantConfirmsNothing) {
   ASSERT_NE(w, nullptr);
   EXPECT_TRUE(w->races.empty());
 
-  const RunMeasurement m = profile_workload(*w, races_cfg(StorageKind::kPerfect),
+  const RunMeasurement m = profile_workload(*w, races_cfg(StorageKind::kPacked),
                                             mt_opts(4));
   const RaceReport report = find_races(m.deps);
   EXPECT_EQ(report.confirmed_count(), 0u);
@@ -127,7 +127,7 @@ TEST(TaskGraphRaces, PerSiteInjectionMatrixDoesNotCrossContaminate) {
     };
 
     const RunMeasurement m =
-        profile_workload(single, races_cfg(StorageKind::kPerfect), mt_opts(2));
+        profile_workload(single, races_cfg(StorageKind::kPacked), mt_opts(2));
     const auto vars = confirmed_vars(find_races(m.deps));
     for (unsigned other = 0; other < kRaceSites; ++other) {
       EXPECT_EQ(vars.count(race_var_name(other)), other == site ? 1u : 0u)
@@ -139,7 +139,7 @@ TEST(TaskGraphRaces, PerSiteInjectionMatrixDoesNotCrossContaminate) {
 TEST(TaskGraphRaces, SnapshotCountersAgreeWithReport) {
   const Workload* w = find_workload("taskgraph-racy");
   ASSERT_NE(w, nullptr);
-  const RunMeasurement m = profile_workload(*w, races_cfg(StorageKind::kPerfect),
+  const RunMeasurement m = profile_workload(*w, races_cfg(StorageKind::kPacked),
                                             mt_opts(2));
   const RaceReport report = find_races(m.deps);
   EXPECT_EQ(stage_sum(m.stats, &obs::StageSnapshot::races_confirmed),
@@ -163,9 +163,8 @@ TEST(TaskGraphRaces, SerialAndParallelReportsIdenticalAcrossBackendsAndQueues) {
   ASSERT_GT(trace.size(), 0u);
   ASSERT_LE(densify_units(trace), races_cfg(StorageKind::kSignature).slots);
 
-  const StorageKind backends[] = {StorageKind::kSignature, StorageKind::kPerfect,
-                                  StorageKind::kShadow, StorageKind::kHashTable,
-                                  StorageKind::kPacked};
+  const StorageKind backends[] = {StorageKind::kSignature, StorageKind::kShadow,
+                                  StorageKind::kHashTable, StorageKind::kPacked};
   const QueueKind queues[] = {QueueKind::kLockFreeSpsc, QueueKind::kLockFreeMpmc,
                               QueueKind::kMutex};
   for (StorageKind backend : backends) {
@@ -175,7 +174,7 @@ TEST(TaskGraphRaces, SerialAndParallelReportsIdenticalAcrossBackendsAndQueues) {
     replay(trace, *serial);
     const std::string ref =
         format_race_report(find_races(serial->dependences(), true));
-    if (backend == StorageKind::kPerfect) {
+    if (backend == StorageKind::kPacked) {
       const auto vars = confirmed_vars(find_races(serial->dependences()));
       for (const char* name : w->races) EXPECT_EQ(vars.count(name), 1u) << name;
     }
@@ -193,7 +192,7 @@ TEST(TaskGraphRaces, SerialAndParallelReportsIdenticalAcrossBackendsAndQueues) {
 }
 
 TEST(TaskGraphRaces, FactoriesRejectRacesWithSampling) {
-  ProfilerConfig cfg = races_cfg(StorageKind::kPerfect);
+  ProfilerConfig cfg = races_cfg(StorageKind::kPacked);
   cfg.budget = 0.5;
   EXPECT_EQ(make_serial_profiler(cfg), nullptr);
   EXPECT_EQ(make_parallel_profiler(cfg), nullptr);

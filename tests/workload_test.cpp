@@ -70,7 +70,7 @@ TEST_P(WorkloadParam, InstrumentedLoopCountMatchesGroundTruth) {
   RunOptions opts;
   opts.native_reps = 1;
   ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
+  cfg.storage = StorageKind::kPacked;
   const RunMeasurement m = profile_workload(*w, cfg, opts);
   EXPECT_EQ(m.control_flow.loops.size(), w->loops.size())
       << w->name << ": LoopTruth entries must match instrumented loops";

@@ -8,7 +8,7 @@
 // mismatch the ddmin shrinker minimizes the (trace, config) pair and, with
 // --corpus, writes a replayable repro for tests/corpus/.
 //
-//   depfuzz --smoke [--corpus DIR]       deterministic PR-gate lattice (~60 cases)
+//   depfuzz --smoke [--corpus DIR]       deterministic PR-gate lattice (~50 cases)
 //   depfuzz --deep [--runs N] [--seconds S] [--seed S] [--corpus DIR]
 //                                        randomized nightly sweep
 //   depfuzz --schedules [--runs N] [--seed S] [--corpus DIR]
@@ -72,7 +72,6 @@ struct StoragePoint {
 constexpr StoragePoint kStorages[] = {
     {"sig-exact", StorageKind::kSignature, 1u << 18, SigHash::kModulo},
     {"sig-bounded", StorageKind::kSignature, 1u << 14, SigHash::kMix},
-    {"perfect", StorageKind::kPerfect, 1u << 18, SigHash::kModulo},
     {"shadow", StorageKind::kShadow, 1u << 18, SigHash::kModulo},
     {"hashtable", StorageKind::kHashTable, 1u << 18, SigHash::kModulo},
     {"packed", StorageKind::kPacked, 1u << 18, SigHash::kModulo},
@@ -295,7 +294,7 @@ FuzzCase random_case(Rng& rng, std::uint64_t seq) {
 }
 
 /// Deterministic-schedule lattice: queue x wait at 2 and 8 workers, one case
-/// per point, exact-expectation storages only (sig-exact / perfect
+/// per point, exact-expectation storages only (sig-exact / packed
 /// alternate) so any schedule-dependent divergence is a hard byte-level
 /// failure, with the exploration seed and algorithm varied per case.
 /// `extra` appends that many additional seeds on the flake-shaped point —
@@ -310,7 +309,7 @@ std::vector<FuzzCase> schedule_cases(std::uint64_t seed, std::size_t extra) {
   std::size_t idx = 0;
   auto make = [&](unsigned workers, QueueKind queue, WaitKind wait,
                   std::uint64_t case_seed) {
-    const StoragePoint& sp = kStorages[idx % 2 == 0 ? 0 : 2];
+    const StoragePoint& sp = kStorages[idx % 2 == 0 ? 0 : 4];
     FuzzCase c;
     c.cfg.storage = sp.storage;
     c.cfg.slots = sp.slots;

@@ -14,7 +14,7 @@
 //                        / serial), text by default
 //
 // Options:
-//   --storage signature|perfect|shadow|hashtable|packed
+//   --storage signature|shadow|hashtable|packed
 //                        (default signature; packed = SLAMP-style paged
 //                        shadow memory with packed 64-bit words — exact,
 //                        memory proportional to touched pages)
@@ -144,8 +144,6 @@ bool parse(int argc, char** argv, int start, CliOptions& out) {
       if (v == nullptr) return false;
       if (std::strcmp(v, "signature") == 0)
         out.cfg.storage = StorageKind::kSignature;
-      else if (std::strcmp(v, "perfect") == 0)
-        out.cfg.storage = StorageKind::kPerfect;
       else if (std::strcmp(v, "shadow") == 0)
         out.cfg.storage = StorageKind::kShadow;
       else if (std::strcmp(v, "hashtable") == 0)
@@ -311,12 +309,7 @@ bool profile_workload(const Workload& w, const CliOptions& opts,
     std::fprintf(stderr, "storage kind not supported by this pipeline\n");
     return false;
   }
-  SamplingConfig sampling;
-  sampling.budget = cfg.budget;
-  sampling.burst = cfg.sampling_burst;
-  sampling.skip = cfg.sampling_skip;
-  Runtime::instance().attach(profiler.get(), cfg.mt_targets, cfg.dedup,
-                             sampling);
+  attach_runtime(*profiler, cfg);
   if (opts.mt_threads > 0 && w.run_parallel)
     (void)w.run_parallel(opts.scale, opts.mt_threads);
   else

@@ -25,14 +25,14 @@ fail() { echo "tsan_crosscheck: FAIL: $*" >&2; exit 1; }
 # (stderr dropped: TSan rightly reports the workload's intentional races
 # during the profiling run itself, which is noise here.)
 json=$(TSAN_OPTIONS="exitcode=0" "$DEPPROF" run taskgraph-racy --races \
-       --mt-threads 2 --storage perfect --format json 2>/dev/null) \
+       --mt-threads 2 --storage packed --format json 2>/dev/null) \
   || fail "depprof run on taskgraph-racy did not exit cleanly"
 for var in race0 race1 race2; do
   echo "$json" | grep -q "\"var\": \"$var\".*\"confirmed\": true" \
     || fail "depprof did not confirm injected race '$var'"
 done
 clean=$(TSAN_OPTIONS="exitcode=0" "$DEPPROF" run taskgraph --races \
-        --mt-threads 2 --storage perfect 2>/dev/null) \
+        --mt-threads 2 --storage packed 2>/dev/null) \
   || fail "depprof run on taskgraph did not exit cleanly"
 echo "$clean" | grep -q "0 confirmed" \
   || fail "depprof confirmed a race on the race-free DAG"
