@@ -16,6 +16,7 @@
 #include "core/profiler.hpp"
 #include "obs/bench_report.hpp"
 #include "trace/generators.hpp"
+#include "trace/trace.hpp"
 
 using namespace depprof;
 
@@ -83,9 +84,10 @@ void redistribution(obs::BenchReport& report) {
     cfg.load_balance.eval_interval_chunks = 2'000;
     cfg.load_balance.top_k = 10;
 
+    // Delivered in 256-event batches, as a live run flushes them: each
+    // becomes four 64-record chunks.
     auto profiler = make_parallel_profiler(cfg);
-    for (const auto& ev : trace.events) profiler->on_access(ev);
-    profiler->finish();
+    replay(trace, *profiler);
     const ProfilerStats st = profiler->stats();
 
     StatAccumulator events;

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "core/chunk.hpp"
 #include "harness/runner.hpp"
 #include "obs/bench_report.hpp"
 #include "queue/queues.hpp"
@@ -96,7 +97,7 @@ void end_to_end(obs::BenchReport& report) {
               w->name.c_str());
   std::printf("  %-10s %-12s %-15s %s\n", "chunk", "mutex", "lock-free-spsc",
               "mutex/lock-free");
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{16}, std::size_t{512}}) {
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{16}, Chunk::kCapacity}) {
     double sim[2] = {};
     int idx = 0;
     for (QueueKind kind : {QueueKind::kMutex, QueueKind::kLockFreeSpsc}) {

@@ -9,25 +9,27 @@
 // array TLB-resident, which is what makes the detect kernel's slot
 // prefetches effective (see DESIGN.md, "Batched detect kernel").
 //
-// Allocations below kHugeThreshold, or on platforms without mmap/madvise,
-// fall back to operator new — behaviour is identical either way.  An mmap
-// that *fails* at runtime (strict vm.overcommit, locked-down CI container,
-// exhausted map count) also degrades to operator new instead of aborting
-// the profile: the fall-back is counted (fallback_count feeds the
+// Every block is an anonymous mmap, whose pages the kernel zeroes on first
+// touch; only blocks of kHugeThreshold or more are advised onto huge pages.
+// A small block therefore costs one syscall and its touched pages, not a
+// memset of every byte in the caller's malloc arena: the packed store's
+// 256-768 KiB directories are mostly never written.  Platforms without
+// mmap/madvise use operator new — behaviour is identical either way.  An
+// mmap that *fails* at runtime (strict vm.overcommit, locked-down CI
+// container, exhausted map count) also degrades to operator new instead of
+// aborting the profile: the fall-back is counted (fallback_count feeds the
 // hugepage_fallbacks obs counter) and the pointer is remembered so free()
 // releases it through the matching deallocator.
 //
-// Zeroing contract: huge-eligible allocations (bytes >= kHugeThreshold) are
-// returned zero-filled on every path — anonymous mmap pages are zeroed by
-// the kernel on first touch, and the fall-back memsets to match.
-// Sub-threshold operator new allocations are NOT zeroed; callers that need
-// zeroed memory at every size use alloc_zeroed(), and return a block to all
-// zeros with zero(), which hands mmap-backed pages back to the kernel
-// instead of rewriting them.  Two users rely on the contract: the packed
-// store's directories and leaves (a zero word is an absent entry) and the
-// fixed-size signature's slot array (an all-zero Slot is an empty slot),
-// which is never constructed — each of its pages is zeroed once, by the
-// kernel, on the thread that first writes it.
+// Zeroing contract: every block is returned zero-filled on every path —
+// anonymous mmap pages are zeroed by the kernel on first touch, and the
+// fall-back memsets to match — and zero() returns a block to all zeros,
+// handing mmap-backed pages back to the kernel instead of rewriting them.
+// Two users rely on the contract: the packed store's directories and
+// leaves (a zero word is an absent entry) and the fixed-size signature's
+// slot array (an all-zero Slot is an empty slot), which is never
+// constructed — each of its pages is zeroed once, by the kernel, on the
+// thread that first writes it.
 
 #include <atomic>
 #include <cstddef>
@@ -59,10 +61,10 @@ inline std::atomic<bool>& force_fallback_flag() {
   return force;
 }
 
-/// Huge-eligible blocks that came from operator new instead of mmap, so
-/// free() can pick the matching deallocator.  Mutex-guarded: entries only
-/// exist after an mmap failure (or under the test hook), never on the
-/// steady-state path.
+/// Blocks that came from operator new instead of mmap, so free() can pick
+/// the matching deallocator.  Mutex-guarded: the lock is taken by free()
+/// and zero(), never per access, and entries exist only after an mmap
+/// failure (or under the test hook).
 struct FallbackRegistry {
   std::mutex mu;
   std::unordered_set<void*> blocks;
@@ -96,9 +98,9 @@ inline void* alloc_fallback(std::size_t bytes) {
 
 }  // namespace detail
 
-/// Huge-eligible allocations that degraded to operator new since process
-/// start (monotone; drivers publish the per-run delta as the
-/// hugepage_fallbacks obs counter).
+/// Allocations that degraded to operator new since process start
+/// (monotone; drivers publish the per-run delta as the hugepage_fallbacks
+/// obs counter).
 inline std::uint64_t fallback_count() {
   return detail::fallback_counter().load(std::memory_order_relaxed);
 }
@@ -110,24 +112,21 @@ inline void set_force_fallback(bool on) {
 }
 
 #if defined(__linux__)
+/// Allocates a zero-filled block of `bytes`; release it with free().
 inline void* alloc(std::size_t bytes) {
-  if (bytes < kHugeThreshold) return ::operator new(bytes);
   if (detail::force_fallback_flag().load(std::memory_order_relaxed))
     return detail::alloc_fallback(bytes);
   void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) return detail::alloc_fallback(bytes);
 #if defined(MADV_HUGEPAGE)
-  (void)::madvise(p, bytes, MADV_HUGEPAGE);  // advisory; 4K pages still work
+  if (bytes >= kHugeThreshold)
+    (void)::madvise(p, bytes, MADV_HUGEPAGE);  // advisory; 4K pages still work
 #endif
   return p;
 }
 
 inline void free(void* p, std::size_t bytes) {
-  if (bytes < kHugeThreshold) {
-    ::operator delete(p);
-    return;
-  }
   if (detail::FallbackRegistry::instance().erase(p)) {
     ::operator delete(p);
     return;
@@ -135,35 +134,22 @@ inline void free(void* p, std::size_t bytes) {
   ::munmap(p, bytes);
 }
 #else
-inline void* alloc(std::size_t bytes) {
-  if (bytes < kHugeThreshold) return ::operator new(bytes);
-  return detail::alloc_fallback(bytes);
-}
+inline void* alloc(std::size_t bytes) { return detail::alloc_fallback(bytes); }
 inline void free(void* p, std::size_t bytes) {
-  if (bytes >= kHugeThreshold)
-    (void)detail::FallbackRegistry::instance().erase(p);
+  (void)bytes;
+  (void)detail::FallbackRegistry::instance().erase(p);
   ::operator delete(p);
 }
 #endif
 
-/// alloc() with a zero-fill guarantee at every size — page-table directories
-/// (PackedShadowStore) and signature slot arrays are read before ever being
-/// written.
-inline void* alloc_zeroed(std::size_t bytes) {
-  void* p = alloc(bytes);
-  if (bytes < kHugeThreshold) std::memset(p, 0, bytes);
-  return p;
-}
-
-/// Returns a block from alloc()/alloc_zeroed() to all-zero bytes.  An
-/// mmap-backed block drops its pages (MADV_DONTNEED), so the cost is one
-/// syscall plus a kernel zero-fill of each page written again.
-/// Sub-threshold and fall-back blocks are heap memory whose first and last
-/// pages may hold other objects, so they are memset.
+/// Returns a block from alloc() to all-zero bytes.  An mmap-backed block
+/// drops its pages (MADV_DONTNEED), so the cost is one syscall plus a
+/// kernel zero-fill of each page written again.  Fall-back blocks are heap
+/// memory whose first and last pages may hold other objects, so they are
+/// memset.
 inline void zero(void* p, std::size_t bytes) {
 #if defined(__linux__)
-  if (bytes >= kHugeThreshold &&
-      !detail::FallbackRegistry::instance().contains(p) &&
+  if (!detail::FallbackRegistry::instance().contains(p) &&
       ::madvise(p, bytes, MADV_DONTNEED) == 0)
     return;
 #endif

@@ -6,6 +6,15 @@
 // queue of the thread responsible for the accesses recorded in it. ...
 // Empty chunks are recycled and can be reused."
 //
+// A data chunk holds (part of) one delivered batch: its events in program
+// order, their dedup run lengths, and each record's owner, the worker that
+// formula 1 or the load balancer routed it to.  The producer routes the
+// batch once and pushes the chunk to every worker that owns a record in it,
+// and to every worker when it holds a burst mark.  Each of those workers
+// keeps the records it owns; the last one to finish releases the chunk.
+// Every address still has exactly one owner, whose FIFO delivers its
+// accesses in program order.
+//
 // Besides data, chunks carry in-band pipeline commands: the stop sentinel
 // and the two halves of the signature-state migration protocol used by the
 // load balancer (Sec. IV-A).  Commands ride the same FIFO as data, which is
@@ -13,15 +22,18 @@
 // access the old owner had already been handed, and an ADOPT is processed
 // before any access routed to the new owner afterwards.
 //
-// Ownership/epoch invariant (ISSUE 7): every chunk carries its current
-// owner (pool / producer / queued-to-worker-w / worker-w) and a generation
-// tag bumped per recycle.  Each hand-off validates the transition with a
-// single atomic exchange, so a double pop, a wrong-worker delivery, or a
-// stale recycle fires sched::note_violation immediately — the oracle
-// harness fails any case whose run bumped that counter.
+// Ownership invariant: every chunk carries its state (pool / producer /
+// published), the set of workers it was pushed to that have not popped it
+// yet, the count of consumers that have not finished with it, and a
+// generation tag bumped per recycle.  A pop by a worker outside the set (one
+// that owns no record of the chunk, or pops it a second time), a pop of a
+// chunk that is not published, and a release before the last consumer
+// finished each fire sched::note_violation immediately — the oracle harness
+// fails any case whose run bumped that counter.
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -34,6 +46,7 @@
 #include "queue/wait_strategy.hpp"
 #include "sched/sched.hpp"
 #include "trace/event.hpp"
+#include "trace/event_buffer.hpp"
 
 namespace depprof {
 
@@ -45,27 +58,53 @@ struct Chunk {
     kAdopt = 3,       ///< new owner: adopt state for `addr` from mailbox `payload`
   };
 
-  /// Compile-time capacity; ProfilerConfig::chunk_size (<= this) sets the
-  /// effective fill level.
-  static constexpr std::size_t kCapacity = 1024;
+  /// Records per chunk: one delivered batch.  ProfilerConfig::chunk_size
+  /// (<= this) sets the effective fill level; a smaller one splits a batch.
+  static constexpr std::size_t kCapacity = EventBuffer::kCapacity;
 
-  // Owner encodings for the hand-off invariant.  The low 16 bits carry the
-  // worker index for the queued/worker states.
+  // Hand-off states of the ownership invariant.
   static constexpr std::uint32_t kOwnerPool = 0;
   static constexpr std::uint32_t kOwnerProducer = 1;
-  static constexpr std::uint32_t kOwnerQueued = 0x10000;
-  static constexpr std::uint32_t kOwnerWorker = 0x20000;
+  static constexpr std::uint32_t kOwnerPublished = 2;
+
+  // Cache-line alignment from a plain allocation: the pool builds hundreds
+  // of chunks before the target runs, and the allocator's aligned path
+  // costs more per call.  The raw block's address sits just below the
+  // chunk.
+  static void* operator new(std::size_t bytes) {
+    void* raw = ::operator new(bytes + alignof(Chunk));
+    const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(raw);
+    void* chunk = reinterpret_cast<void*>((base + alignof(Chunk)) &
+                                          ~std::uintptr_t{alignof(Chunk) - 1});
+    static_cast<void**>(chunk)[-1] = raw;
+    return chunk;
+  }
+  static void operator delete(void* chunk) {
+    ::operator delete(static_cast<void**>(chunk)[-1]);
+  }
 
   Kind kind = Kind::kData;
-  std::uint32_t count = 0;    ///< events carried
+  std::uint32_t count = 0;    ///< records carried
   std::uint32_t payload = 0;  ///< migration mailbox index
-  std::uint64_t addr = 0;     ///< migrated word unit
-  /// Hand-off invariant state: current owner + recycle generation.
+  bool marks = false;         ///< carries a burst mark (goes to every worker)
+  bool runs = false;          ///< reps holds the batch's dedup run lengths
+  /// Hand-off invariant state and recycle generation.
   std::atomic<std::uint32_t> owner{kOwnerPool};
+  std::uint64_t addr = 0;     ///< migrated word unit
   std::atomic<std::uint32_t> gen{0};
+  /// Targets that have not finished with the chunk.
+  std::atomic<std::uint32_t> pending{0};
+  /// Targets that have not popped the chunk yet, a bit per worker.
+  std::atomic<std::uint64_t> targets{0};
 
-  /// The carried events, as delivered (byte addresses).  Only the first
-  /// `count` are ever written or read.
+  // Only the first `count` entries of each array are ever written or read.
+  /// Dedup run length of each record; valid when `runs` is set (a batch
+  /// without runs is all 1s and leaves the array unwritten).
+  std::uint32_t reps[kCapacity];
+  /// The worker each record is routed to.
+  std::uint8_t owners[kCapacity];
+
+  /// The carried records, as delivered (byte addresses).
   AccessEvent* data() {
     return std::launder(reinterpret_cast<AccessEvent*>(events_));
   }
@@ -75,19 +114,22 @@ struct Chunk {
 
  private:
   // Raw storage rather than AccessEvent[]: AccessEvent has default member
-  // initializers, so an array of it would be zero-filled (64 KiB) by every
+  // initializers, so an array of it would be zero-filled by every
   // `new Chunk`, and the pool builds hundreds of chunks before the target
   // runs.  AccessEvent is an implicit-lifetime type, so the bytes become
-  // events as the producer copies them in.
+  // events as the producer copies them in.  Each event fills one cache line.
   static_assert(std::is_trivially_copyable_v<AccessEvent> &&
                 std::is_trivially_destructible_v<AccessEvent>);
-  alignas(AccessEvent) unsigned char events_[kCapacity * sizeof(AccessEvent)];
+  alignas(64) unsigned char events_[kCapacity * sizeof(AccessEvent)];
 };
 
 // Pinned: sizeof(Chunk) is what MemStats charges per chunk, and the pool's
 // allocations of it shape the target's heap, which the committed schedule
 // in tests/corpus replays against.
-static_assert(sizeof(Chunk) == 32 + Chunk::kCapacity * sizeof(AccessEvent));
+static_assert(sizeof(Chunk) ==
+              64 + Chunk::kCapacity * (sizeof(AccessEvent) +
+                                       sizeof(std::uint32_t) +
+                                       sizeof(std::uint8_t)));
 
 /// Validates one ownership hand-off: atomically installs `next` and flags a
 /// violation when the chunk was not in the expected prior state.  Always on
@@ -102,6 +144,37 @@ inline void chunk_handoff(Chunk& c, std::uint32_t expect, std::uint32_t next,
                   prev, expect, c.gen.load(std::memory_order_relaxed));
     sched::note_violation(site, what);
   }
+}
+
+/// Publishes `c` to the workers in `targets`, a bit per worker: arms the
+/// consumer count and hands the chunk from the producer to their queues.
+inline void chunk_publish(Chunk& c, std::uint64_t targets) {
+  c.targets.store(targets, std::memory_order_relaxed);
+  c.pending.store(static_cast<std::uint32_t>(std::popcount(targets)),
+                  std::memory_order_relaxed);
+  chunk_handoff(c, Chunk::kOwnerProducer, Chunk::kOwnerPublished,
+                "queue.push");
+}
+
+/// Worker `w` took `c` off its queue.  A chunk that is not published, or a
+/// worker outside its target set (one that owns no record of it, or pops it
+/// a second time), fires the invariant counter here, before the chunk's
+/// contents can pollute the local signatures.
+inline void chunk_pop(Chunk& c, unsigned w) {
+  const std::uint64_t bit = std::uint64_t{1} << w;
+  const bool target =
+      (c.targets.fetch_and(~bit, std::memory_order_relaxed) & bit) != 0;
+  const std::uint32_t state = c.owner.load(std::memory_order_acquire);
+  if (target && state == Chunk::kOwnerPublished) return;
+  char what[96];
+  std::snprintf(what, sizeof(what), "worker=%u owner=0x%x gen=%u", w, state,
+                c.gen.load(std::memory_order_relaxed));
+  sched::note_violation("queue.pop", what);
+}
+
+/// A consumer is done with `c`.  True for the last one, which releases it.
+inline bool chunk_done(Chunk& c) {
+  return c.pending.fetch_sub(1, std::memory_order_acq_rel) == 1;
 }
 
 /// Lock-free recycling pool of chunks.  Workers release consumed chunks;
@@ -129,7 +202,7 @@ inline void chunk_handoff(Chunk& c, std::uint32_t expect, std::uint32_t next,
 /// steady-state acquire/release recycle path.
 class ChunkPool {
  public:
-  /// Default retention cap: 256 idle chunks = 16 MiB of chunk storage.
+  /// Default retention cap: 256 idle chunks = 4.3 MiB of chunk storage.
   explicit ChunkPool(std::size_t max_pooled = 256, std::size_t prealloc = 0,
                      bool sealed = false, WaitKind wait = WaitKind::kPark)
       : free_list_(std::max(max_pooled, prealloc)),
@@ -147,7 +220,7 @@ class ChunkPool {
   /// Acquires a recycled chunk.  Sealed pools block for one; unsealed pools
   /// allocate a fresh chunk when the free list is empty.  Every header
   /// field is reset here, so a recycled chunk can never leak a stale kind,
-  /// fill level, or migration addressing into its next use.
+  /// fill level, target set or migration addressing into its next use.
   Chunk* acquire() {
     sched::point("pool.acquire");
     Chunk* c = nullptr;
@@ -172,22 +245,27 @@ class ChunkPool {
     c->kind = Chunk::Kind::kData;
     c->count = 0;
     c->payload = 0;
+    c->marks = false;
+    c->runs = false;
     c->addr = 0;
+    c->pending.store(0, std::memory_order_relaxed);
+    c->targets.store(0, std::memory_order_relaxed);
     return c;
   }
 
   /// Returns a chunk for reuse, or frees it when the pool is at its cap.
-  /// Valid prior owners: a worker (the normal recycle) or a producer (a
-  /// staged chunk returned unsent).
+  /// Valid prior states: published with every consumer finished (the
+  /// normal recycle) or producer-owned (a chunk returned unsent).
   void release(Chunk* c) {
     sched::point("pool.release");
     const std::uint32_t prev =
         c->owner.exchange(Chunk::kOwnerPool, std::memory_order_acq_rel);
+    const std::uint32_t pending = c->pending.load(std::memory_order_relaxed);
     if (prev != Chunk::kOwnerProducer &&
-        (prev & Chunk::kOwnerWorker) == 0) {
+        (prev != Chunk::kOwnerPublished || pending != 0)) {
       char what[96];
-      std::snprintf(what, sizeof(what), "owner=0x%x gen=%u", prev,
-                    c->gen.load(std::memory_order_relaxed));
+      std::snprintf(what, sizeof(what), "owner=0x%x pending=%u gen=%u", prev,
+                    pending, c->gen.load(std::memory_order_relaxed));
       sched::note_violation("pool.release", what);
     }
     if (free_list_.try_push(c)) {

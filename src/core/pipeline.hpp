@@ -3,7 +3,7 @@
 //
 // Both profilers are thin drivers over the same four stages:
 //
-//   produce — batch accesses into chunks (one instance per target thread)
+//   produce — copy each delivered batch into chunks, once
 //   route   — address ownership (formula 1) plus the Sec. IV-A load balancer
 //   detect  — Algorithm 1 per worker (DetectorCore over any AccessStore)
 //   merge   — fold the worker-local dependence maps into the global map
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <new>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -29,73 +30,6 @@
 #include "sig/access_store.hpp"
 
 namespace depprof {
-
-/// Produce stage: stages accesses of one producer thread into per-worker
-/// chunks.  The driver decides when a returned chunk is pushed (queue) or
-/// processed inline (serial).
-class ProduceStage {
- public:
-  ProduceStage(std::size_t workers, ChunkPool& pool)
-      : pending_(workers, nullptr), pool_(&pool) {}
-
-  /// Appends a contiguous run of `n` records, all owned by worker `w`, to
-  /// its pending chunk.  `reps[i]` instances of `events[i]` are staged
-  /// (the front end's RLE runs, expanded here); reps == nullptr means one
-  /// each and is a block copy.  Chunks that reach `fill` events are handed
-  /// to `push(chunk, w)` as the run is copied, so a run longer than the
-  /// remaining chunk room spans several chunks.
-  template <typename Push>
-  void add_run(unsigned w, const AccessEvent* events,
-               const std::uint32_t* reps, std::size_t n, std::size_t fill,
-               Push&& push) {
-    sched::point("produce.stage");
-    Chunk*& pending = pending_[w];
-    const auto hand_on_if_full = [&] {
-      if (pending->count < fill) return;
-      Chunk* full = pending;
-      pending = nullptr;
-      push(full, w);
-    };
-    if (reps == nullptr) {
-      while (n > 0) {
-        if (pending == nullptr) pending = pool_->acquire();
-        const std::size_t room = std::min(n, fill - pending->count);
-        std::copy_n(events, room, pending->data() + pending->count);
-        pending->count += static_cast<std::uint32_t>(room);
-        events += room;
-        n -= room;
-        hand_on_if_full();
-      }
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t rep = reps[i];
-      while (rep > 0) {
-        if (pending == nullptr) pending = pool_->acquire();
-        const std::size_t room = std::min(rep, fill - pending->count);
-        std::fill_n(pending->data() + pending->count, room, events[i]);
-        pending->count += static_cast<std::uint32_t>(room);
-        rep -= room;
-        hand_on_if_full();
-      }
-    }
-  }
-
-  /// Removes and returns the non-empty pending chunk for worker `w`
-  /// (nullptr when nothing is staged) — lock-region and finish() flushes.
-  Chunk* take(unsigned w) {
-    Chunk* c = pending_[w];
-    if (c == nullptr || c->count == 0) return nullptr;
-    pending_[w] = nullptr;
-    return c;
-  }
-
-  std::size_t workers() const { return pending_.size(); }
-
- private:
-  std::vector<Chunk*> pending_;
-  ChunkPool* pool_;
-};
 
 /// A load-balancer decision: ownership of `addr` moves from worker `from`
 /// to worker `to`.  The driver executes the signature-state handoff
@@ -248,13 +182,13 @@ class RouteStage {
   }
 
   /// Routes a whole batch of events (byte addresses, owned by their word
-  /// unit) in one pass — the scatter half of the batched hot path.  The
+  /// unit) in one pass, writing each record's owner into its chunk.  The
   /// override-table check and the routing-function branch are hoisted out
   /// of the loop: while the balancer is inactive (the common case, and
   /// always once max_rounds is exhausted) each event costs exactly one
   /// modulo/mix, no table probe.
   void route_batch(const AccessEvent* events, std::size_t count,
-                   unsigned* dest) const {
+                   std::uint8_t* dest) const {
     if (!overrides_.empty()) {
       for (std::size_t i = 0; i < count; ++i)
         dest[i] = route(word_addr(events[i].addr));
@@ -458,6 +392,47 @@ class RouteStage {
   unsigned rounds_ = 0;
 };
 
+/// A pipeline worker's detect input: the records it keeps from the chunks
+/// it pops, gathered in program order until the kernel runs on them, and
+/// the worker's clocks.  Allocated once per worker, with the pipeline.
+struct alignas(64) OwnedRecords {
+  /// Room for the gathered records; the kernel runs once fewer than one
+  /// chunk's worth is left.
+  static constexpr std::size_t kCapacity = 3 * Chunk::kCapacity;
+
+  /// Time between two readings of the worker's clocks.
+  struct Lap {
+    std::uint64_t wall_ns;
+    std::uint64_t cpu_ns;
+  };
+
+  /// Reads the clocks: returns the time since the previous reading.  The
+  /// worker reads them only when it detects and around its waits, so a
+  /// busy span covers the gathering of every record its kernel run takes.
+  Lap lap() {
+    const std::uint64_t wall = WallTimer::now();
+    const std::uint64_t cpu = ThreadCpuTimer::now();
+    const Lap out{wall - wall0, cpu - cpu0};
+    wall0 = wall;
+    cpu0 = cpu;
+    return out;
+  }
+
+  AccessEvent* events() {
+    return std::launder(reinterpret_cast<AccessEvent*>(events_));
+  }
+
+  std::size_t count = 0;
+  std::uint64_t wall0 = 0;  ///< clocks at the previous lap()
+  std::uint64_t cpu0 = 0;
+  std::uint32_t reps[kCapacity];
+
+ private:
+  // Raw storage, as in Chunk: building the pipeline writes no event, and a
+  // worker's first gather touches its buffer's pages on its own thread.
+  alignas(64) unsigned char events_[kCapacity * sizeof(AccessEvent)];
+};
+
 /// Detect stage: one Algorithm 1 instance (DetectorCore) plus the
 /// worker-local dependence map.  Each call is one chunk/batch of owned
 /// accesses in program order; the tight loop is fully monomorphized.
@@ -488,6 +463,61 @@ class DetectStage {
     }
     stats_->add_events(accesses);
     stats_->add_chunks(1);
+  }
+
+  /// Pipeline worker `w` keeps its share of a published data chunk: the
+  /// records routed to `w`, and every burst mark (a sampling gap cuts every
+  /// worker's stream), appended to `mine` in program order.  A burst mark
+  /// counts as an access only on the worker it was routed to, so produce
+  /// == sum of detect.  The kernel runs on the gathered records, runs
+  /// folded, once `mine` has no room for another chunk; the worker calls
+  /// flush() before it waits or acts on a command chunk.
+  void gather(const Chunk& c, unsigned w, OwnedRecords& mine) {
+    const AccessEvent* events = c.data();
+    const std::uint32_t* reps = c.runs ? c.reps : nullptr;
+    const std::uint8_t* owners = c.owners;
+    // Select the records without a branch per record (ownership is a coin
+    // flip), then copy them.  Only a marked chunk has records `w` keeps
+    // without owning them; other chunks' foreign events are never read.
+    std::uint16_t keep[Chunk::kCapacity];
+    std::size_t k = 0;
+    if (!c.marks) {
+      for (std::size_t i = 0; i < c.count; ++i) {
+        keep[k] = static_cast<std::uint16_t>(i);
+        k += owners[i] == w;
+      }
+    } else {
+      for (std::size_t i = 0; i < c.count; ++i) {
+        keep[k] = static_cast<std::uint16_t>(i);
+        k += owners[i] == w || events[i].is_burst_mark();
+      }
+    }
+    AccessEvent* out = mine.events() + mine.count;
+    std::uint32_t* out_reps = mine.reps + mine.count;
+    std::uint64_t accesses = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t i = keep[j];
+      out[j] = events[i];
+      out_reps[j] = reps != nullptr ? reps[i] : 1;
+      accesses += owners[i] == w ? out_reps[j] : 0;
+    }
+    mine.count += k;
+    stats_->add_events(accesses);
+    stats_->add_chunks(1);
+    if (mine.count > OwnedRecords::kCapacity - Chunk::kCapacity) flush(mine);
+  }
+
+  /// Runs the kernel on the records `mine` gathered and charges the busy
+  /// span that ends here to the stage clocks.
+  void flush(OwnedRecords& mine) {
+    if (mine.count != 0) {
+      stats_->add_prefetches(
+          core_.process(mine.events(), mine.reps, mine.count, deps_));
+      mine.count = 0;
+    }
+    const OwnedRecords::Lap busy = mine.lap();
+    stats_->add_cpu_ns(busy.cpu_ns);
+    stats_->add_busy_ns(busy.wall_ns);
   }
 
   DetectorCore<Store>& core() { return core_; }

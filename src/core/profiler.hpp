@@ -48,6 +48,10 @@ struct LoadBalanceConfig {
   unsigned max_rounds = 64;
 };
 
+/// Most pipeline workers a parallel profiler runs (each brings its own
+/// pair of stores and a thread).
+inline constexpr unsigned kMaxWorkers = 64;
+
 struct ProfilerConfig {
   StorageKind storage = StorageKind::kSignature;
   /// Signature slots per signature (each detector has a read and a write
@@ -67,9 +71,9 @@ struct ProfilerConfig {
   bool races = false;
 
   // Parallel pipeline (ignored by the serial profiler).
-  unsigned workers = 8;
+  unsigned workers = 8;                  ///< 1..kMaxWorkers
   QueueKind queue = QueueKind::kLockFreeSpsc;
-  std::size_t chunk_size = 512;          ///< accesses per chunk (<= Chunk capacity)
+  std::size_t chunk_size = 256;          ///< records per chunk (<= Chunk capacity)
   std::size_t queue_capacity = 64;       ///< chunks per worker queue
   /// How pipeline threads wait at the three blocking sites (idle workers,
   /// producers facing a full queue, migration-mailbox handoff).  kSpin is
@@ -83,7 +87,8 @@ struct ProfilerConfig {
   /// Front-end redundancy elision: exact repeats of an access (same word,
   /// kind, loc, var, tid, loop context) are run-length encoded before they
   /// enter the pipeline (on_batch_rle), so the produce/route/queue path
-  /// handles one record per run instead of one per instance.  Map-preserving
+  /// handles one record per run instead of one per instance, and detect
+  /// folds each run.  Map-preserving
   /// (see DESIGN.md "Front-end event reduction"); the flag exists for the
   /// frontend ablation and the depfuzz dedup axis.
   bool dedup = true;
@@ -109,15 +114,6 @@ struct ProfilerConfig {
   /// the depfuzz lattice, and bench/sampling sweep.
   unsigned sampling_skip = 0;
   bool sampled() const { return budget < 1.0 || sampling_skip > 0; }
-  /// Chunks preallocated by the pipeline's pool before the target starts
-  /// running (0 = auto: enough for full queues + in-flight + migration).
-  /// For sequential targets the pool is *sealed* to this population — an
-  /// empty free list blocks for a recycled chunk instead of allocating, so
-  /// steady-state profiling never touches the heap the target is mutating
-  /// (the root cause of the workers=8 cross-attribution flake; see
-  /// core/chunk.hpp).  MT targets keep a growable pool, seeded to the same
-  /// size.
-  std::size_t pool_chunks = 0;
 };
 
 /// Post-run statistics.  Both profilers fill every field the same way: the
@@ -159,7 +155,7 @@ inline bool races_config_ok(const ProfilerConfig& c) {
 /// Serial profiler (Sec. III): Algorithm 1 on the calling thread.  Its
 /// on_access is NOT thread-safe: events must come from a single thread (or
 /// a replayed trace).  Multi-threaded targets need the parallel profiler,
-/// whose producer side is per-thread.
+/// whose producer side any number of threads may call at once.
 std::unique_ptr<IProfiler> make_serial_profiler(const ProfilerConfig& config);
 
 /// Parallel profiler (Sec. IV/V): the Fig. 2 pipeline.  Worker threads are

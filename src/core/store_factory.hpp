@@ -35,11 +35,12 @@ struct is_packed<PackedShadowStore<S>> : std::true_type {};
 
 /// Builds one empty store of the given backend from the configuration.
 /// Signature sizing (slots, hash) and hash-table bucket counts come from the
-/// config, and a sampled run arms the packed store's clear log.
+/// config, and a sampled run arms the signature's and the packed store's
+/// clear logs.
 template <AccessStore Store>
 Store make_store(const ProfilerConfig& c) {
   if constexpr (detail::is_signature<Store>::value)
-    return Store(c.slots, c.sig_hash);
+    return Store(c.slots, c.sig_hash, c.sampled());
   else if constexpr (detail::is_hash_table<Store>::value)
     return Store(c.slots);
   else if constexpr (detail::is_packed<Store>::value)

@@ -16,7 +16,7 @@
 //          ... max_rounds=64
 //   sched seed=7 algo=pct
 //   sstep w0 queue.pop
-//   sstep main produce.stage
+//   sstep main pool.acquire
 //   nest id=1 parent=0 loop=16777276
 //   nest id=2 parent=1 loop=16777280
 //   ev W addr=0x2000 loc=16777226 var=0 tid=0 ts=0 flags=0

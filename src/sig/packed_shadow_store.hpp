@@ -42,7 +42,10 @@
 // 2 MiB word arrays allocated with huge::alloc — exactly one transparent
 // huge page, so the detect kernel's 8-ahead prefetches hit TLB-resident
 // lines — and every level is a power-of-two array indexed by masked address
-// bits (no hashing anywhere on the walk).  Pages and directories are
+// bits (no hashing anywhere on the walk).  Directories come from the same
+// allocator without huge-page advice: the kernel zeroes each 4 KiB page of
+// one on first touch, so a new address region costs the few directory
+// pages it writes, not a memset of 768 KiB.  Pages and directories are
 // charged to MemComponent::kStore and released in full at teardown.
 //
 // clear() (a sampling burst mark) costs what the burst wrote.  An armed
@@ -373,7 +376,7 @@ class PackedShadowStore {
   }
 
   void* alloc_block(std::size_t bytes) {
-    void* p = huge::alloc_zeroed(bytes);
+    void* p = huge::alloc(bytes);
     MemStats::instance().add(MemComponent::kStore,
                              static_cast<std::int64_t>(bytes));
     table_bytes_ += bytes;
@@ -423,12 +426,9 @@ class PackedShadowStore {
   }
 
   void release_pages() {
-    for (std::size_t a = 0; a < kL1Size; ++a) {
-      L2* l2 = root_[a];
-      if (l2 == nullptr) continue;
-      free_levels(l2);
-      root_[a] = nullptr;
-    }
+    for (std::size_t a = 0; a < kL1Size; ++a)
+      if (L2* l2 = root_[a]) free_levels(l2);
+    huge::zero(root_, kRootBytes);
     pages_ = 0;
   }
 

@@ -322,10 +322,11 @@ TEST(SerialProfiler, DetectKernelCountersTrack) {
 }
 
 TEST(Profilers, DetectCountsEveryAccessOfAnRleStreamOnce) {
-  // The serial kernel folds dedup runs without expanding them; the
-  // pipeline expands them into chunks.  Either way detect counts every
-  // access once (produce == sum of detect == sum of the runs), and the
-  // serial kernel prefetches per record, not per instance.
+  // Both kernels fold dedup runs without expanding them, so detect counts
+  // every access once (produce == sum of detect == sum of the runs) and
+  // prefetches per record, not per instance.  The second stream adds burst
+  // marks: every pipeline worker acts on a mark, but only the worker it is
+  // routed to counts it.
   std::vector<AccessEvent> events;
   for (std::uint32_t i = 0; i < 2'000; ++i) {
     AccessEvent e;
@@ -334,26 +335,52 @@ TEST(Profilers, DetectCountsEveryAccessOfAnRleStreamOnce) {
     e.loc = SourceLocation(1, 10 + i % 3).packed();
     for (std::uint32_t r = 0; r <= i % 5; ++r) events.push_back(e);
   }
-  const RleStream rle = dedup_stream(events.data(), events.size());
-  ASSERT_EQ(rle.logical_events(), events.size());
-  ASSERT_LT(rle.events.size() * 2, events.size());
-  for (const bool parallel : {false, true}) {
-    ProfilerConfig cfg = exact_cfg();
-    cfg.workers = 3;
-    auto prof = parallel ? make_parallel_profiler(cfg)
-                         : make_serial_profiler(cfg);
-    replay_rle(rle, *prof);
-    const obs::PipelineSnapshot snap = prof->stats().stages;
-    ASSERT_NE(snap.find("produce"), nullptr);
-    EXPECT_EQ(snap.find("produce")->events, events.size()) << parallel;
-    EXPECT_EQ(snap.detect_events(), events.size()) << parallel;
-    std::uint64_t prefetches = 0;
-    for (const auto& s : snap.stages)
-      if (s.stage.rfind("detect", 0) == 0) prefetches += s.prefetches;
-    EXPECT_GT(prefetches, 0u) << parallel;
-    EXPECT_LE(prefetches, parallel ? events.size() : rle.events.size())
-        << parallel;
+  std::vector<AccessEvent> marked;
+  std::size_t marks = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i % 97 == 0) {
+      AccessEvent mark;
+      mark.kind = AccessKind::kBurstMark;
+      marked.push_back(mark);
+      ++marks;
+    }
+    marked.push_back(events[i]);
   }
+  constexpr unsigned kWorkers = 3;
+  for (const bool with_marks : {false, true}) {
+    const std::vector<AccessEvent>& stream = with_marks ? marked : events;
+    const RleStream rle = dedup_stream(stream.data(), stream.size());
+    ASSERT_EQ(rle.logical_events(), stream.size());
+    ASSERT_LT(rle.events.size() * 2, stream.size());
+    for (const bool parallel : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "marks=" << with_marks
+                                      << " parallel=" << parallel);
+      ProfilerConfig cfg = exact_cfg();
+      cfg.workers = kWorkers;
+      auto prof = parallel ? make_parallel_profiler(cfg)
+                           : make_serial_profiler(cfg);
+      replay_rle(rle, *prof);
+      const obs::PipelineSnapshot snap = prof->stats().stages;
+      ASSERT_NE(snap.find("produce"), nullptr);
+      EXPECT_EQ(snap.find("produce")->events, stream.size());
+      EXPECT_EQ(snap.detect_events(), stream.size());
+      std::uint64_t prefetches = 0;
+      for (const auto& s : snap.stages)
+        if (s.stage.rfind("detect", 0) == 0) prefetches += s.prefetches;
+      EXPECT_GT(prefetches, 0u);
+      // Every worker also runs each mark it does not count.
+      const std::size_t copies =
+          parallel && with_marks ? (kWorkers - 1) * marks : 0;
+      EXPECT_LE(prefetches, rle.events.size() + copies);
+    }
+  }
+}
+
+TEST(ParallelProfiler, RejectsMoreWorkersThanTargetBits) {
+  // The factory refuses before it builds a store or spawns a thread.
+  ProfilerConfig cfg = exact_cfg();
+  cfg.workers = kMaxWorkers + 1;
+  EXPECT_EQ(make_parallel_profiler(cfg), nullptr);
 }
 
 TEST(ParallelProfiler, FinishIsIdempotent) {

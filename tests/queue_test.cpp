@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/chunk.hpp"
+#include "core/profiler.hpp"
 #include "queue/queues.hpp"
 #include "queue/wait_strategy.hpp"
 
@@ -237,7 +238,9 @@ TEST(ChunkPool, ChargesQueueMemory) {
 TEST(Chunk, CapacityHoldsConfiguredEvents) {
   Chunk c;
   EXPECT_EQ(c.kind, Chunk::Kind::kData);
-  static_assert(Chunk::kCapacity >= 512, "chunk capacity covers default config");
+  static_assert(Chunk::kCapacity == EventBuffer::kCapacity,
+                "a chunk holds one delivered batch");
+  EXPECT_LE(ProfilerConfig{}.chunk_size, Chunk::kCapacity);
 }
 
 // -------------------------------------------------- wait strategies

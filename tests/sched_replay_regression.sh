@@ -5,12 +5,15 @@
 # against `depprof run is --slots 337311 --parallel --workers 8`
 # and requires the dependence map to match the serial run byte for byte.
 #
-# Before the ChunkPool was sealed, this exact replay failed every run: the
-# schedule starves the workers so the producer's grow-on-demand pool runs
-# `new Chunk()` mid-profile, which shifts the target's own heap layout until
-# IS's mid-run `cursor` allocation aliases `sorted` in the modulo signature
-# (see the header of the .sched file for the measured deltas).  With the
-# sealed pool the layout is schedule-independent and the replay is clean.
+# Before the ChunkPool was sealed, the first recording of this schedule
+# failed every run: it starved the workers so the producer's grow-on-demand
+# pool ran `new Chunk()` mid-profile, which shifted the target's own heap
+# layout until IS's mid-run `cursor` allocation aliased `sorted` in the
+# modulo signature.  The committed schedule is re-recorded against the
+# current hand-off points (see the header of the .sched file for the
+# measured deltas).  With the sealed pool the layout is
+# schedule-independent and the replay is clean; the script prints the
+# controller's summary line before `ok`.
 #
 # The failure is a heap-layout property, so the demonstration pins every
 # input the layout depends on:
@@ -89,4 +92,5 @@ if ! cmp -s "$TMP/serial.csv" "$TMP/parallel.csv"; then
   diff "$TMP/serial.csv" "$TMP/parallel.csv" >&2 || true
   exit 1
 fi
+grep '^sched:' "$TMP/parallel.err" || true
 echo "ok: schedule replay matches the serial map"

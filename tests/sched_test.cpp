@@ -41,7 +41,7 @@ ProfilerConfig sched_cfg(unsigned workers) {
 
 TEST(ScheduleTraceTest, FormatParseRoundTrip) {
   sched::ScheduleTrace t;
-  t.steps.push_back({"main", "produce.stage"});
+  t.steps.push_back({"main", "pool.acquire"});
   t.steps.push_back({"w0", "queue.pop"});
   t.steps.push_back({"w1", "pool.release"});
   sched::ScheduleTrace back;
@@ -148,16 +148,33 @@ TEST(ChunkPoolTest, RecycledChunkLeaksNoStaleHeader) {
 }
 
 TEST(ChunkInvariantTest, WrongHandoffBumpsViolationCounter) {
-  auto c = std::make_unique<Chunk>();  // owner starts kOwnerPool
+  ChunkPool pool(1, 1, /*sealed=*/true, WaitKind::kSpin);
+  Chunk* c = pool.acquire();  // legal: pool -> producer
   const std::uint64_t before = sched::violation_count();
-  // Legal transition: no violation.
-  chunk_handoff(*c, Chunk::kOwnerPool, Chunk::kOwnerProducer, "test.legal");
+  // A data chunk with records for workers 1 and 3, pushed to both.
+  c->count = 2;
+  c->owners[0] = 1;
+  c->owners[1] = 3;
+  chunk_publish(*c, (1u << 1) | (1u << 3));
+  chunk_pop(*c, 1);
   EXPECT_EQ(sched::violation_count(), before);
-  // Double pop: claims producer-owned but it is already worker-owned.
-  c->owner.store(Chunk::kOwnerWorker | 3);
-  chunk_handoff(*c, Chunk::kOwnerProducer, Chunk::kOwnerWorker | 1,
-                "test.double-pop");
+  // A pop by a worker that owns no record of the chunk.
+  chunk_pop(*c, 2);
   EXPECT_EQ(sched::violation_count(), before + 1);
+  // A second pop by the same worker.
+  chunk_pop(*c, 1);
+  EXPECT_EQ(sched::violation_count(), before + 2);
+  // A release before the last consumer (worker 3) finished.
+  EXPECT_FALSE(chunk_done(*c));
+  pool.release(c);
+  EXPECT_EQ(sched::violation_count(), before + 3);
+  // The last consumer's release is legal.
+  c = pool.acquire();
+  chunk_publish(*c, 1u << 0);
+  chunk_pop(*c, 0);
+  ASSERT_TRUE(chunk_done(*c));
+  pool.release(c);
+  EXPECT_EQ(sched::violation_count(), before + 3);
 }
 
 TEST(ReproSchedTest, SchedSectionRoundTrips) {
@@ -168,7 +185,7 @@ TEST(ReproSchedTest, SchedSectionRoundTrips) {
   repro.sched_seed = 42;
   repro.sched_algo = sched::Algo::kPct;
   repro.schedule.steps.push_back({"w0", "queue.pop"});
-  repro.schedule.steps.push_back({"main", "produce.stage"});
+  repro.schedule.steps.push_back({"main", "pool.acquire"});
   AccessEvent ev;
   ev.kind = AccessKind::kWrite;
   ev.addr = 0x1000;
@@ -188,7 +205,7 @@ TEST(ReproSchedTest, SchedSectionRoundTrips) {
   EXPECT_EQ(back.sched_algo, sched::Algo::kPct);
   ASSERT_EQ(back.schedule.steps.size(), 2u);
   EXPECT_EQ(back.schedule.steps[1].thread, "main");
-  EXPECT_EQ(back.schedule.steps[1].site, "produce.stage");
+  EXPECT_EQ(back.schedule.steps[1].site, "pool.acquire");
 }
 
 TEST(ReproSchedTest, ScheduleFreeCasesWriteNoSchedSection) {

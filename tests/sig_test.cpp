@@ -100,6 +100,68 @@ TEST(Signature, ClearResetsEverything) {
   for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(sig.find(i), nullptr);
 }
 
+TEST(Signature, LoggedClearEmptiesWhatTheBurstWrote) {
+  // A signature built for a sampled run logs every slot that becomes
+  // occupied; clear() empties exactly those, charges the log once, and
+  // leaves the signature armed for the next burst.
+  const std::int64_t base =
+      MemStats::instance().bytes(MemComponent::kSignatures);
+  {
+    Signature<SeqSlot> sig(1u << 12, SigHash::kModulo, /*sampled=*/true);
+    EXPECT_TRUE(sig.armed());
+    EXPECT_EQ(sig.bytes(), (1u << 12) * sizeof(SeqSlot));  // no log yet
+    std::vector<std::uint64_t> addrs;
+    for (std::uint64_t i = 0; i < 300; ++i) addrs.push_back(i * 13 + 5);
+    for (std::size_t i = 0; i < addrs.size(); ++i)
+      sig.insert(addrs[i], slot_at(static_cast<std::uint32_t>(i + 1)));
+    sig.insert(addrs[0], slot_at(99));  // overwrite: nothing new to log
+    sig.remove(addrs[1]);
+    sig.insert(addrs[1], slot_at(98));  // occupied again: logged twice
+    sig.insert(addrs[2] + (1u << 12), slot_at(97));  // collides with addrs[2]
+    const std::size_t charged =
+        (1u << 12) * sizeof(SeqSlot) + Signature<SeqSlot>::kLogCap * 8;
+    EXPECT_EQ(sig.bytes(), charged);
+    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures) - base,
+              static_cast<std::int64_t>(charged));
+    ASSERT_EQ(sig.occupied(), addrs.size());
+    sig.clear();
+    EXPECT_TRUE(sig.armed());
+    EXPECT_EQ(sig.occupied(), 0u);
+    for (std::uint64_t i = 0; i < (1u << 12); ++i)
+      ASSERT_EQ(sig.find(i), nullptr) << "slot " << i;
+    sig.insert(addrs[3], slot_at(7));
+    ASSERT_NE(sig.find(addrs[3]), nullptr);
+    EXPECT_EQ(sig.find(addrs[3])->location().line(), 7u);
+    EXPECT_EQ(sig.occupied(), 1u);
+  }
+  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures), base);
+}
+
+TEST(Signature, LogOverflowTakesTheReleasePath) {
+  // More than kLogCap newly occupied slots overflow the log: clear() then
+  // empties every slot by releasing the pages, and arms the log again.  An
+  // unsampled signature starts unarmed and allocates no log until then.
+  constexpr std::size_t kSlots = std::size_t{1} << 17;
+  Signature<SeqSlot> sig(kSlots);
+  EXPECT_FALSE(sig.armed());
+  for (std::uint64_t i = 0; i < 100; ++i) sig.insert(i, slot_at(1));
+  EXPECT_EQ(sig.bytes(), kSlots * sizeof(SeqSlot));
+  sig.clear();
+  EXPECT_TRUE(sig.armed());
+  for (std::uint64_t i = 0; i <= Signature<SeqSlot>::kLogCap; ++i)
+    sig.insert(i, slot_at(2));
+  EXPECT_FALSE(sig.armed()) << "kLogCap + 1 new slots must overflow the log";
+  sig.clear();
+  EXPECT_TRUE(sig.armed());
+  EXPECT_EQ(sig.occupied(), 0u);
+  for (std::uint64_t i = 0; i <= Signature<SeqSlot>::kLogCap; ++i)
+    ASSERT_EQ(sig.find(i), nullptr) << "slot " << i;
+  sig.insert(5, slot_at(3));
+  sig.clear();  // logged again
+  EXPECT_EQ(sig.find(5), nullptr);
+  EXPECT_TRUE(sig.armed());
+}
+
 TEST(Signature, BytesIsSlotCountTimesSlotSize) {
   Signature<SeqSlot> sig(1000);
   EXPECT_EQ(sig.bytes(), 1000 * sizeof(SeqSlot));
@@ -587,11 +649,12 @@ TEST(HugeAlloc, ForcedFallbackCountsAndStaysUsable) {
   for (std::size_t i = 0; i < huge::kHugeThreshold; i += 4096)
     ASSERT_EQ(bytes[i], 0u) << "fallback block not zeroed at offset " << i;
   huge::free(p, huge::kHugeThreshold);  // must route to the fallback path
-  // Sub-threshold blocks never touch mmap and never count as fallbacks.
+  // Sub-threshold blocks are mmap-backed too: zeroed, and no fallback.
   const std::uint64_t small_before = huge::fallback_count();
-  void* q = huge::alloc_zeroed(4096);
+  void* q = huge::alloc(4096);
   ASSERT_NE(q, nullptr);
   EXPECT_EQ(huge::fallback_count(), small_before);
+  EXPECT_EQ(static_cast<const unsigned char*>(q)[4095], 0u);
   huge::free(q, 4096);
 }
 
@@ -653,7 +716,7 @@ TYPED_TEST(SignatureZeroFill, MmapBlock) {
   EXPECT_EQ(huge::fallback_count(), before);
 }
 
-TYPED_TEST(SignatureZeroFill, OperatorNewBlock) {
+TYPED_TEST(SignatureZeroFill, SmallBlock) {
   static_assert(1000 * sizeof(TypeParam) < huge::kHugeThreshold);
   TestFixture::check(1000);
 }
@@ -668,7 +731,8 @@ TYPED_TEST(SignatureZeroFill, FallbackBlock) {
     ForceFallback force;
     TestFixture::check(TestFixture::kHugeSlots);
   }
-  EXPECT_EQ(huge::fallback_count(), before + 1);
+  // The slot array, and the clear log the first clear() armed.
+  EXPECT_EQ(huge::fallback_count(), before + 2);
 }
 
 // ------------------------------------------------------ HashTableRecorder

@@ -1,9 +1,7 @@
 // Concurrency stress tests for the parallel pipeline's producer and
-// migration paths (ISSUE 2).  These are the TSan targets for the fixed
-// races: the producer-slot publication in producer_for (formerly an
-// unsynchronized double-checked load), the per-tid producer registry for
-// thread ids beyond the fast-slot array (formerly all aliased one slot),
-// the migration-mailbox handoff, and the parked-wait shutdown protocol.
+// migration paths.  These are the TSan targets for concurrent producers
+// publishing shared chunks (each released by its last consumer), the
+// migration-mailbox handoff, and the parked-wait shutdown protocol.
 // Queue capacities are deliberately tiny so every push exercises the
 // bounded-backpressure wait and its wake hooks.
 
@@ -60,9 +58,8 @@ std::vector<AccessEvent> thread_stream(std::uint16_t tid, std::uint64_t base,
   return evs;
 }
 
-// >= 8 concurrent target threads — thread ids straddling the old
-// kMaxProducers=256 clamp, so several land in the mutex-guarded registry —
-// each registering its producer while pushing through capacity-2 MPMC
+// >= 8 concurrent target threads with thread ids up to 40000, each
+// publishing chunks shared by several workers through capacity-2 MPMC
 // queues.  Address ranges are disjoint, so the merged map must equal a
 // serial replay of the concatenated streams regardless of interleaving,
 // for every wait strategy.
@@ -112,7 +109,7 @@ TEST(ParallelStress, ConcurrentProducersHighTidsTinyQueues) {
 
     const ProfilerStats st = prof->stats();
     const std::uint64_t total = kThreads * kRounds * kAddrs * 2;
-    // No event may be lost or duplicated by producer registration races.
+    // No event may be lost or duplicated by concurrent producers.
     EXPECT_EQ(st.events, total) << "wait=" << wait_kind_name(wait);
     EXPECT_EQ(st.stages.detect_events(), total) << "wait=" << wait_kind_name(wait);
     EXPECT_TRUE(same_deps(serial->dependences(), prof->dependences()))
@@ -218,14 +215,12 @@ TEST(ParallelStress, BackpressureCountersReflectBlocking) {
   EXPECT_GT(worker_idle, 0u);
 }
 
-// An explicit pool_chunks below the liveness floor (workers + 2) could
-// deadlock the sealed pool: the producer stages its only chunk for one
-// worker, then blocks forever acquiring one for the next — the pending
-// chunk never flushes while the producer is blocked, and the workers have
-// nothing to recycle.  Overhead-budget sampling makes the quiescent-producer
-// window routine (a skipped unit produces nothing), so the plan must clamp
-// the population up to the floor.  The ctest timeout is the hang detector.
-TEST(ParallelStress, UndersizedSealedPoolIsClampedNotDeadlocked) {
+// Eight workers on two-slot queues, fed 4-record chunks in bursts with
+// quiescent windows in between: the producer keeps the sealed pool drained,
+// blocks on full queues and on acquire, and every chunk it holds is the one
+// it is filling, so the run must finish with the serial map.  The ctest
+// timeout is the hang detector.
+TEST(ParallelStress, SealedPoolSurvivesBurstyDeliveryOnTinyQueues) {
   GenParams p;
   p.accesses = 60'000;
   p.distinct = 256;
@@ -242,7 +237,6 @@ TEST(ParallelStress, UndersizedSealedPoolIsClampedNotDeadlocked) {
   cfg.workers = 8;  // oversubscribed on most CI hosts
   cfg.chunk_size = 4;
   cfg.queue_capacity = 2;
-  cfg.pool_chunks = 1;  // far below the workers + 2 floor
   cfg.wait = WaitKind::kPark;
   auto prof = make_parallel_profiler(cfg);
   // Bursty delivery with quiescent windows in between — the schedule a

@@ -20,7 +20,7 @@
 //                        memory proportional to touched pages)
 //   --slots N            signature slots per signature   (default 1M)
 //   --parallel           use the Fig. 2 pipeline
-//   --workers N          pipeline workers                 (default 8)
+//   --workers N          pipeline workers, at most 64     (default 8)
 //   --queue lockfree|mpmc|mutex                          (default lockfree)
 //   --wait spin|yield|park   pipeline wait strategy at the blocking sites
 //                        (idle workers, full queues, migration mailbox;
@@ -63,8 +63,8 @@
 //                        CSV or JSON when --format csv|json is given
 //
 // Integer options take a whole decimal number: --skip >= 0, the others
-// (--slots, --workers, --burst, --mt-threads, --scale) >= 1.  Anything
-// else is a usage error (exit 2) naming the option.
+// (--slots, --workers, --burst, --mt-threads, --scale) >= 1, and --workers
+// <= 64.  Anything else is a usage error (exit 2) naming the option.
 
 #include <charconv>
 #include <cstdio>
@@ -117,16 +117,16 @@ struct CliOptions {
 /// [min, max of T].  Prints a message naming `opt` and returns false
 /// otherwise — no whitespace, no trailing text, no wrap-around.
 template <typename T>
-bool parse_int(const char* opt, const char* v, T min, T& out) {
+bool parse_int(const char* opt, const char* v, T min, T& out,
+               T max = std::numeric_limits<T>::max()) {
   if (v == nullptr) v = "";
   const char* end = v + std::strlen(v);
   T n = 0;
   const auto [ptr, ec] = std::from_chars(v, end, n);
-  if (ec != std::errc() || ptr != end || n < min) {
+  if (ec != std::errc() || ptr != end || n < min || n > max) {
     std::fprintf(stderr,
                  "%s: expected a whole number in [%s, %s], got '%s'\n", opt,
-                 std::to_string(min).c_str(),
-                 std::to_string(std::numeric_limits<T>::max()).c_str(), v);
+                 std::to_string(min).c_str(), std::to_string(max).c_str(), v);
     return false;
   }
   out = n;
@@ -158,7 +158,8 @@ bool parse(int argc, char** argv, int start, CliOptions& out) {
     } else if (arg == "--parallel") {
       out.parallel = true;
     } else if (arg == "--workers") {
-      if (!parse_int("--workers", next(), 1u, out.cfg.workers)) return false;
+      if (!parse_int("--workers", next(), 1u, out.cfg.workers, kMaxWorkers))
+        return false;
     } else if (arg == "--queue") {
       const char* v = next();
       if (v == nullptr) return false;
