@@ -55,7 +55,7 @@ namespace {
 /// The plan covers that with a spare per worker and slack for a migration
 /// pair, so a sealed acquire can always be satisfied by a future release:
 /// blocking instead of allocating cannot deadlock.
-std::size_t planned_pool_chunks(const ProfilerConfig& cfg, unsigned workers) {
+std::size_t planned_pool_size(const ProfilerConfig& cfg, unsigned workers) {
   const std::size_t qcap =
       SpscQueue<Chunk*>::round_up_pow2(cfg.queue_capacity);
   return workers * (qcap + 2) + 8;
@@ -97,8 +97,8 @@ class ParallelProfiler final : public IProfiler {
         // state never allocates (see ChunkPool).  MT targets have an
         // unbounded producer count, so their pool may still grow.
         pool_(std::max<std::size_t>(
-                  256, planned_pool_chunks(cfg, obs_.workers())),
-              planned_pool_chunks(cfg, obs_.workers()),
+                  256, planned_pool_size(cfg, obs_.workers())),
+              planned_pool_size(cfg, obs_.workers()),
               /*sealed=*/!cfg.mt_targets, cfg.wait),
         gates_(std::make_unique<QueueGates[]>(obs_.workers())),
         owned_(std::make_unique_for_overwrite<OwnedRecords[]>(obs_.workers())),
