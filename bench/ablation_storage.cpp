@@ -1,11 +1,11 @@
 // Storage ablation (Sec. III-B):
 //   * time — "the hash table approach is about 1.5-3.7x slower than our
 //     approach": identical access streams through Algorithm 1 backed by the
-//     fixed-size signature, the chained hash table, the multi-level shadow
-//     memory, and the packed paged shadow store; google-benchmark measures
-//     ns/access.
+//     fixed-size signature, the chained hash table and the packed paged
+//     shadow store; google-benchmark measures ns/access.
 //   * space — shadow memory's blow-up on sparse, widely spread address sets
-//     vs the signature's fixed footprint.
+//     (one packed leaf page per address) vs the signature's fixed
+//     footprint.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +19,6 @@
 #include "obs/bench_report.hpp"
 #include "sig/hash_table_recorder.hpp"
 #include "sig/packed_shadow_store.hpp"
-#include "sig/shadow_memory.hpp"
 #include "sig/signature.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace.hpp"
@@ -79,13 +78,6 @@ void BM_HashTable(benchmark::State& state) {
 }
 BENCHMARK(BM_HashTable);
 
-void BM_ShadowMemory(benchmark::State& state) {
-  run_detector<ShadowMemory<SeqSlot>>(
-      state, +[] { return ShadowMemory<SeqSlot>(); },
-      +[] { return ShadowMemory<SeqSlot>(); });
-}
-BENCHMARK(BM_ShadowMemory);
-
 void BM_PackedShadowStore(benchmark::State& state) {
   run_detector<PackedShadowStore<SeqSlot>>(
       state, +[] { return PackedShadowStore<SeqSlot>(); },
@@ -97,41 +89,39 @@ BENCHMARK(BM_PackedShadowStore);
 /// memory allocates a page per touched region while the signature stays
 /// fixed.
 void space_comparison() {
-  // One shadow page covers 2^16 word units; with addresses one page apart,
-  // every address costs a full page (65536 slots for 1 resident) while the
-  // signature stays at its fixed footprint.  256 addresses already cost the
-  // shadow memory ~0.7 GiB — the Sec. III-B ">16 GB on small programs"
-  // effect, scaled to stay allocatable here.
+  // One packed leaf page covers 2^18 word units (1 MiB of target memory);
+  // with addresses one leaf apart, every address costs a full 2 MiB leaf
+  // (2^18 words for 1 resident) while the signature stays at its fixed
+  // footprint.  256 addresses already cost the shadow memory 0.5 GiB — the
+  // Sec. III-B ">16 GB on small programs" effect, scaled to stay
+  // allocatable here.
+  using Packed = PackedShadowStore<SeqSlot>;
   constexpr std::size_t kAddrs = 256;
-  constexpr std::uint64_t kSpread =
-      ShadowMemory<SeqSlot>::kPageSlots * 4;  // bytes: one page per address
+  constexpr std::uint64_t kSpread = Packed::kPageWords;  // word units
 
   Signature<SeqSlot> sig(1u << 18);
-  ShadowMemory<SeqSlot> shadow;
   HashTableRecorder<SeqSlot> table(1u << 14);
-  PackedShadowStore<SeqSlot> packed;
+  Packed packed;
   SeqSlot s;
   s.loc = SourceLocation(1, 1).packed();
   for (std::size_t i = 0; i < kAddrs; ++i) {
     const std::uint64_t addr = 0x10000 + i * kSpread;
     sig.insert(addr, s);
-    shadow.insert(addr, s);
     table.insert(addr, s);
     packed.insert(addr, s);
   }
-  std::printf("\nSpace on %zu sparse addresses (spread %llu B apart):\n", kAddrs,
-              static_cast<unsigned long long>(kSpread));
+  std::printf("\nSpace on %zu sparse addresses (spread %llu words apart):\n",
+              kAddrs, static_cast<unsigned long long>(kSpread));
   std::printf("  signature     : %10.2f MiB (fixed)\n",
               static_cast<double>(sig.bytes()) / 1048576.0);
-  std::printf("  shadow memory : %10.2f MiB (%zu pages)\n",
-              static_cast<double>(shadow.bytes()) / 1048576.0,
-              shadow.page_count());
+  std::printf("  packed shadow : %10.2f MiB (%zu x 2 MiB leaf pages; 8 B/word "
+              "amortizes only on dense sets), %.0fx the signature\n",
+              static_cast<double>(packed.bytes()) / 1048576.0,
+              packed.page_count(),
+              static_cast<double>(packed.bytes()) /
+                  static_cast<double>(sig.bytes()));
   std::printf("  hash table    : %10.2f MiB\n",
               static_cast<double>(table.bytes()) / 1048576.0);
-  std::printf("  packed paged  : %10.2f MiB (%zu x 2 MiB pages; 8 B/word "
-              "amortizes only on dense sets)\n",
-              static_cast<double>(packed.bytes()) / 1048576.0,
-              packed.page_count());
   std::printf(
       "\nPaper reference: signatures bound memory where shadow memory can "
       "exceed 16 GB on small programs; hash tables are exact but 1.5-3.7x "
@@ -172,14 +162,11 @@ void machine_report() {
       t, Signature<SeqSlot>(1u << 18), Signature<SeqSlot>(1u << 18));
   const double table_ns = measured_ns_per_access<HashTableRecorder<SeqSlot>>(
       t, HashTableRecorder<SeqSlot>(1u << 14), HashTableRecorder<SeqSlot>(1u << 14));
-  const double shadow_ns = measured_ns_per_access<ShadowMemory<SeqSlot>>(
-      t, ShadowMemory<SeqSlot>(), ShadowMemory<SeqSlot>());
   const double packed_ns = measured_ns_per_access<PackedShadowStore<SeqSlot>>(
       t, PackedShadowStore<SeqSlot>(), PackedShadowStore<SeqSlot>());
 
   report.metric("signature_ns_per_access", sig_ns);
   report.metric("hashtable_ns_per_access", table_ns);
-  report.metric("shadow_ns_per_access", shadow_ns);
   report.metric("packed_ns_per_access", packed_ns);
   report.metric("hashtable_over_signature", sig_ns > 0 ? table_ns / sig_ns : 0);
   report.metric("hashtable_over_packed", packed_ns > 0 ? table_ns / packed_ns : 0);
@@ -189,7 +176,6 @@ void machine_report() {
 
   report.stages("serial_signature", replay_stages(t, StorageKind::kSignature));
   report.stages("serial_hashtable", replay_stages(t, StorageKind::kHashTable));
-  report.stages("serial_shadow", replay_stages(t, StorageKind::kShadow));
   report.stages("serial_packed", replay_stages(t, StorageKind::kPacked));
   report.write();
 }

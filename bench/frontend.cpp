@@ -49,6 +49,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "core/profiler.hpp"
+#include "harness/runner.hpp"
 #include "instrument/runtime.hpp"
 #include "obs/bench_report.hpp"
 #include "oracle/diff.hpp"
@@ -137,7 +138,7 @@ void one_rep(const ProfilerConfig& cfg, bool parallel, const Kernel& kernel,
   auto profiler =
       parallel ? make_parallel_profiler(cfg) : make_serial_profiler(cfg);
   WallTimer t;
-  rt.attach(profiler.get(), /*mt_mode=*/false, cfg.dedup);
+  attach_runtime(*profiler, cfg);
   const std::uint64_t accesses = kernel(rt);
   rt.detach();
   const double eps = static_cast<double>(accesses) / t.elapsed();

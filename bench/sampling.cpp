@@ -45,6 +45,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "core/profiler.hpp"
+#include "harness/runner.hpp"
 #include "instrument/runtime.hpp"
 #include "obs/bench_report.hpp"
 #include "oracle/diff.hpp"
@@ -97,10 +98,11 @@ struct RunResult {
 };
 
 /// One profiled configuration, best-of-`reps` wall time; counters and the
-/// map come from the final rep.
+/// map come from the final rep.  The runtime's front end (dedup, sampling
+/// schedule) comes from `cfg`, the same config that builds the profiler, so
+/// a sampled point's stores are armed for its burst marks.
 RunResult run_point(const ProfilerConfig& cfg, bool parallel,
-                    const SamplingConfig& sampling, std::size_t iters,
-                    float* const* rings, int reps) {
+                    std::size_t iters, float* const* rings, int reps) {
   RunResult result;
   Runtime& rt = Runtime::instance();
   for (int rep = 0; rep < reps; ++rep) {
@@ -108,7 +110,7 @@ RunResult run_point(const ProfilerConfig& cfg, bool parallel,
     auto profiler =
         parallel ? make_parallel_profiler(cfg) : make_serial_profiler(cfg);
     WallTimer t;
-    rt.attach(profiler.get(), /*mt_mode=*/false, /*dedup=*/false, sampling);
+    attach_runtime(*profiler, cfg);
     result.accesses = run_kernel(rt, iters, rings);
     rt.detach();
     const double sec = t.elapsed();
@@ -175,6 +177,7 @@ int main(int argc, char** argv) {
   ProfilerConfig cfg;
   cfg.storage = StorageKind::kPacked;
   cfg.workers = workers;
+  cfg.dedup = false;  // the kernel's raw stream, one record per access
 
   // Native baseline: same kernel, runtime disabled — the per-access cost is
   // one predicted branch, exactly the slowdown experiments' denominator.
@@ -187,11 +190,11 @@ int main(int argc, char** argv) {
     if (native_sec == 0 || sec < native_sec) native_sec = sec;
   }
 
-  // Unsampled reference: a plain attach with no sampling argument at all.
-  // The "off" duty point must reproduce this byte for byte — the budget=100%
+  // Unsampled reference: the default config, whose sampling is off.  The
+  // "off" duty point must reproduce this byte for byte — the budget=100%
   // no-op guarantee.
   const RunResult reference =
-      run_point(cfg, /*parallel=*/false, SamplingConfig{}, iters, rings, reps);
+      run_point(cfg, /*parallel=*/false, iters, rings, reps);
 
   TextTable table(
       "Overhead-budget sampling — recall/overhead per duty point (" +
@@ -211,13 +214,13 @@ int main(int argc, char** argv) {
 
   for (std::size_t d = 0; d < kDutyCount; ++d) {
     const DutyPoint& duty = kDuties[d];
-    SamplingConfig sampling;
-    sampling.burst = duty.burst;
-    sampling.skip = duty.skip;
+    ProfilerConfig dcfg = cfg;
+    dcfg.sampling_burst = duty.burst;
+    dcfg.sampling_skip = duty.skip;
     const RunResult serial =
-        run_point(cfg, /*parallel=*/false, sampling, iters, rings, reps);
+        run_point(dcfg, /*parallel=*/false, iters, rings, reps);
     const RunResult parallel =
-        run_point(cfg, /*parallel=*/true, sampling, iters, rings, reps);
+        run_point(dcfg, /*parallel=*/true, iters, rings, reps);
 
     // The fixed schedule is deterministic: two live runs gate the same
     // units, so serial and parallel see the same stream and must agree.
@@ -306,11 +309,11 @@ int main(int argc, char** argv) {
   // contract still binds (the gap-close rule is schedule-independent); the
   // achieved overhead is reported, not gated.
   {
-    SamplingConfig sampling;
-    sampling.budget = budget;
-    sampling.burst = 8;
+    ProfilerConfig acfg = cfg;
+    acfg.budget = budget;
+    acfg.sampling_burst = 8;
     const RunResult adaptive =
-        run_point(cfg, /*parallel=*/false, sampling, iters, rings, reps);
+        run_point(acfg, /*parallel=*/false, iters, rings, reps);
     const SubsetReport sub =
         check_sampled_subset(reference.deps, adaptive.deps);
     if (!sub.ok) {

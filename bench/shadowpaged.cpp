@@ -1,8 +1,8 @@
 // shadowpaged — exact-store working-set sweep (SLAMP-style paged shadow
-// memory vs the chained hash table and the two-level shadow map).
+// memory vs the chained hash table).
 //
-// The packed store's claim is about *scale*: at small working sets every
-// exact backend fits in cache and they tie, but past the LLC the hash
+// The packed store's claim is about *scale*: at small working sets both
+// exact backends fit in cache and they tie, but past the LLC the hash
 // table pays a bucket probe plus a chain-node miss per access and an
 // allocation per cold address, while the packed page table pays one 8-byte
 // word on a huge-page-backed leaf (TLB-resident, prefetchable).  This
@@ -168,12 +168,11 @@ int main(int argc, char** argv) {
   }
 
   const StorageKind backends[] = {StorageKind::kPacked,
-                                  StorageKind::kHashTable,
-                                  StorageKind::kShadow};
+                                  StorageKind::kHashTable};
 
   TextTable table("Exact-store working-set sweep — detect-stage events/sec "
                   "(one write + one read per word)");
-  table.set_header({"words", "packed ev/s", "hashtable ev/s", "shadow ev/s",
+  table.set_header({"words", "packed ev/s", "hashtable ev/s",
                     "packed/hashtable", "packed pages", "packed MiB"});
   obs::BenchReport report("shadowpaged");
   report.metric("reps", reps);
@@ -182,8 +181,8 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const std::uint64_t words : points) {
     const std::string pt = point_name(words);
-    SweepRun runs[3];
-    for (int b = 0; b < 3; ++b) {
+    SweepRun runs[2];
+    for (int b = 0; b < 2; ++b) {
       if (!measure(backends[b], words, reps, runs[b])) {
         std::fprintf(stderr, "FAIL: %s: profiler construction failed\n",
                      storage_kind_name(backends[b]));
@@ -192,7 +191,6 @@ int main(int argc, char** argv) {
     }
     SweepRun& packed = runs[0];
     SweepRun& hashtable = runs[1];
-    SweepRun& shadow = runs[2];
 
     // Identity: packed must agree with the hash-table reference — a
     // throughput ratio between diverging maps compares different work.
@@ -221,13 +219,11 @@ int main(int argc, char** argv) {
     const double packed_mib =
         static_cast<double>(packed.store_bytes) / 1048576.0;
     table.add_row({pt, TextTable::num(packed.best_eps),
-                   TextTable::num(hashtable.best_eps),
-                   TextTable::num(shadow.best_eps), TextTable::num(ratio),
+                   TextTable::num(hashtable.best_eps), TextTable::num(ratio),
                    std::to_string(packed.resident_pages),
                    TextTable::num(packed_mib)});
     report.metric("packed_eps_" + pt, packed.best_eps);
     report.metric("hashtable_eps_" + pt, hashtable.best_eps);
-    report.metric("shadow_eps_" + pt, shadow.best_eps);
     report.metric("packed_over_hashtable_" + pt, ratio);
     report.metric("packed_resident_pages_" + pt,
                   static_cast<double>(packed.resident_pages));

@@ -15,11 +15,10 @@
 //
 // DetectorCore is the single Algorithm 1 implementation, templated over any
 // type satisfying the AccessStore concept: the fixed-size Signature, the
-// packed paged shadow store, the ShadowMemory baseline, and the
-// HashTableRecorder baseline.  The slot layout is deduced from the store
-// (Store::slot_type), so each (backend, target kind) pair is one full
-// monomorphization — there is no per-access branch on the storage kind
-// anywhere in the detect loop.
+// packed paged shadow store, and the HashTableRecorder baseline.  The slot
+// layout is deduced from the store (Store::slot_type), so each (backend,
+// target kind) pair is one full monomorphization — there is no per-access
+// branch on the storage kind anywhere in the detect loop.
 
 #include <algorithm>
 #include <array>

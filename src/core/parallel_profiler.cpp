@@ -463,21 +463,20 @@ std::unique_ptr<IProfiler> make_parallel_profiler(const ProfilerConfig& config) 
   // Baseline BEFORE the stores are built: a signature slot array that falls
   // back during construction belongs to this run's counter.
   const std::uint64_t hp0 = huge::fallback_count();
-  return with_store(
-      config,
-      [&]<typename Store>(std::type_identity<Store>) -> std::unique_ptr<IProfiler> {
-        std::vector<Store> reads, writes;
-        reads.reserve(w);
-        writes.reserve(w);
-        std::size_t bytes = 0;
-        for (unsigned i = 0; i < w; ++i) {
-          reads.push_back(make_store<Store>(config));
-          writes.push_back(make_store<Store>(config));
-          bytes += reads.back().bytes() + writes.back().bytes();
-        }
-        return std::make_unique<ParallelProfiler<Store>>(
-            config, std::move(reads), std::move(writes), bytes, hp0);
-      });
+  return with_store(config, [&](auto make) -> std::unique_ptr<IProfiler> {
+    using Store = decltype(make());
+    std::vector<Store> reads, writes;
+    reads.reserve(w);
+    writes.reserve(w);
+    std::size_t bytes = 0;
+    for (unsigned i = 0; i < w; ++i) {
+      reads.push_back(make());
+      writes.push_back(make());
+      bytes += reads.back().bytes() + writes.back().bytes();
+    }
+    return std::make_unique<ParallelProfiler<Store>>(
+        config, std::move(reads), std::move(writes), bytes, hp0);
+  });
 }
 
 }  // namespace depprof

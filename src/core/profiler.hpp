@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dep.hpp"
@@ -20,15 +21,39 @@
 
 namespace depprof {
 
-/// Which access store backs Algorithm 1.
+/// Which access store backs Algorithm 1.  A backend is this value, one row
+/// of kStorageNames and one with_store case (core/store_factory.hpp).
 enum class StorageKind {
   kSignature,  ///< fixed-size signature (the paper's design)
-  kShadow,     ///< multi-level shadow memory baseline (Sec. III-B)
   kHashTable,  ///< chained hash table baseline (Sec. III-B)
   kPacked,     ///< SLAMP-style paged shadow memory, packed 64-bit words
 };
 
-const char* storage_kind_name(StorageKind kind);
+/// The one spelling of each backend: --storage values, repro files, logs.
+inline constexpr struct {
+  StorageKind kind;
+  std::string_view name;
+} kStorageNames[] = {
+    {StorageKind::kSignature, "signature"},
+    {StorageKind::kHashTable, "hashtable"},
+    {StorageKind::kPacked, "packed"},
+};
+
+inline const char* storage_kind_name(StorageKind kind) {
+  for (const auto& row : kStorageNames)
+    if (row.kind == kind) return row.name.data();
+  return "?";
+}
+
+/// Parses a backend name; returns false on unknown names.
+inline bool parse_storage_kind(std::string_view name, StorageKind& out) {
+  for (const auto& row : kStorageNames)
+    if (row.name == name) {
+      out = row.kind;
+      return true;
+    }
+  return false;
+}
 
 /// Load-balancing knobs (Sec. IV-A).
 struct LoadBalanceConfig {

@@ -103,30 +103,19 @@ class SerialProfiler final : public IProfiler {
 
 }  // namespace
 
-const char* storage_kind_name(StorageKind kind) {
-  switch (kind) {
-    case StorageKind::kSignature: return "signature";
-    case StorageKind::kShadow: return "shadow";
-    case StorageKind::kHashTable: return "hashtable";
-    case StorageKind::kPacked: return "packed";
-  }
-  return "?";
-}
-
 std::unique_ptr<IProfiler> make_serial_profiler(const ProfilerConfig& config) {
   if (!races_config_ok(config)) return nullptr;
   // Baseline BEFORE the stores are built: a signature slot array that falls
   // back during construction belongs to this run's counter.
   const std::uint64_t hp0 = huge::fallback_count();
-  return with_store(
-      config,
-      [&]<typename Store>(std::type_identity<Store>) -> std::unique_ptr<IProfiler> {
-        Store r = make_store<Store>(config);
-        Store w = make_store<Store>(config);
-        const std::size_t bytes = r.bytes() + w.bytes();
-        return std::make_unique<SerialProfiler<Store>>(
-            std::move(r), std::move(w), bytes, hp0);
-      });
+  return with_store(config, [&](auto make) -> std::unique_ptr<IProfiler> {
+    using Store = decltype(make());
+    Store r = make();
+    Store w = make();
+    const std::size_t bytes = r.bytes() + w.bytes();
+    return std::make_unique<SerialProfiler<Store>>(std::move(r), std::move(w),
+                                                   bytes, hp0);
+  });
 }
 
 }  // namespace depprof

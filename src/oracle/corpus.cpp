@@ -26,15 +26,6 @@ const char* sig_hash_name(SigHash h) {
   return h == SigHash::kModulo ? "modulo" : "mix";
 }
 
-bool parse_storage(std::string_view v, StorageKind& out) {
-  if (v == "signature") out = StorageKind::kSignature;
-  else if (v == "shadow") out = StorageKind::kShadow;
-  else if (v == "hashtable") out = StorageKind::kHashTable;
-  else if (v == "packed") out = StorageKind::kPacked;
-  else return false;
-  return true;
-}
-
 bool parse_queue(std::string_view v, QueueKind& out) {
   if (v == "lock-free-spsc") out = QueueKind::kLockFreeSpsc;
   else if (v == "lock-free-mpmc") out = QueueKind::kLockFreeMpmc;
@@ -114,7 +105,7 @@ using Cfg = ProfilerConfig;
 constexpr KeySpec<Cfg> kConfigKeys[] = {
     {"storage",
      [](std::ostream& os, const Cfg& c) { os << storage_kind_name(c.storage); },
-     [](std::string_view v, Cfg& c) { return parse_storage(v, c.storage); }},
+     [](std::string_view v, Cfg& c) { return parse_storage_kind(v, c.storage); }},
     field<Cfg, &Cfg::slots>("slots"),
     {"sighash",
      [](std::ostream& os, const Cfg& c) { os << sig_hash_name(c.sig_hash); },

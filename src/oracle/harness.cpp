@@ -265,6 +265,8 @@ CaseOutcome run_case(const Trace& trace, const ProfilerConfig& cfg,
       sched::Result r = sched::end();
       out.schedule = std::move(r.recorded);
       out.sched_divergences = r.divergences;
+      out.sched_steps = r.steps;
+      out.sched_free_ran = r.free_ran;
     }
     out.violations = sched::violation_count() - violations_before;
     if (out.violations > 0) {

@@ -6,7 +6,7 @@
 // and the parallel profiler over the same trace and checks the paper's
 // correctness contract:
 //
-//   * exact stores (PackedShadowStore, ShadowMemory, HashTableRecorder) and
+//   * exact stores (PackedShadowStore, HashTableRecorder) and
 //     signatures operating in the collision-free regime must produce maps
 //     byte-identical to the oracle — keys, instance counts, qualifier
 //     flags, carried loops and distances;
@@ -86,6 +86,10 @@ struct CaseOutcome {
   /// empty otherwise) — what a failing case commits as its repro.
   sched::ScheduleTrace schedule;
   std::uint64_t sched_divergences = 0;
+  std::uint64_t sched_steps = 0;  ///< grants the controller made
+  /// The schedule hit its step budget and the rest of the run was not
+  /// scheduled at all.
+  bool sched_free_ran = false;
 };
 
 /// Trace-replay twin of the runtime's overhead-budget sampling gate

@@ -23,10 +23,6 @@ constexpr std::chrono::milliseconds kPollSlice{2};
 /// All runnable threads parked with no grant for this long => stall
 /// fallback (counts as a divergence, never a deadlock).
 constexpr std::chrono::seconds kStallTimeout{5};
-/// PCT starvation rotation: after this many consecutive grants to the same
-/// (thread, site) — a poll loop spinning on an empty queue — its priority
-/// rotates to the bottom so lower-priority threads can make progress.
-constexpr std::uint64_t kPctStarvationRuns = 8;
 
 struct ThreadState {
   std::string name;
@@ -208,7 +204,7 @@ class Controller {
         if (st->name == step.thread) pick = st;
       if (pick == nullptr) {
         ++result_.divergences;
-        pick = algo_pick(active);
+        pick = algo_pick(active, ready);
       } else if (step.site != pick->site) {
         ++result_.divergences;  // granted anyway: names drive replay
       }
@@ -218,7 +214,7 @@ class Controller {
       enter_free_run();
       return;
     } else {
-      pick = algo_pick(active);
+      pick = algo_pick(active, ready);
     }
 
     pick->granted = true;
@@ -227,43 +223,54 @@ class Controller {
     cv_.notify_all();
   }
 
-  ThreadState* algo_pick(std::vector<ThreadState*>& ready) {
+  /// Picks among `active` (the poll-demoted runnable set); `ready` is every
+  /// runnable thread.
+  ThreadState* algo_pick(const std::vector<ThreadState*>& active,
+                         const std::vector<ThreadState*>& ready) {
     if (opts_.algo == Algo::kRandomWalk)
-      return ready[rng_.below(ready.size())];
+      return active[rng_.below(active.size())];
 
     // PCT: priority change points first, then highest priority wins.
     while (!change_points_.empty() && result_.steps >= change_points_.front()) {
       change_points_.erase(change_points_.begin());
-      ThreadState* victim = ready[rng_.below(ready.size())];
-      victim->priority = lowest_priority();
+      demote(*active[rng_.below(active.size())]);
     }
-    ThreadState* pick = ready.front();
-    for (ThreadState* st : ready)
-      if (st->priority > pick->priority) pick = st;
+    ThreadState* pick = highest(active);
     // Starvation rotation: PCT assumes a scheduled thread makes progress,
-    // but a pipeline thread polling an empty queue just re-arrives at the
-    // same site.  After a run of identical grants, rotate it to the bottom.
-    if (pick->name == last_grant_name_ && pick->site == last_grant_site_) {
-      if (++same_grant_run_ >= kPctStarvationRuns) {
-        pick->priority = lowest_priority();
-        same_grant_run_ = 0;
-        ThreadState* next = ready.front();
-        for (ThreadState* st : ready)
-          if (st->priority > next->priority) next = st;
-        pick = next;
-      }
-    } else {
-      same_grant_run_ = 0;
+    // but a pipeline thread retrying a full or empty queue just re-arrives,
+    // at one site or alternating between its retry and wait.poll.  So runs
+    // count grants to one thread at any site, and after kPctStarvationRuns
+    // in a row the thread drops below every other one and the grant goes
+    // to the best other thread: an active one, else a polling one.
+    if (pick->name == last_grant_name_ &&
+        same_grant_run_ >= kPctStarvationRuns) {
+      demote(*pick);
+      pick = highest(active.size() > 1 ? active : ready);
     }
-    last_grant_name_ = pick->name;
-    last_grant_site_ = pick->site;
+    if (pick->name == last_grant_name_) {
+      ++same_grant_run_;
+    } else {
+      last_grant_name_ = pick->name;
+      same_grant_run_ = 1;
+    }
     return pick;
   }
 
-  std::uint64_t lowest_priority() {
-    std::uint64_t lo = ~std::uint64_t{0};
-    for (const auto& [id, st] : threads_) lo = std::min(lo, st.priority);
-    return lo == 0 ? 0 : lo - 1;
+  /// Highest priority in `set`; ties go to name order.
+  static ThreadState* highest(const std::vector<ThreadState*>& set) {
+    ThreadState* best = set.front();
+    for (ThreadState* st : set)
+      if (st->priority > best->priority) best = st;
+    return best;
+  }
+
+  /// Moves `st` strictly below every other thread by lifting the whole band
+  /// one step (order kept) and putting `st` at 0.  Demoted threads must
+  /// never tie at the bottom: ties go to name order, which could hand the
+  /// grant straight back to the thread just demoted.
+  void demote(ThreadState& st) {
+    for (auto& [id, other] : threads_) ++other.priority;
+    st.priority = 0;
   }
 
   std::mutex mu_;
@@ -279,9 +286,8 @@ class Controller {
   std::size_t replay_pos_ = 0;
   std::uint64_t next_priority_ = 1;
   std::vector<std::uint64_t> change_points_;
-  std::string last_grant_name_;
-  std::string last_grant_site_;
-  std::uint64_t same_grant_run_ = 0;
+  std::string last_grant_name_;  ///< PCT: thread of the current grant run
+  std::uint64_t same_grant_run_ = 0;  ///< grants in that run
 };
 
 /// Session slot.  g_active gates the fast path; the pointer itself is only

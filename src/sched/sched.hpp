@@ -47,6 +47,12 @@ enum class Algo {
 const char* algo_name(Algo a);
 bool parse_algo(const char* name, Algo& out);
 
+/// PCT starvation rotation: most grants one thread receives in a row, at
+/// any sites, while another thread is attached.  A thread retrying an
+/// empty or full queue makes no progress, so after this many it drops to
+/// the lowest priority.
+inline constexpr std::uint64_t kPctStarvationRuns = 8;
+
 /// One scheduling decision: which thread was granted, at which site.
 /// Replay follows the thread names; the sites double as divergence checks.
 struct ScheduleStep {

@@ -3,10 +3,9 @@
 //
 // Algorithm 1 is generic over *how* the last read/write per address is
 // recorded: the paper's fixed-size Signature, the packed paged shadow store
-// (the exact per-address table of Sec. VI-A), the multi-level ShadowMemory
-// baseline and the chained HashTableRecorder baseline (Sec. III-B).
-// DetectorCore<Store>
-// is instantiated once per backend against this concept, so the per-access
+// (the exact per-address table of Sec. VI-A) and the chained
+// HashTableRecorder baseline (Sec. III-B).  DetectorCore<Store> is
+// instantiated once per backend against this concept, so the per-access
 // detect loop contains no runtime dispatch on the storage kind — backend
 // choice is resolved exactly once, when the profiler is constructed.
 //

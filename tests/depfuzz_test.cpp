@@ -227,7 +227,7 @@ TEST(Harness, ExactCasesHoldAcrossBackends) {
   p.distinct = 400;
   const Trace t = gen_churn(p, 0.2);
   for (const StorageKind storage :
-       {StorageKind::kShadow, StorageKind::kHashTable, StorageKind::kPacked,
+       {StorageKind::kHashTable, StorageKind::kPacked,
         StorageKind::kSignature}) {
     ProfilerConfig cfg;
     cfg.storage = storage;
@@ -293,7 +293,7 @@ TEST(Harness, SampledOracleSatisfiesSubsetContract) {
   p.distinct = 256;
   for (const Trace& t : {gen_loop(p, 32, true), gen_churn(p, 0.25, 0, 3)}) {
     const DepMap full = oracle_dependences(t, false);
-    for (const auto [burst, skip] : {std::pair{4u, 4u}, std::pair{1u, 9u}}) {
+    for (const auto& [burst, skip] : {std::pair{4u, 4u}, std::pair{1u, 9u}}) {
       const Trace s = sample_stream(t, burst, skip);
       const DepMap sampled = oracle_dependences(s, false);
       const SubsetReport rep = check_sampled_subset(full, sampled);
@@ -336,7 +336,7 @@ TEST(Harness, SampledCasesHoldAcrossBackends) {
   p.distinct = 256;
   const Trace t = gen_loop(p, 32, true);
   for (const StorageKind storage :
-       {StorageKind::kShadow, StorageKind::kHashTable, StorageKind::kPacked,
+       {StorageKind::kHashTable, StorageKind::kPacked,
         StorageKind::kSignature}) {
     ProfilerConfig cfg;
     cfg.storage = storage;
@@ -504,7 +504,7 @@ TEST(Shrinker, KeepsConfigWhenSimplificationLosesTheFailure) {
 ReproCase sample_repro() {
   ReproCase r;
   r.note = "round-trip sample";
-  r.cfg.storage = StorageKind::kShadow;
+  r.cfg.storage = StorageKind::kHashTable;
   r.cfg.slots = 4096;
   r.cfg.sig_hash = SigHash::kMix;
   r.cfg.mt_targets = true;
@@ -753,10 +753,16 @@ TEST(Corpus, StrictParserRejectsAmbiguousShape) {
   std::string error;
   // A duplicate key within one line would silently last-write-win.
   std::string twice = header;
-  twice.insert(twice.find("\nlb "), " storage=shadow");
+  twice.insert(twice.find("\nlb "), " storage=packed");
   EXPECT_FALSE(parse_repro(out, twice, &error));
   EXPECT_NE(error.find("duplicate key 'storage'"), std::string::npos);
   EXPECT_NE(error.find("line 2"), std::string::npos);
+  // A removed backend is an unknown value, never a fallback to another.
+  std::string removed = header;
+  removed.replace(removed.find("storage=signature"), 17, "storage=shadow");
+  EXPECT_FALSE(parse_repro(out, removed, &error));
+  EXPECT_NE(error.find("bad config token 'storage=shadow'"), std::string::npos)
+      << error;
   EXPECT_FALSE(parse_repro(out, header + "ev W addr=0x1 addr=0x2\n", &error));
   EXPECT_NE(error.find("duplicate key 'addr'"), std::string::npos);
   EXPECT_NE(error.find("line 4"), std::string::npos);

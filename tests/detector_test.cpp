@@ -18,7 +18,6 @@
 #include "instrument/dedup.hpp"
 #include "sig/hash_table_recorder.hpp"
 #include "sig/packed_shadow_store.hpp"
-#include "sig/shadow_memory.hpp"
 #include "sig/signature.hpp"
 #include "trace/nest.hpp"
 
@@ -554,8 +553,6 @@ TEST(RunFolding, MatchesInstanceByInstanceOnEveryStore) {
   check_run_folding<Signature<SeqSlot>>(
       +[] { return Signature<SeqSlot>(128, SigHash::kModulo); }, 1,
       "signature");
-  check_run_folding<ShadowMemory<SeqSlot>>(
-      +[] { return ShadowMemory<SeqSlot>(); }, 1, "shadow");
   check_run_folding<HashTableRecorder<SeqSlot>>(
       +[] { return HashTableRecorder<SeqSlot>(64); }, 1, "hashtable");
   check_run_folding<PackedShadowStore<SeqSlot>>(

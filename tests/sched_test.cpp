@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 
@@ -101,6 +102,44 @@ TEST(SchedHarnessTest, PctExplorationHoldsAtEightWorkers) {
   const CaseOutcome out = run_case(trace, cfg, &spec);
   ASSERT_TRUE(out.ok) << out.detail;
   EXPECT_EQ(out.violations, 0u);
+}
+
+TEST(SchedPctTest, NoThreadHoldsTheSchedulePastTheRotationBound) {
+  // A worker retrying an empty queue alternates its pop with wait.poll,
+  // while two idle workers only poll.  Runs count grants to one thread at
+  // any site, and a demoted thread drops strictly below the others, so no
+  // thread is granted more than kPctStarvationRuns steps in a row,
+  // whatever the seed hands the top priority to.
+  constexpr std::uint64_t kSteps = 400;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    sched::Options opts;
+    opts.seed = seed;
+    opts.algo = sched::Algo::kPct;
+    opts.max_steps = kSteps;  // then free-run, so the threads drain fast
+    sched::begin(opts);
+    sched::expect_threads(3);
+    auto body = [](const char* name, bool retries) {
+      sched::ThreadGuard guard(name);
+      for (int i = 0; i < 2000; ++i) {
+        if (retries) sched::point("spsc.pop");
+        sched::point("wait.poll");
+      }
+    };
+    std::thread a(body, "a", true), b(body, "b", false), c(body, "c", false);
+    a.join();
+    b.join();
+    c.join();
+    const sched::Result r = sched::end();
+    ASSERT_EQ(r.recorded.steps.size(), kSteps) << "seed " << seed;
+    std::uint64_t run = 0, longest = 0;
+    for (std::size_t i = 0; i < r.recorded.steps.size(); ++i) {
+      const bool same =
+          i > 0 && r.recorded.steps[i].thread == r.recorded.steps[i - 1].thread;
+      run = same ? run + 1 : 1;
+      longest = std::max(longest, run);
+    }
+    EXPECT_LE(longest, sched::kPctStarvationRuns) << "seed " << seed;
+  }
 }
 
 TEST(ChunkPoolTest, SealedAcquireBlocksInsteadOfAllocating) {

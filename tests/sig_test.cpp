@@ -1,6 +1,6 @@
 // Unit and property tests for the signature substrate: fixed-size
-// signature, shadow memory, packed paged shadow store, hash-table recorder,
-// and the formula-2 FPR model.
+// signature, packed paged shadow store, hash-table recorder, and the
+// formula-2 FPR model.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "sig/fpr_model.hpp"
 #include "sig/hash_table_recorder.hpp"
 #include "sig/packed_shadow_store.hpp"
-#include "sig/shadow_memory.hpp"
 #include "sig/signature.hpp"
 #include "sig/slots.hpp"
 
@@ -236,44 +235,6 @@ TEST_P(SignatureHashProperty, OccupancyNeverExceedsInsertions) {
 INSTANTIATE_TEST_SUITE_P(BothHashes, SignatureHashProperty,
                          ::testing::Values(SigHash::kModulo, SigHash::kMix));
 
-// ------------------------------------------------------------ ShadowMemory
-
-TEST(ShadowMemory, ExactWithinPage) {
-  ShadowMemory<SeqSlot> shadow;
-  shadow.insert(100, slot_at(10));
-  ASSERT_NE(shadow.find(100), nullptr);
-  EXPECT_EQ(shadow.find(101), nullptr);
-  EXPECT_EQ(shadow.page_count(), 1u);
-}
-
-TEST(ShadowMemory, PagesAllocatedOnDemand) {
-  ShadowMemory<SeqSlot> shadow;
-  shadow.insert(0, slot_at(1));
-  shadow.insert(ShadowMemory<SeqSlot>::kPageSlots + 5, slot_at(2));
-  EXPECT_EQ(shadow.page_count(), 2u);
-  EXPECT_GE(shadow.bytes(),
-            2 * ShadowMemory<SeqSlot>::kPageSlots * sizeof(SeqSlot));
-}
-
-TEST(ShadowMemory, SparseAddressesBlowUpMemory) {
-  // The Sec. III-B problem: widely spread addresses allocate a page each.
-  ShadowMemory<SeqSlot> shadow;
-  for (std::uint64_t i = 0; i < 64; ++i)
-    shadow.insert(i * (ShadowMemory<SeqSlot>::kPageSlots * 4), slot_at(1));
-  EXPECT_GE(shadow.page_count(), 32u);
-  Signature<SeqSlot> sig(1024);
-  EXPECT_GT(shadow.bytes(), sig.bytes() * 10);
-}
-
-TEST(ShadowMemory, RemoveAndExtract) {
-  ShadowMemory<SeqSlot> shadow;
-  shadow.insert(100, slot_at(10));
-  auto st = shadow.extract(100);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(shadow.find(100), nullptr);
-  shadow.remove(12345);  // removing absent address is a no-op
-}
-
 // -------------------------------------------------------- PackedShadowStore
 
 using PackedSeq = PackedShadowStore<SeqSlot>;
@@ -351,7 +312,8 @@ TEST(PackedShadowStore, OverwriteReplacesSnapshotWithoutLeakingTokens) {
 
 TEST(PackedShadowStore, InsertingEmptySlotReadsAsAbsent) {
   // Shadow semantics: writing an empty slot is a removal, so a store that
-  // round-trips through extract/adopt behaves identically to ShadowMemory.
+  // round-trips through extract/adopt behaves identically to the other
+  // exact store.
   PackedSeq store;
   store.insert(42, slot_at(10));
   store.insert(42, SeqSlot{});
@@ -543,6 +505,17 @@ TEST(PackedShadowStore, PagesAllocatedOnTouchOnly) {
   EXPECT_EQ(store.page_count(), 3u);
   ASSERT_NE(store.find((std::uint64_t{1} << 40) + 9), nullptr);
   EXPECT_EQ(store.find((std::uint64_t{1} << 40) + 8), nullptr);
+
+  // The Sec. III-B problem: sparse addresses cost a whole leaf page each,
+  // far above a signature's fixed footprint.
+  PackedSeq sparse;
+  constexpr std::uint64_t kSparse = 16;
+  for (std::uint64_t i = 0; i < kSparse; ++i)
+    sparse.insert(i * PackedSeq::kPageWords, slot_at(1));
+  EXPECT_EQ(sparse.page_count(), kSparse);
+  EXPECT_GE(sparse.bytes(), kSparse * PackedSeq::kPageWords * 8);
+  Signature<SeqSlot> sig(1024);
+  EXPECT_GT(sparse.bytes(), sig.bytes() * 10);
 }
 
 TEST(PackedShadowStore, TeardownReleasesEveryByte) {
@@ -754,6 +727,83 @@ TEST(HashTableRecorder, InsertUpdatesInPlace) {
   table.insert(1, slot_at(20));
   EXPECT_EQ(table.occupied(), 1u);
   EXPECT_EQ(table.find(1)->location().line(), 20u);
+}
+
+TEST(HashTableRecorder, LoggedClearFreesWhatTheBurstWrote) {
+  // A table built for a sampled run logs every chain the burst starts;
+  // clear() frees exactly those chains, returns every node charge and stays
+  // armed.  The log is allocated on first use and charged once.
+  const std::int64_t base =
+      MemStats::instance().bytes(MemComponent::kSignatures);
+  {
+    constexpr std::size_t kBuckets = 1u << 10;
+    HashTableRecorder<SeqSlot> table(kBuckets, /*sampled=*/true);
+    EXPECT_TRUE(table.armed());
+    EXPECT_EQ(table.bytes(), kBuckets * sizeof(void*));  // no log yet
+    const std::int64_t built =
+        MemStats::instance().bytes(MemComponent::kSignatures);
+    std::vector<std::uint64_t> addrs;
+    for (std::uint64_t i = 0; i < 3000; ++i) addrs.push_back(i * 13 + 5);
+    for (std::size_t i = 0; i < addrs.size(); ++i)
+      table.insert(addrs[i], slot_at(static_cast<std::uint32_t>(i % 30 + 1)));
+    table.insert(addrs[0], slot_at(99));  // update in place: nothing new
+    table.remove(addrs[1]);
+    table.insert(addrs[1], slot_at(98));
+    ASSERT_EQ(table.occupied(), addrs.size());
+    EXPECT_GT(MemStats::instance().bytes(MemComponent::kSignatures),
+              built + static_cast<std::int64_t>(
+                          HashTableRecorder<SeqSlot>::kLogCap * 8));
+    table.clear();
+    EXPECT_TRUE(table.armed());
+    EXPECT_EQ(table.occupied(), 0u);
+    // Only the bucket array and the log stay charged: no node is left.
+    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures),
+              built + static_cast<std::int64_t>(
+                          HashTableRecorder<SeqSlot>::kLogCap * 8));
+    EXPECT_EQ(table.bytes(),
+              kBuckets * sizeof(void*) +
+                  HashTableRecorder<SeqSlot>::kLogCap * 8);
+    for (const std::uint64_t a : addrs) ASSERT_EQ(table.find(a), nullptr) << a;
+    table.insert(addrs[3], slot_at(7));
+    ASSERT_NE(table.find(addrs[3]), nullptr);
+    EXPECT_EQ(table.find(addrs[3])->location().line(), 7u);
+    EXPECT_EQ(table.occupied(), 1u);
+  }
+  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures), base);
+}
+
+TEST(HashTableRecorder, LogOverflowTakesTheWalkPath) {
+  // More than kLogCap new chain heads overflow the log: clear() then walks
+  // every bucket and arms the log again.  An unsampled table starts unarmed
+  // and allocates no log until then.
+  constexpr std::size_t kCap = HashTableRecorder<SeqSlot>::kLogCap;
+  const std::int64_t base =
+      MemStats::instance().bytes(MemComponent::kSignatures);
+  {
+    HashTableRecorder<SeqSlot> table(4 * kCap);
+    EXPECT_FALSE(table.armed());
+    const std::size_t empty = table.bytes();
+    for (std::uint64_t i = 0; i < 100; ++i) table.insert(i, slot_at(1));
+    EXPECT_LT(table.bytes() - empty, kCap) << "100 nodes and no log";
+    table.clear();
+    EXPECT_TRUE(table.armed());
+    // Each insert starts at most one chain, so the log overflows after
+    // kCap + 1 of them at the earliest.
+    std::uint64_t a = 0;
+    for (; a <= 4 * kCap && table.armed(); ++a) table.insert(a, slot_at(2));
+    EXPECT_FALSE(table.armed()) << "kCap + 1 new chain heads must overflow";
+    EXPECT_GT(a, kCap);
+    table.clear();
+    EXPECT_TRUE(table.armed());
+    EXPECT_EQ(table.occupied(), 0u);
+    for (std::uint64_t i = 0; i < a; ++i)
+      ASSERT_EQ(table.find(i), nullptr) << "address " << i;
+    table.insert(5, slot_at(3));
+    table.clear();  // logged again
+    EXPECT_EQ(table.find(5), nullptr);
+    EXPECT_TRUE(table.armed());
+  }
+  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures), base);
 }
 
 TEST(HashTableRecorder, ExtractFromChainMiddle) {

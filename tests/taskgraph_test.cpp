@@ -154,8 +154,8 @@ TEST(TaskGraphRaces, SerialAndParallelReportsIdenticalAcrossBackendsAndQueues) {
   const Workload* w = find_workload("taskgraph-racy");
   ASSERT_NE(w, nullptr);
 
-  // One MT-recorded trace feeds every profiler, so the 15-case matrix
-  // compares identical inputs: 5 store backends x 3 queue kinds, each
+  // One MT-recorded trace feeds every profiler, so the 9-case matrix
+  // compares identical inputs: 3 store backends x 3 queue kinds, each
   // parallel report against the same-backend serial reference.
   RunOptions ropts;
   ropts.target_threads = 2;
@@ -163,7 +163,7 @@ TEST(TaskGraphRaces, SerialAndParallelReportsIdenticalAcrossBackendsAndQueues) {
   ASSERT_GT(trace.size(), 0u);
   ASSERT_LE(densify_units(trace), races_cfg(StorageKind::kSignature).slots);
 
-  const StorageKind backends[] = {StorageKind::kSignature, StorageKind::kShadow,
+  const StorageKind backends[] = {StorageKind::kSignature,
                                   StorageKind::kHashTable, StorageKind::kPacked};
   const QueueKind queues[] = {QueueKind::kLockFreeSpsc, QueueKind::kLockFreeMpmc,
                               QueueKind::kMutex};

@@ -14,10 +14,11 @@
 //                        / serial), text by default
 //
 // Options:
-//   --storage signature|shadow|hashtable|packed
+//   --storage signature|hashtable|packed
 //                        (default signature; packed = SLAMP-style paged
 //                        shadow memory with packed 64-bit words — exact,
-//                        memory proportional to touched pages)
+//                        memory proportional to touched pages; hashtable =
+//                        the chained exact baseline of Sec. III-B)
 //   --slots N            signature slots per signature   (default 1M)
 //   --parallel           use the Fig. 2 pipeline
 //   --workers N          pipeline workers, at most 64     (default 8)
@@ -141,17 +142,7 @@ bool parse(int argc, char** argv, int start, CliOptions& out) {
     };
     if (arg == "--storage") {
       const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "signature") == 0)
-        out.cfg.storage = StorageKind::kSignature;
-      else if (std::strcmp(v, "shadow") == 0)
-        out.cfg.storage = StorageKind::kShadow;
-      else if (std::strcmp(v, "hashtable") == 0)
-        out.cfg.storage = StorageKind::kHashTable;
-      else if (std::strcmp(v, "packed") == 0)
-        out.cfg.storage = StorageKind::kPacked;
-      else
-        return false;
+      if (v == nullptr || !parse_storage_kind(v, out.cfg.storage)) return false;
     } else if (arg == "--slots") {
       if (!parse_int("--slots", next(), std::size_t{1}, out.cfg.slots))
         return false;
