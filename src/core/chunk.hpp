@@ -36,10 +36,9 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <new>
 #include <type_traits>
-#include <unordered_set>
+#include <vector>
 
 #include "common/mem_stats.hpp"
 #include "queue/queues.hpp"
@@ -180,64 +179,49 @@ inline bool chunk_done(Chunk& c) {
 /// Lock-free recycling pool of chunks.  Workers release consumed chunks;
 /// producers acquire them back.
 ///
-/// Sealed mode (sequential targets — the default pipeline): every chunk the
-/// run can ever have in flight is allocated at construction, i.e. before
-/// the instrumented target starts running, and an acquire that finds the
-/// free list empty BLOCKS (wait_strategy ladder) for a recycled chunk
-/// instead of allocating.  This is the fix for the workers=8
-/// cross-attribution flake: schedule-dependent pool-miss allocations on the
-/// main thread used to perturb the target's own heap layout mid-run, which
-/// could shift a target allocation into modulo-signature aliasing range of
-/// another array (see ROADMAP "root cause").  Steady-state profiling now
-/// performs no allocation by construction — the property the paper's
-/// lock-free design relies on, here load-bearing for correctness too.
+/// Every chunk the run can ever have in flight is allocated at
+/// construction, i.e. before the instrumented target starts running, and
+/// an acquire that finds the free list empty BLOCKS (wait_strategy ladder)
+/// for a recycled chunk instead of allocating.  This is the fix for the
+/// workers=8 cross-attribution flake: schedule-dependent pool-miss
+/// allocations on the main thread used to perturb the target's own heap
+/// layout mid-run, which could shift a target allocation into
+/// modulo-signature aliasing range of another array (see ROADMAP "root
+/// cause").  Steady-state profiling performs no allocation by construction
+/// — the property the paper's lock-free design relies on, here
+/// load-bearing for correctness too.
 ///
-/// Unsealed mode (MT targets, whose producer count is unbounded): the pool
-/// may still grow on demand; at most `max_pooled` idle chunks are retained,
-/// a release beyond that deletes the chunk.  Every live chunk — idle or in
-/// flight — is charged to MemStats kQueues; the charge is dropped when the
-/// chunk is deleted (spill or pool teardown).  The pool owns every chunk it
-/// ever handed out, so teardown reclaims in-flight chunks too; the
-/// owned-set lock is taken only on allocation and spill, never on the
-/// steady-state acquire/release recycle path.
+/// Waiting cannot deadlock, whatever the number of producer threads (MT
+/// targets): a producer holds at most one chunk, and only inside publish(),
+/// so a producer blocked here holds none, just like one blocked on a full
+/// queue; workers never acquire, and release each chunk once its last
+/// consumer has gathered it.  Every chunk is charged to MemStats kQueues
+/// from construction to teardown.
 class ChunkPool {
  public:
-  /// Default retention cap: 256 idle chunks = 4.3 MiB of chunk storage.
-  explicit ChunkPool(std::size_t max_pooled = 256, std::size_t prealloc = 0,
-                     bool sealed = false, WaitKind wait = WaitKind::kPark)
-      : free_list_(std::max(max_pooled, prealloc)),
-        sealed_(sealed),
-        wait_(wait) {
-    for (std::size_t i = 0; i < prealloc; ++i) {
-      Chunk* c = allocate();
-      if (free_list_.try_push(c))
-        pooled_.fetch_add(1, std::memory_order_relaxed);
-      else
-        destroy(c);  // unreachable: capacity >= prealloc
+  ChunkPool(std::size_t count, WaitKind wait)
+      : free_list_(count), wait_(wait) {
+    chunks_.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      chunks_.push_back(new Chunk);  // default-init: payload not zero-filled
+      (void)free_list_.try_push(chunks_.back());  // capacity >= count
     }
+    MemStats::instance().add(MemComponent::kQueues, charge());
   }
 
-  /// Acquires a recycled chunk.  Sealed pools block for one; unsealed pools
-  /// allocate a fresh chunk when the free list is empty.  Every header
-  /// field is reset here, so a recycled chunk can never leak a stale kind,
-  /// fill level, target set or migration addressing into its next use.
+  /// Acquires a recycled chunk, blocking while every chunk is in flight.
+  /// Every header field is reset here, so a recycled chunk can never leak a
+  /// stale kind, fill level, target set or migration addressing into its
+  /// next use.
   Chunk* acquire() {
     sched::point("pool.acquire");
     Chunk* c = nullptr;
-    if (free_list_.try_pop(c)) {
-      pooled_.fetch_sub(1, std::memory_order_relaxed);
-    } else if (!sealed_) {
-      c = allocate();
-    } else {
-      // Sealed: the fourth blocking site of the pipeline.  Workers always
-      // drain and release, so waiting (not allocating) is deadlock-free —
-      // and keeps the target's heap untouched mid-run.
+    if (!free_list_.try_pop(c)) {
+      // The fourth blocking site of the pipeline.  Workers always drain and
+      // release, so waiting (not allocating) is deadlock-free — and keeps
+      // the target's heap untouched mid-run.
       acquire_stalls_.fetch_add(1, std::memory_order_relaxed);
-      wait_until(wait_, recycled_, [&] {
-        if (!free_list_.try_pop(c)) return false;
-        pooled_.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-      });
+      wait_until(wait_, recycled_, [&] { return free_list_.try_pop(c); });
     }
     chunk_handoff(*c, Chunk::kOwnerPool, Chunk::kOwnerProducer,
                   "pool.acquire");
@@ -253,9 +237,9 @@ class ChunkPool {
     return c;
   }
 
-  /// Returns a chunk for reuse, or frees it when the pool is at its cap.
-  /// Valid prior states: published with every consumer finished (the
-  /// normal recycle) or producer-owned (a chunk returned unsent).
+  /// Returns a chunk for reuse.  Valid prior states: published with every
+  /// consumer finished (the normal recycle) or producer-owned (a chunk
+  /// returned unsent).
   void release(Chunk* c) {
     sched::point("pool.release");
     const std::uint32_t prev =
@@ -268,73 +252,39 @@ class ChunkPool {
                     pending, c->gen.load(std::memory_order_relaxed));
       sched::note_violation("pool.release", what);
     }
-    if (free_list_.try_push(c)) {
-      pooled_.fetch_add(1, std::memory_order_relaxed);
-      // A sealed-pool producer may be blocked in acquire().
-      recycled_.notify_all();
-      return;
-    }
-    destroy(c);
+    (void)free_list_.try_push(c);  // room for every chunk
+    // A producer may be blocked in acquire().
+    recycled_.notify_all();
   }
 
-  /// Live chunks (idle + in flight).  Constant for sealed pools — the
-  /// no-steady-state-allocation invariant the regression tests pin down.
-  std::size_t allocated() const {
-    return allocated_.load(std::memory_order_relaxed);
-  }
+  /// Chunks the pool owns, idle or in flight; fixed at construction.
+  std::size_t allocated() const { return chunks_.size(); }
 
-  /// Idle chunks currently retained in the free list.
-  std::size_t pool_size() const {
-    return pooled_.load(std::memory_order_relaxed);
-  }
+  /// Idle chunks on the free list (approximate while threads run).
+  std::size_t pool_size() const { return free_list_.size_approx(); }
 
-  /// Times acquire() found a sealed pool empty and had to wait.
+  /// Times acquire() found the pool empty and had to wait.
   std::uint64_t acquire_stalls() const {
     return acquire_stalls_.load(std::memory_order_relaxed);
   }
 
-  bool sealed() const { return sealed_; }
-
   ~ChunkPool() {
-    for (Chunk* c : owned_) {
-      delete c;
-      MemStats::instance().add(MemComponent::kQueues,
-                               -static_cast<std::int64_t>(sizeof(Chunk)));
-    }
+    for (Chunk* c : chunks_) delete c;
+    MemStats::instance().add(MemComponent::kQueues, -charge());
   }
+
+  ChunkPool(const ChunkPool&) = delete;
+  ChunkPool& operator=(const ChunkPool&) = delete;
 
  private:
-  Chunk* allocate() {
-    Chunk* c = new Chunk;  // default-init: the payload is not zero-filled
-    {
-      std::lock_guard lock(owned_mu_);
-      owned_.insert(c);
-    }
-    allocated_.fetch_add(1, std::memory_order_relaxed);
-    MemStats::instance().add(MemComponent::kQueues,
-                             static_cast<std::int64_t>(sizeof(Chunk)));
-    return c;
-  }
-
-  void destroy(Chunk* c) {
-    {
-      std::lock_guard lock(owned_mu_);
-      owned_.erase(c);
-    }
-    delete c;
-    allocated_.fetch_sub(1, std::memory_order_relaxed);
-    MemStats::instance().add(MemComponent::kQueues,
-                             -static_cast<std::int64_t>(sizeof(Chunk)));
+  std::int64_t charge() const {
+    return static_cast<std::int64_t>(chunks_.size() * sizeof(Chunk));
   }
 
   MpmcQueue<Chunk*> free_list_;
-  const bool sealed_;
   const WaitKind wait_;
   EventCount recycled_;
-  std::mutex owned_mu_;
-  std::unordered_set<Chunk*> owned_;
-  std::atomic<std::size_t> allocated_{0};
-  std::atomic<std::size_t> pooled_{0};
+  std::vector<Chunk*> chunks_;
   std::atomic<std::uint64_t> acquire_stalls_{0};
 };
 

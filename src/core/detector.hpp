@@ -19,15 +19,21 @@
 // layout is deduced from the store (Store::slot_type), so each (backend,
 // target kind) pair is one full monomorphization — there is no per-access
 // branch on the storage kind anywhere in the detect loop.
+//
+// The stores are plain maps; the detector decides when to insert, remove
+// and clear, including what a sampling burst mark costs (see burst_mark).
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 #include "common/hash.hpp"
+#include "common/huge_alloc.hpp"
+#include "common/mem_stats.hpp"
 #include "core/dep.hpp"
 #include "sig/access_store.hpp"
 #include "sig/slots.hpp"
@@ -206,9 +212,16 @@ class DetectorCore {
  public:
   using Slot = typename Store::slot_type;
 
-  /// Takes ownership of the two (empty) signatures.
-  DetectorCore(Store sig_read, Store sig_write)
-      : sig_read_(std::move(sig_read)), sig_write_(std::move(sig_write)) {}
+  /// Takes ownership of the two (empty) signatures.  A detector of a
+  /// sampled run is armed from the start, so its first burst mark also
+  /// costs only what the first burst wrote.
+  DetectorCore(Store sig_read, Store sig_write, bool sampled = false)
+      : sig_read_(std::move(sig_read)),
+        sig_write_(std::move(sig_write)),
+        logging_(sampled) {}
+
+  /// Units a burst mark can remove one by one, per store.
+  static constexpr std::size_t kLogCap = std::size_t{1} << 16;
 
   /// Distance (in records) between a prefetch and its consuming compare.
   /// Far enough to cover an LLC miss at ~4 records' work per miss, small
@@ -253,6 +266,8 @@ class DetectorCore {
 
   Store& read_signature() { return sig_read_; }
   Store& write_signature() { return sig_write_; }
+  /// True while the next burst mark would remove only the logged units.
+  bool armed() const { return logging_; }
 
   /// Migration support (Sec. IV-A): extract/adopt the per-address state.
   /// `unit` is a word unit (word_addr of the byte address).
@@ -265,20 +280,24 @@ class DetectorCore {
 
   AddrState extract_state(std::uint64_t unit) {
     AddrState st;
-    if (auto r = sig_read_.extract(unit)) {
+    if (const Slot* r = sig_read_.find(unit)) {
       st.has_read = true;
       st.read_slot = *r;
+      sig_read_.remove(unit);
     }
-    if (auto w = sig_write_.extract(unit)) {
+    if (const Slot* w = sig_write_.find(unit)) {
       st.has_write = true;
       st.write_slot = *w;
+      sig_write_.remove(unit);
     }
     return st;
   }
 
   void adopt_state(std::uint64_t unit, const AddrState& st) {
-    if (st.has_read) sig_read_.insert(unit, st.read_slot);
-    if (st.has_write) sig_write_.insert(unit, st.write_slot);
+    if (st.has_read)
+      note(sig_read_.insert(unit, st.read_slot), read_log_, unit);
+    if (st.has_write)
+      note(sig_write_.insert(unit, st.write_slot), write_log_, unit);
   }
 
  private:
@@ -303,12 +322,7 @@ class DetectorCore {
   void process_run(const AccessEvent& ev, std::uint32_t reps) {
     const std::uint64_t unit = word_addr(ev.addr);
     if (ev.is_burst_mark()) {
-      // Overhead-budget sampling: accesses were dropped before this point.
-      // Forget every recorded last access so no dependence is attributed
-      // across the unobserved gap — a stale source could name the wrong
-      // endpoint, and the subset contract tolerates missed edges only.
-      sig_read_.clear();
-      sig_write_.clear();
+      burst_mark();
       return;
     }
     if (ev.is_free()) {
@@ -323,16 +337,93 @@ class DetectorCore {
       write_source(ev, tag, sig_write_.find(unit), 1);
       if (const Slot* r = sig_read_.find(unit))
         emit(ev, tag, *r, DepType::kWar, reps);
-      sig_write_.insert(unit, make_slot<Slot>(ev, tag));
+      note(sig_write_.insert(unit, make_slot<Slot>(ev, tag)), write_log_,
+           unit);
       if (reps > 1) write_source(ev, tag, sig_write_.find(unit), reps - 1);
     } else {
       // RAR dependences are ignored (Sec. III-B): most analyses do not need
       // them, so reads only consult the write signature.
       if (const Slot* w = sig_write_.find(unit))
         emit(ev, tag, *w, DepType::kRaw, reps);
-      sig_read_.insert(unit, make_slot<Slot>(ev, tag));
+      note(sig_read_.insert(unit, make_slot<Slot>(ev, tag)), read_log_, unit);
     }
   }
+
+  /// Overhead-budget sampling: accesses were dropped before this point.
+  /// Forget every recorded last access so no dependence is attributed
+  /// across the unobserved gap — a stale source could name the wrong
+  /// endpoint, and the subset contract tolerates missed edges only.
+  ///
+  /// An armed detector logs, per store, the unit of every insert that
+  /// filled an empty entry, up to kLogCap, and the mark removes just those
+  /// units from that store, so it costs what the burst wrote.  That is
+  /// exact: every mark leaves both stores empty, so every entry occupied
+  /// now was filled by a logged insert since.  Removing a unit a store no
+  /// longer holds does nothing, and removing one from a signature slot a
+  /// colliding unit now holds empties a slot the mark must empty anyway.
+  /// With no log (an unarmed detector) or an overflowed one, both stores
+  /// are cleared whole and the logs are armed for the next burst.
+  /// Unsampled runs never mark, stay unarmed and pay one flag test per
+  /// filled entry.  Out of line and cold: a mark is rare next to the
+  /// accesses, so it stays out of the detect loop.
+  [[gnu::cold, gnu::noinline]] void burst_mark() {
+    if (logging_) {
+      read_log_.drain(sig_read_);
+      write_log_.drain(sig_write_);
+    } else {
+      sig_read_.clear();
+      sig_write_.clear();
+      read_log_.len = 0;
+      write_log_.len = 0;
+      logging_ = true;
+    }
+  }
+
+  struct LogFree {
+    void operator()(std::uint64_t* p) const {
+      huge::free(p, kLogBytes);
+      MemStats::instance().add(MemComponent::kSignatures,
+                               -static_cast<std::int64_t>(kLogBytes));
+    }
+  };
+
+  /// The units whose insert filled an empty entry of one store since the
+  /// last mark.  The block comes from huge::alloc on the first append and
+  /// is charged to kSignatures until the detector is destroyed.
+  struct BurstLog {
+    std::unique_ptr<std::uint64_t[], LogFree> units;
+    std::size_t len = 0;
+
+    /// False when the log is full.
+    bool append(std::uint64_t unit) {
+      if (len == kLogCap) return false;
+      if (units == nullptr) {
+        units.reset(static_cast<std::uint64_t*>(huge::alloc(kLogBytes)));
+        MemStats::instance().add(MemComponent::kSignatures,
+                                 static_cast<std::int64_t>(kLogBytes));
+      }
+      units[len++] = unit;
+      return true;
+    }
+
+    void drain(Store& store) {
+      for (std::size_t k = 0; k < len; ++k) store.remove(units[k]);
+      len = 0;
+    }
+  };
+
+  /// Logs `unit` when an insert filled an empty entry of an armed detector.
+  void note(bool filled, BurstLog& log, std::uint64_t unit) {
+    if (filled && logging_) [[unlikely]] log_unit(log, unit);
+  }
+
+  /// Out of line, so an unarmed detector pays only the flag test in note().
+  [[gnu::noinline]] void log_unit(BurstLog& log, std::uint64_t unit) {
+    // Overflow: the next mark clears both stores.
+    if (!log.append(unit)) logging_ = false;
+  }
+
+  static constexpr std::size_t kLogBytes = kLogCap * sizeof(std::uint64_t);
 
   /// The write-store half of a write: WAW against the recorded write, or
   /// INIT when there is none, for `n` instances.
@@ -472,6 +563,9 @@ class DetectorCore {
 
   Store sig_read_;
   Store sig_write_;
+  bool logging_;
+  BurstLog read_log_;  ///< valid while logging_, as is write_log_
+  BurstLog write_log_;
   RecordTable records_;
   NestLcaMemo lca_;
 };

@@ -51,9 +51,10 @@ namespace {
 /// Chunk-pool population.  A chunk stays unreleased while it sits in some
 /// target's queue or is being processed there, so at most workers x (a full
 /// queue, whose capacity rounds up to a power of two, + the chunk being
-/// processed) are in flight, plus the one chunk the producer is filling.
-/// The plan covers that with a spare per worker and slack for a migration
-/// pair, so a sealed acquire can always be satisfied by a future release:
+/// processed) are in flight, plus the one chunk each producer is filling.
+/// The plan covers that for one producer with a spare per worker and slack
+/// for a migration pair.  More producer threads (MT targets) can hold more;
+/// an acquire beyond the plan waits for a release (see ChunkPool), so
 /// blocking instead of allocating cannot deadlock.
 std::size_t planned_pool_size(const ProfilerConfig& cfg, unsigned workers) {
   const std::size_t qcap =
@@ -64,18 +65,15 @@ std::size_t planned_pool_size(const ProfilerConfig& cfg, unsigned workers) {
 /// One-shot handoff cell for migrating an address's signature state from its
 /// old owner to its new owner (Sec. IV-A: "If an address is moved to another
 /// thread, its signature state has to be moved as well").
-template <typename Slot>
+template <typename State>
 struct Mailbox {
   std::atomic<std::uint32_t> ready{0};
-  bool has_read = false;
-  bool has_write = false;
-  Slot read_slot{};
-  Slot write_slot{};
+  State state{};
 };
 
 template <AccessStore Store>
 class ParallelProfiler final : public IProfiler {
-  using Slot = typename Store::slot_type;
+  using AddrState = typename DetectorCore<Store>::AddrState;
 
  public:
   ParallelProfiler(const ProfilerConfig& cfg, std::vector<Store> read_sigs,
@@ -93,13 +91,9 @@ class ParallelProfiler final : public IProfiler {
         router_(cfg, obs_.workers(), obs_.route()),
         merge_(obs_.merge()),
         // The whole chunk population is allocated here, before the target
-        // starts running; sequential targets seal the pool so the steady
-        // state never allocates (see ChunkPool).  MT targets have an
-        // unbounded producer count, so their pool may still grow.
-        pool_(std::max<std::size_t>(
-                  256, planned_pool_size(cfg, obs_.workers())),
-              planned_pool_size(cfg, obs_.workers()),
-              /*sealed=*/!cfg.mt_targets, cfg.wait),
+        // starts running, so the steady state never allocates (see
+        // ChunkPool).
+        pool_(planned_pool_size(cfg, obs_.workers()), cfg.wait),
         gates_(std::make_unique<QueueGates[]>(obs_.workers())),
         owned_(std::make_unique_for_overwrite<OwnedRecords[]>(obs_.workers())),
         mailboxes_(kMailboxCount),
@@ -120,7 +114,8 @@ class ParallelProfiler final : public IProfiler {
     detectors_.reserve(w);
     for (unsigned i = 0; i < w; ++i) {
       detectors_.push_back(std::make_unique<DetectStage<Store>>(
-          std::move(read_sigs[i]), std::move(write_sigs[i]), obs_.detect(i)));
+          std::move(read_sigs[i]), std::move(write_sigs[i]), cfg.sampled(),
+          obs_.detect(i)));
       queues_.push_back(make_queue<Chunk*>(qk, cfg_.queue_capacity));
     }
     for (std::uint32_t i = 0; i < kMailboxCount; ++i)
@@ -172,7 +167,7 @@ class ParallelProfiler final : public IProfiler {
     // once the workers' maps are folded (slots carry timestamps then).
     if constexpr (std::is_same_v<typename Store::slot_type, MtSlot>)
       publish_race_counters(global_, obs_.produce());
-    // A sealed pool that had to wait for recycled chunks was a producer
+    // A pool that had to wait for recycled chunks was a producer
     // stall: fold it into the produce-stage backpressure counter.
     obs_.produce().add_stalls(pool_.acquire_stalls());
     finished_ = true;
@@ -366,12 +361,8 @@ class ParallelProfiler final : public IProfiler {
           done(c);
           return;
         case Chunk::Kind::kMigrateOut: {
-          auto st = me.core().extract_state(c->addr);
-          Mailbox<Slot>& box = mailboxes_[c->payload];
-          box.has_read = st.has_read;
-          box.has_write = st.has_write;
-          box.read_slot = st.read_slot;
-          box.write_slot = st.write_slot;
+          Mailbox<AddrState>& box = mailboxes_[c->payload];
+          box.state = me.core().extract_state(c->addr);
           sched::point("mailbox.publish");
           box.ready.store(1, std::memory_order_release);
           // Wake the adopting worker (and anyone waiting for a mailbox).
@@ -380,7 +371,7 @@ class ParallelProfiler final : public IProfiler {
           break;
         }
         case Chunk::Kind::kAdopt: {
-          Mailbox<Slot>& box = mailboxes_[c->payload];
+          Mailbox<AddrState>& box = mailboxes_[c->payload];
           sched::point("mailbox.adopt");
           if (box.ready.load(std::memory_order_acquire) == 0) {
             // Handoff not published yet: blocked on a peer stage, so the
@@ -392,12 +383,7 @@ class ParallelProfiler final : public IProfiler {
             stats.add_parked_ns(wc.parked_ns);
             stats.add_parks(wc.parks);
           }
-          typename DetectorCore<Store>::AddrState st;
-          st.has_read = box.has_read;
-          st.has_write = box.has_write;
-          st.read_slot = box.read_slot;
-          st.write_slot = box.write_slot;
-          me.core().adopt_state(c->addr, st);
+          me.core().adopt_state(c->addr, box.state);
           (void)mailbox_free_.try_push(c->payload);
           // A producer may be waiting in hand_off for a free mailbox.
           stats.add_wakes(mailbox_ec_.notify_all());
@@ -444,7 +430,7 @@ class ParallelProfiler final : public IProfiler {
   /// Per-worker detect input: the records gathered from popped chunks.
   std::unique_ptr<OwnedRecords[]> owned_;
 
-  std::vector<Mailbox<Slot>> mailboxes_;
+  std::vector<Mailbox<AddrState>> mailboxes_;
   MpmcQueue<std::uint32_t> mailbox_free_;
   EventCount mailbox_ec_;
 

@@ -436,11 +436,14 @@ struct alignas(64) OwnedRecords {
 /// Detect stage: one Algorithm 1 instance (DetectorCore) plus the
 /// worker-local dependence map.  Each call is one chunk/batch of owned
 /// accesses in program order; the tight loop is fully monomorphized.
+/// `sampled` arms the detector's burst-mark log from the start.
 template <AccessStore Store>
 class DetectStage {
  public:
-  DetectStage(Store sig_read, Store sig_write, obs::StageStats& stats)
-      : core_(std::move(sig_read), std::move(sig_write)), stats_(&stats) {}
+  DetectStage(Store sig_read, Store sig_write, bool sampled,
+              obs::StageStats& stats)
+      : core_(std::move(sig_read), std::move(sig_write), sampled),
+        stats_(&stats) {}
 
   /// One batch as delivered: byte addresses, and `reps` (nullable) the
   /// dedup run lengths.  `events` counts the accesses the batch stands

@@ -17,10 +17,11 @@ namespace {
 template <AccessStore Store>
 class SerialProfiler final : public IProfiler {
  public:
-  SerialProfiler(Store sig_read, Store sig_write, std::size_t signature_bytes,
-                 std::uint64_t hugepage_baseline)
+  SerialProfiler(Store sig_read, Store sig_write, bool sampled,
+                 std::size_t signature_bytes, std::uint64_t hugepage_baseline)
       : obs_(1),
-        detect_(std::move(sig_read), std::move(sig_write), obs_.detect(0)),
+        detect_(std::move(sig_read), std::move(sig_write), sampled,
+                obs_.detect(0)),
         merge_(obs_.merge()),
         signature_bytes_(signature_bytes),
         hugepage_baseline_(hugepage_baseline) {}
@@ -113,8 +114,8 @@ std::unique_ptr<IProfiler> make_serial_profiler(const ProfilerConfig& config) {
     Store r = make();
     Store w = make();
     const std::size_t bytes = r.bytes() + w.bytes();
-    return std::make_unique<SerialProfiler<Store>>(std::move(r), std::move(w),
-                                                   bytes, hp0);
+    return std::make_unique<SerialProfiler<Store>>(
+        std::move(r), std::move(w), config.sampled(), bytes, hp0);
   });
 }
 

@@ -19,24 +19,21 @@ namespace depprof {
 /// with a nullary factory that builds one empty store of it; the store type
 /// is the factory's result type.  Each case is the one place its backend's
 /// constructor arguments come from the config: signature sizing (slots,
-/// hash), hash-table bucket counts, and a sampled run arming every store's
-/// clear log.  This switch is the single place the StorageKind enum is
-/// branched on; both profiler factories go through it, which is what makes
-/// every backend available to both the serial profiler and the parallel
-/// pipeline.
+/// hash) and hash-table bucket counts.  This switch is the single place the
+/// StorageKind enum is branched on; both profiler factories go through it,
+/// which is what makes every backend available to both the serial profiler
+/// and the parallel pipeline.
 template <typename Fn>
 auto with_store(const ProfilerConfig& c, Fn&& fn) {
   auto dispatch = [&]<typename Slot>() {
     switch (c.storage) {
       case StorageKind::kHashTable:
-        return fn(
-            [&] { return HashTableRecorder<Slot>(c.slots, c.sampled()); });
+        return fn([&] { return HashTableRecorder<Slot>(c.slots); });
       case StorageKind::kPacked:
-        return fn([&] { return PackedShadowStore<Slot>(c.sampled()); });
+        return fn([&] { return PackedShadowStore<Slot>(); });
       case StorageKind::kSignature:
       default:
-        return fn(
-            [&] { return Signature<Slot>(c.slots, c.sig_hash, c.sampled()); });
+        return fn([&] { return Signature<Slot>(c.slots, c.sig_hash); });
     }
   };
   return c.mt_targets ? dispatch.template operator()<MtSlot>()

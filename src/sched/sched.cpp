@@ -41,8 +41,8 @@ class Controller {
     // Reserve the whole recording up front: the controller lives in the
     // target's process, so a vector that doubles mid-run would perturb the
     // very heap layouts the harness exists to explore (the same bug class
-    // as the unsealed chunk pool).  Site/thread names fit SSO, so after
-    // this reserve a recorded step never touches the allocator.
+    // as a chunk pool that grows on demand).  Site/thread names fit SSO, so
+    // after this reserve a recorded step never touches the allocator.
     result_.recorded.steps.reserve(opts_.max_steps);
     if (opts_.algo == Algo::kPct) {
       // Seeded change points: a few steps at which a random thread's

@@ -48,13 +48,9 @@
 // pages it writes, not a memset of 768 KiB.  Pages and directories are
 // charged to MemComponent::kStore and released in full at teardown.
 //
-// clear() (a sampling burst mark) costs what the burst wrote.  An armed
-// store logs a pointer to each word that becomes resident, up to kLogCap
-// entries, and clear() zeroes just those words, keeping pages and
-// directories mapped and charged.  A clear() with no log (an unarmed
-// store) or an overflowed one releases every page, then arms the log;
-// pages are freed only on that path, so a logged pointer never dangles.
-// Stores of unsampled runs stay unarmed and pay one flag test per new word.
+// remove() zeroes a word and keeps its page, so a sampling burst mark,
+// which removes the words the burst wrote (core/detector.hpp), keeps pages
+// and directories mapped and charged.  clear() releases every page.
 //
 // find() decodes the packed word into a per-store scratch slot and returns
 // its address: the pointer is valid until the next call on the same store.
@@ -68,7 +64,6 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -200,12 +195,7 @@ class PackedShadowStore {
     return static_cast<std::uint32_t>(w);
   }
 
-  PackedShadowStore() : PackedShadowStore(false) {}
-  /// A store built for a sampled run is armed from the start, so the first
-  /// burst mark also costs only what the first burst wrote.
-  explicit PackedShadowStore(bool sampled) : logging_(sampled) {
-    root_ = static_cast<L2**>(alloc_block(kRootBytes));
-  }
+  PackedShadowStore() { root_ = static_cast<L2**>(alloc_block(kRootBytes)); }
 
   ~PackedShadowStore() { destroy(); }
 
@@ -217,10 +207,7 @@ class PackedShadowStore {
         root_(std::exchange(o.root_, nullptr)),
         table_bytes_(std::exchange(o.table_bytes_, 0)),
         pages_(std::exchange(o.pages_, 0)),
-        resident_(std::exchange(o.resident_, 0)),
-        logging_(std::exchange(o.logging_, false)),
-        log_(std::exchange(o.log_, nullptr)),
-        log_len_(std::exchange(o.log_len_, 0)) {}
+        resident_(std::exchange(o.resident_, 0)) {}
 
   PackedShadowStore& operator=(PackedShadowStore&& o) noexcept {
     if (this != &o) {
@@ -230,9 +217,6 @@ class PackedShadowStore {
       table_bytes_ = std::exchange(o.table_bytes_, 0);
       pages_ = std::exchange(o.pages_, 0);
       resident_ = std::exchange(o.resident_, 0);
-      logging_ = std::exchange(o.logging_, false);
-      log_ = std::exchange(o.log_, nullptr);
-      log_len_ = std::exchange(o.log_len_, 0);
     }
     return *this;
   }
@@ -257,10 +241,11 @@ class PackedShadowStore {
     return &scratch_;
   }
 
-  void insert(std::uint64_t addr, const Slot& value) {
+  /// True when the word was absent.
+  bool insert(std::uint64_t addr, const Slot& value) {
     if (value.empty()) {  // shadow semantics: an empty slot reads as absent
       remove(addr);
-      return;
+      return false;
     }
     Page& page = touch_page(addr);
     const std::size_t off = offset(addr);
@@ -271,14 +256,14 @@ class PackedShadowStore {
     // Acquire before release so an overwrite with the same snapshot never
     // bounces its refcount through zero (onto the free list, past the hint).
     const std::uint32_t token = pool_.acquire(k);
-    if (w != 0) {
-      pool_.release(word_token(w));
-    } else {
+    const bool filled = w == 0;
+    if (filled)
       ++resident_;
-      if (logging_) [[unlikely]] log_word(&w);
-    }
+    else
+      pool_.release(word_token(w));
     w = pack_word(value.loc, token);
     if constexpr (kMt) page.side[off] = Sidecar{value.tid, value.flags, value.ts};
+    return filled;
   }
 
   void remove(std::uint64_t addr) {
@@ -291,14 +276,6 @@ class PackedShadowStore {
     --resident_;
   }
 
-  std::optional<Slot> extract(std::uint64_t addr) {
-    const Slot* s = find(addr);
-    if (s == nullptr) return std::nullopt;
-    Slot out = *s;
-    remove(addr);
-    return out;
-  }
-
   /// Advisory cache hint (detect kernel): one walk now, the packed word
   /// (and MT sidecar) line is in flight by the time the compare reaches it.
   void prefetch(std::uint64_t addr) const {
@@ -309,23 +286,14 @@ class PackedShadowStore {
     if constexpr (kMt) prefetch_obj_rw(&page->side[off], sizeof(Sidecar));
   }
 
-  /// Empties the store and keeps profiling (see the header comment); a
-  /// full release keeps only the root directory, zeroed.
+  /// Empties the store and keeps profiling: releases every page and
+  /// directory and keeps only the root directory, zeroed.
   void clear() {
     if (root_ == nullptr) return;
-    if (logging_) {
-      for (std::size_t i = 0; i < log_len_; ++i) *log_[i] = 0;
-    } else {
-      release_pages();
-      logging_ = true;
-    }
-    log_len_ = 0;
+    release_pages();
     pool_.clear();
     resident_ = 0;
   }
-
-  /// New words a logged clear() can zero.
-  static constexpr std::size_t kLogCap = std::size_t{1} << 16;
 
   std::size_t page_count() const { return pages_; }
   std::size_t occupied() const { return resident_; }
@@ -357,7 +325,6 @@ class PackedShadowStore {
     L3* dirs[kL2Size];
   };
   static constexpr std::size_t kRootBytes = kL1Size * sizeof(L2*);
-  static constexpr std::size_t kLogBytes = kLogCap * sizeof(std::uint64_t*);
   static_assert(sizeof(PageSeq) == huge::kHugeThreshold,
                 "a leaf page is exactly one transparent huge page of words");
 
@@ -414,17 +381,6 @@ class PackedShadowStore {
     return *page;
   }
 
-  /// Out of line, so an unarmed store pays only the flag test in insert().
-  [[gnu::noinline]] void log_word(std::uint64_t* w) {
-    if (log_len_ == kLogCap) {
-      logging_ = false;  // overflow: the next clear() releases every page
-      return;
-    }
-    if (log_ == nullptr)
-      log_ = static_cast<std::uint64_t**>(alloc_block(kLogBytes));
-    log_[log_len_++] = w;
-  }
-
   void release_pages() {
     for (std::size_t a = 0; a < kL1Size; ++a)
       if (L2* l2 = root_[a]) free_levels(l2);
@@ -446,7 +402,6 @@ class PackedShadowStore {
   void destroy() {
     if (root_ == nullptr) return;
     release_pages();
-    if (log_ != nullptr) free_block(log_, kLogBytes);
     free_block(root_, kRootBytes);
     root_ = nullptr;
   }
@@ -456,11 +411,7 @@ class PackedShadowStore {
   std::size_t table_bytes_ = 0;
   std::size_t pages_ = 0;
   std::size_t resident_ = 0;
-  bool logging_ = false;
   mutable Slot scratch_{};  ///< find() decode buffer (see header comment)
-  /// Words made resident since the last clear(); valid while logging_.
-  std::uint64_t** log_ = nullptr;
-  std::size_t log_len_ = 0;
 };
 
 static_assert(AccessStore<PackedShadowStore<SeqSlot>>);

@@ -15,7 +15,6 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <type_traits>
 
 #include "common/hash.hpp"
@@ -68,18 +67,14 @@ class Signature {
   /// Creates a signature with `slot_count` slots (>= 1).  The configured
   /// bytes are charged against MemComponent::kSignatures for Figures 7/8
   /// accounting, though only the pages slots are written to become resident.
-  /// A signature built for a sampled run is armed from the start, so the
-  /// first burst mark also costs only what the first burst wrote.
-  explicit Signature(std::size_t slot_count, SigHash hash = SigHash::kModulo,
-                     bool sampled = false)
+  explicit Signature(std::size_t slot_count, SigHash hash = SigHash::kModulo)
       : hash_(hash),
         size_(slot_count ? slot_count : 1),
         slots_(static_cast<Slot*>(huge::alloc(slot_bytes())),
                BlockFree{slot_bytes()}),
         mask_((size_ & (size_ - 1)) == 0 ? size_ - 1 : 0),
         charge_(MemComponent::kSignatures,
-                static_cast<std::int64_t>(slot_bytes())),
-        logging_(sampled) {}
+                static_cast<std::int64_t>(slot_bytes())) {}
 
   /// Membership check: returns the recorded slot for `addr`, or nullptr if
   /// the slot is empty.  Note that a non-empty slot may have been written by
@@ -90,15 +85,13 @@ class Signature {
   }
 
   /// Insertion: records `value` as the latest access to `addr`, overwriting
-  /// whatever the slot held.
-  void insert(std::uint64_t addr, const Slot& value) {
-    const std::size_t i = index(addr);
-    Slot& s = slots_[i];
-    if (s.empty() && !value.empty()) {
-      ++occupied_;
-      if (logging_) [[unlikely]] log_slot(i);
-    }
+  /// whatever the slot held.  True when the slot was empty.
+  bool insert(std::uint64_t addr, const Slot& value) {
+    Slot& s = slots_[index(addr)];
+    const bool filled = s.empty() && !value.empty();
+    occupied_ += filled;
     s = value;
+    return filled;
   }
 
   /// Removal (variable-lifetime analysis, Sec. III-B): clears the slot for
@@ -108,17 +101,6 @@ class Signature {
     Slot& s = slots_[index(addr)];
     if (!s.empty()) --occupied_;
     s = Slot{};
-  }
-
-  /// Removes and returns the slot state for `addr` (used when migrating an
-  /// address to another worker during load balancing, Sec. IV-A).
-  std::optional<Slot> extract(std::uint64_t addr) {
-    Slot& s = slots_[index(addr)];
-    if (s.empty()) return std::nullopt;
-    Slot out = s;
-    s = Slot{};
-    --occupied_;
-    return out;
   }
 
   /// Hints the slot for `addr` into cache (detect kernel, K events ahead).
@@ -139,39 +121,20 @@ class Signature {
     return count;
   }
 
-  /// Empties every slot (every sampling burst mark) at the cost of what
-  /// the burst wrote.  An armed signature logs each slot that becomes
-  /// occupied, up to kLogCap, and clear() empties just those.  With no log
-  /// (an unarmed signature) or an overflowed one, the slot pages go back to
-  /// the kernel instead, and the log is armed for the next burst: that mark
-  /// costs a syscall, and each page the next burst writes is faulted in and
-  /// zeroed again (DESIGN.md, "Signature memory lifecycle").  Unsampled
-  /// runs never clear, stay unarmed and pay one flag test per new slot.
+  /// Empties every slot: the slot pages go back to the kernel, so this
+  /// costs a syscall, and each page written afterwards is faulted in and
+  /// zeroed again (DESIGN.md, "Signature memory lifecycle").
   void clear() {
-    if (logging_) {
-      for (std::size_t k = 0; k < log_len_; ++k) slots_[log_[k]] = Slot{};
-    } else {
-      huge::zero(slots_.get(), slot_bytes());
-      logging_ = true;
-    }
-    log_len_ = 0;
+    huge::zero(slots_.get(), slot_bytes());
     occupied_ = 0;
   }
-
-  /// Newly occupied slots a logged clear() can empty.
-  static constexpr std::size_t kLogCap = std::size_t{1} << 16;
 
   std::size_t slot_count() const { return size_; }
   std::size_t occupied() const { return occupied_; }
   double load_factor() const {
     return static_cast<double>(occupied_) / static_cast<double>(size_);
   }
-  /// Slot array plus, once a sampled run allocated it, the clear log.
-  std::size_t bytes() const {
-    return slot_bytes() + (log_ != nullptr ? kLogBytes : 0);
-  }
-  /// True while clear() would empty only the logged slots (tests).
-  bool armed() const { return logging_; }
+  std::size_t bytes() const { return slot_bytes(); }
 
  private:
   std::size_t index(std::uint64_t addr) const {
@@ -184,35 +147,11 @@ class Signature {
     return static_cast<std::size_t>(h % size_);
   }
 
-  static constexpr std::size_t kLogBytes = kLogCap * sizeof(std::size_t);
-
   std::size_t slot_bytes() const { return size_ * sizeof(Slot); }
-
-  /// Out of line, so an unarmed signature pays only the flag test in
-  /// insert().
-  [[gnu::noinline]] void log_slot(std::size_t i) {
-    if (log_len_ == kLogCap) {
-      logging_ = false;  // overflow: the next clear() zeroes every slot
-      return;
-    }
-    if (log_ == nullptr) {
-      log_.reset(static_cast<std::size_t*>(huge::alloc(kLogBytes)));
-      MemStats::instance().add(MemComponent::kSignatures,
-                               static_cast<std::int64_t>(kLogBytes));
-    }
-    log_[log_len_++] = i;
-  }
 
   struct BlockFree {
     std::size_t bytes;
     void operator()(Slot* p) const { huge::free(p, bytes); }
-  };
-  struct LogFree {
-    void operator()(std::size_t* p) const {
-      huge::free(p, kLogBytes);
-      MemStats::instance().add(MemComponent::kSignatures,
-                               -static_cast<std::int64_t>(kLogBytes));
-    }
   };
 
   SigHash hash_;
@@ -225,10 +164,6 @@ class Signature {
   std::uint64_t mask_;  ///< size - 1 when size is a power of two, else 0
   std::size_t occupied_ = 0;
   ScopedMemCharge charge_;
-  bool logging_ = false;
-  /// Slots occupied since the last clear(); valid while logging_.
-  std::unique_ptr<std::size_t[], LogFree> log_;
-  std::size_t log_len_ = 0;
 };
 
 static_assert(AccessStore<Signature<SeqSlot>>);

@@ -2,7 +2,8 @@
 // RAW/WAR/WAW/INIT construction, RAR suppression, lifetime removal,
 // loop-carried attribution over the interned nest contexts (innermost
 // common loop + per-level distance buckets) and its memo, the address-tag
-// gating, dedup-run folding, merging, and migration state transfer.
+// gating, dedup-run folding, merging, migration state transfer, and the
+// burst-mark log that makes a sampling mark cost what the burst wrote.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/mem_stats.hpp"
 #include "common/rng.hpp"
 #include "core/detector.hpp"
 #include "instrument/dedup.hpp"
@@ -43,6 +45,11 @@ AccessEvent wr(std::uint64_t addr, std::uint32_t line) {
   return ev(addr, AccessKind::kWrite, line);
 }
 AccessEvent fr(std::uint64_t addr) { return ev(addr, AccessKind::kFree, 0); }
+AccessEvent mark() {
+  AccessEvent e;
+  e.kind = AccessKind::kBurstMark;
+  return e;
+}
 
 DepKey key(DepType type, std::uint32_t sink_line, std::uint32_t src_line,
            std::uint32_t var = 7) {
@@ -418,24 +425,54 @@ TEST(Detector, TimestampReversalFlagsPotentialRace) {
 
 // ------------------------------------------------------------- migration
 
+/// Migration between two detectors on `make`'s store: the old owner
+/// forgets the address, the new one continues its history, and a burst
+/// mark after the adopt forgets it again — also on a receiver armed from
+/// the start, whose log must hold the adopted unit.
+template <typename Store>
+void check_extract_adopt(Store (*make)(), const char* what) {
+  for (const bool sampled : {false, true}) {
+    DetectorCore<Store> from(make(), make());
+    DetectorCore<Store> to(make(), make(), sampled);
+    DepMap deps;
+    detect(from, deps, {wr(100, 10), rd(100, 15)});
+
+    auto st = from.extract_state(100);
+    EXPECT_TRUE(st.has_read) << what;
+    EXPECT_TRUE(st.has_write) << what;
+    EXPECT_EQ(st.write_slot.location().line(), 10u) << what;
+    EXPECT_EQ(st.read_slot.location().line(), 15u) << what;
+    EXPECT_EQ(from.read_signature().occupied(), 0u) << what;
+    EXPECT_EQ(from.write_signature().occupied(), 0u) << what;
+    EXPECT_FALSE(from.extract_state(100).has_write) << what;
+    to.adopt_state(100, st);
+
+    // The new owner continues the history seamlessly: a read builds RAW
+    // against the migrated write.
+    detect(to, deps, {rd(100, 20)});
+    EXPECT_NE(deps.find(key(DepType::kRaw, 20, 10)), nullptr) << what;
+    // And the old owner no longer knows the address.
+    detect(from, deps, {rd(100, 30)});
+    EXPECT_EQ(deps.find(key(DepType::kRaw, 30, 10)), nullptr) << what;
+    // A mark after the adopt forgets the adopted state: no RAW from the
+    // migrated write, no WAR from the migrated read.
+    detect(to, deps, {mark(), rd(100, 40), wr(100, 50)});
+    EXPECT_EQ(deps.find(key(DepType::kRaw, 40, 10)), nullptr)
+        << what << " sampled=" << sampled;
+    EXPECT_EQ(deps.find(key(DepType::kWar, 50, 15)), nullptr)
+        << what << " sampled=" << sampled;
+    EXPECT_EQ(deps.find(key(DepType::kWar, 50, 20)), nullptr)
+        << what << " sampled=" << sampled;
+  }
+}
+
 TEST(Detector, ExtractAdoptMovesPerAddressState) {
-  auto from = make_exact();
-  auto to = make_exact();
-  DepMap deps;
-  detect(from, deps, {wr(100, 10), rd(100, 15)});
-
-  auto st = from.extract_state(100);
-  EXPECT_TRUE(st.has_read);
-  EXPECT_TRUE(st.has_write);
-  to.adopt_state(100, st);
-
-  // The new owner continues the history seamlessly: a read builds RAW
-  // against the migrated write.
-  detect(to, deps, {rd(100, 20)});
-  EXPECT_NE(deps.find(key(DepType::kRaw, 20, 10)), nullptr);
-  // And the old owner no longer knows the address.
-  detect(from, deps, {rd(100, 30)});
-  EXPECT_EQ(deps.find(key(DepType::kRaw, 30, 10)), nullptr);
+  check_extract_adopt<Signature<SeqSlot>>(
+      +[] { return Signature<SeqSlot>(128); }, "signature");
+  check_extract_adopt<HashTableRecorder<SeqSlot>>(
+      +[] { return HashTableRecorder<SeqSlot>(64); }, "hashtable");
+  check_extract_adopt<PackedShadowStore<SeqSlot>>(
+      +[] { return PackedShadowStore<SeqSlot>(); }, "packed");
 }
 
 // --------------------------------------------------------- run folding
@@ -521,6 +558,10 @@ void expect_same_maps(const DepMap& a, const DepMap& b, const char* what) {
 /// Folding a dedup run inside the kernel must give exactly the map of
 /// processing its instances one by one: the same RLE stream, fed once
 /// expanded (reps == nullptr) and once as runs, in unrelated batch sizes.
+/// A detector armed from the start (a sampled run's), which drains its
+/// log at every mark, must give that map too, and so must a fresh detector
+/// per stretch between marks: a mark forgets every recorded access, and
+/// the fresh detectors see no mark and keep no log.
 template <typename Store>
 void check_run_folding(Store (*make)(), std::uint16_t tids, const char* what) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -544,8 +585,26 @@ void check_run_folding(Store (*make)(), std::uint16_t tids, const char* what) {
                       std::min<std::size_t>(37, rle.events.size() - i),
                       folded);
 
+    DetectorCore<Store> armed(make(), make(), /*sampled=*/true);
+    DepMap sampled;
+    for (std::size_t i = 0; i < rle.events.size(); i += 53)
+      armed.process(rle.events.data() + i, rle.reps.data() + i,
+                    std::min<std::size_t>(53, rle.events.size() - i),
+                    sampled);
+
+    DepMap stretches;
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i <= singles.size(); ++i) {
+      if (i < singles.size() && !singles[i].is_burst_mark()) continue;
+      DetectorCore<Store> fresh(make(), make());
+      fresh.process(singles.data() + begin, nullptr, i - begin, stretches);
+      begin = i + 1;
+    }
+
     ASSERT_GT(expanded.size(), 0u);
     expect_same_maps(expanded, folded, what);
+    expect_same_maps(expanded, sampled, what);
+    expect_same_maps(stretches, expanded, what);
   }
 }
 
@@ -563,6 +622,8 @@ TEST(RunFolding, MatchesInstanceByInstanceWithThreadSlots) {
   check_run_folding<Signature<MtSlot>>(
       +[] { return Signature<MtSlot>(128, SigHash::kModulo); }, 3,
       "signature/mt");
+  check_run_folding<HashTableRecorder<MtSlot>>(
+      +[] { return HashTableRecorder<MtSlot>(64); }, 3, "hashtable/mt");
   check_run_folding<PackedShadowStore<MtSlot>>(
       +[] { return PackedShadowStore<MtSlot>(); }, 3, "packed/mt");
 }
@@ -606,6 +667,146 @@ TEST(RunFolding, WriteRunAfterReadCountsEveryInstance) {
       EXPECT_NE(waw->flags & kLoopCarried, 0);
     }
   }
+}
+
+// ------------------------------------------------------ burst-mark log
+
+/// Stores large enough that kLogCap + 1 distinct units fill as many
+/// entries: a signature slot per unit, short hash chains.
+template <typename Store>
+Store make_wide();
+template <>
+Signature<SeqSlot> make_wide() {
+  return Signature<SeqSlot>(std::size_t{1} << 18);
+}
+template <>
+HashTableRecorder<SeqSlot> make_wide() {
+  return HashTableRecorder<SeqSlot>(std::size_t{1} << 16);
+}
+template <>
+PackedShadowStore<SeqSlot> make_wide() {
+  return {};
+}
+
+template <typename Store>
+class BurstMarkLog : public ::testing::Test {};
+using WideStores = ::testing::Types<Signature<SeqSlot>,
+                                    HashTableRecorder<SeqSlot>,
+                                    PackedShadowStore<SeqSlot>>;
+TYPED_TEST_SUITE(BurstMarkLog, WideStores);
+
+/// Processes one burst mark; every mark leaves both stores empty.
+template <typename Store>
+void mark_and_check(DetectorCore<Store>& det, DepMap& deps) {
+  detect(det, deps, {mark()});
+  EXPECT_EQ(det.read_signature().occupied(), 0u);
+  EXPECT_EQ(det.write_signature().occupied(), 0u);
+}
+
+/// Pages of both stores (packed only; 0 elsewhere).
+template <typename Store>
+std::size_t pages(DetectorCore<Store>& det) {
+  if constexpr (requires { det.read_signature().page_count(); })
+    return det.read_signature().page_count() +
+           det.write_signature().page_count();
+  else
+    return 0;
+}
+
+TYPED_TEST(BurstMarkLog, ArmedMarksDrainWhatTheBurstWroteAndOverflowClears) {
+  using Store = TypeParam;
+  constexpr std::size_t kCap = DetectorCore<Store>::kLogCap;
+  constexpr auto kLogBytes = static_cast<std::int64_t>(kCap * 8);  // each
+  constexpr std::uint64_t kAlias = std::uint64_t{1} << 18;  // signature slots
+  const auto charged = [] {
+    return MemStats::instance().bytes(MemComponent::kSignatures);
+  };
+  const std::int64_t base = charged();
+  {
+    DetectorCore<Store> det(make_wide<Store>(), make_wide<Store>(),
+                            /*sampled=*/true);
+    const std::int64_t built = charged();
+    EXPECT_TRUE(det.armed());
+    DepMap deps;
+    // A mark with nothing logged allocates no log (every entry store
+    // charges is free again after a mark, so the charge is measured there).
+    mark_and_check(det, deps);
+    EXPECT_EQ(charged(), built) << "no log before the first append";
+    // Burst 1: reads, writes, an overwrite, a free and refill (logged
+    // twice), a unit whose signature slot a colliding unit fills first
+    // (not logged there), a migration out and one in.
+    std::vector<AccessEvent> burst;
+    for (std::uint64_t u = 0; u < 300; ++u) {
+      burst.push_back(wr(u * 3, 10));
+      burst.push_back(rd(u * 3 + 1, 11));
+      burst.push_back(rd(u * 3, 12));
+    }
+    burst.push_back(wr(0, 13));
+    burst.push_back(fr(3));
+    burst.push_back(wr(3, 14));
+    burst.push_back(wr(6 + kAlias, 15));
+    det.process(burst.data(), nullptr, burst.size(), deps);
+    (void)det.extract_state(9);
+    const std::uint32_t tag = addr_tag(kAlias + 7);
+    det.adopt_state(kAlias + 7, {true, true,
+                                 make_slot<SeqSlot>(rd(kAlias + 7, 16), tag),
+                                 make_slot<SeqSlot>(wr(kAlias + 7, 17), tag)});
+    const std::size_t paged = pages(det);
+    mark_and_check(det, deps);
+    EXPECT_TRUE(det.armed());
+    EXPECT_EQ(pages(det), paged) << "a logged mark keeps every page";
+    EXPECT_EQ(charged() - built, 2 * kLogBytes) << "a log per store, once";
+    detect(det, deps, {rd(kAlias + 7, 20), wr(6 + kAlias, 21)});
+    EXPECT_EQ(deps.find(key(DepType::kRaw, 20, 17)), nullptr);
+    EXPECT_NE(deps.find(key(DepType::kInit, 21, 0)), nullptr);
+    mark_and_check(det, deps);
+
+    // More new units than the read store's log holds: it overflows, the
+    // mark clears both stores whole and re-arms.
+    std::vector<AccessEvent> flood;
+    for (std::uint64_t u = 0; u <= kCap; ++u) flood.push_back(rd(u, 30));
+    det.process(flood.data(), nullptr, flood.size(), deps);
+    EXPECT_FALSE(det.armed()) << "kCap + 1 new units must overflow the log";
+    mark_and_check(det, deps);
+    EXPECT_TRUE(det.armed()) << "the clearing mark re-arms";
+    if constexpr (std::is_same_v<Store, PackedShadowStore<SeqSlot>>) {
+      EXPECT_EQ(pages(det), 0u) << "the overflowed mark took clear()";
+    }
+    EXPECT_EQ(charged() - built, 2 * kLogBytes) << "the logs are kept";
+
+    // The re-armed log covers the next burst.
+    detect(det, deps, {wr(5, 40), rd(kAlias + 5, 41)});
+    const std::size_t repaged = pages(det);
+    mark_and_check(det, deps);
+    EXPECT_TRUE(det.armed());
+    EXPECT_EQ(pages(det), repaged);
+  }
+  EXPECT_EQ(charged(), base) << "the logs are returned with the detector";
+}
+
+TYPED_TEST(BurstMarkLog, UnarmedDetectorClearsAtItsFirstMarkThenLogs) {
+  using Store = TypeParam;
+  const auto charged = [] {
+    return MemStats::instance().bytes(MemComponent::kSignatures);
+  };
+  const std::int64_t base = charged();
+  {
+    DetectorCore<Store> det(make_wide<Store>(), make_wide<Store>());
+    const std::int64_t built = charged();
+    EXPECT_FALSE(det.armed());
+    DepMap deps;
+    detect(det, deps, {wr(1, 10), rd(2, 11)});
+    mark_and_check(det, deps);  // the clear() path
+    EXPECT_TRUE(det.armed());
+    EXPECT_EQ(charged(), built) << "an unarmed detector logs nothing";
+    detect(det, deps, {wr(1, 12), rd(2, 13)});
+    mark_and_check(det, deps);  // the logged path
+    EXPECT_EQ(charged() - built,
+              static_cast<std::int64_t>(2 * DetectorCore<Store>::kLogCap * 8));
+    detect(det, deps, {rd(1, 14)});
+    EXPECT_EQ(deps.find(key(DepType::kRaw, 14, 12)), nullptr);
+  }
+  EXPECT_EQ(charged(), base);
 }
 
 // ------------------------------------------------------- LCA memo

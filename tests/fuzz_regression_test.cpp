@@ -406,35 +406,6 @@ TEST(DedupRegression, FreeInvalidatesCachedWordSoReuseStartsAFreshLifetime) {
   EXPECT_EQ(init_instances, 2u) << "the post-free INIT was suppressed";
 }
 
-// --- ISSUE 5 satellite: the chunk pool is bounded --------------------------
-
-TEST(ChunkPoolRegression, ProduceBurstDoesNotRatchetThePoolFootprint) {
-  MemStats::instance().reset();
-  {
-    ChunkPool pool(/*max_pooled=*/8);
-    // The free-list ring itself charges kQueues; measure chunks as a delta.
-    const std::int64_t baseline =
-        MemStats::instance().bytes(MemComponent::kQueues);
-    // A burst holds many chunks in flight at once; before the bound, every
-    // one of them was hoarded on the free list forever afterwards.
-    std::vector<Chunk*> burst;
-    for (int i = 0; i < 100; ++i) burst.push_back(pool.acquire());
-    EXPECT_EQ(pool.allocated(), 100u);
-    for (Chunk* c : burst) pool.release(c);
-    EXPECT_EQ(pool.pool_size(), 8u);   // cap, not burst size
-    EXPECT_EQ(pool.allocated(), 8u);   // the spill freed the rest
-    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kQueues) - baseline,
-              static_cast<std::int64_t>(8 * sizeof(Chunk)));
-    // Steady state recycles the retained chunks without allocating.
-    Chunk* c = pool.acquire();
-    EXPECT_EQ(pool.allocated(), 8u);
-    pool.release(c);
-  }
-  // Teardown returns every charged byte.
-  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kQueues), 0);
-  MemStats::instance().reset();
-}
-
 // --- ISSUE 8: the burst marker vs the front-end reduction layer ------------
 
 TEST(DedupRegression, BurstMarkTerminatesRunsAndIsNeverMerged) {

@@ -94,30 +94,39 @@ TEST(MtProfiling, NoFalseRacesUnderLockRegions) {
 }
 
 TEST(MtProfiling, RacyKernelYieldsPotentialRace) {
-  // Two threads hammer a shared counter WITHOUT lock regions.  Chunked
-  // buffering then decouples access order from push order, and the
-  // timestamp check exposes the reversal (Sec. V-B).  The race is real: the
-  // unsynchronized counter is exactly what the check is designed to catch.
+  // Two threads hammer a shared counter WITHOUT lock regions.  Per-thread
+  // buffering (256 events) then decouples access order from push order,
+  // and the timestamp check exposes the reversal (Sec. V-B).  The race is
+  // real: the unsynchronized counter is exactly what the check is designed
+  // to catch.  The threads take turns of kTurn iterations (2 * kTurn events,
+  // well under a buffer), so each flushed batch interleaves in timestamp
+  // with the other thread's and either flush order shows a reversal, however
+  // the OS schedules the two threads.
   ProfilerConfig cfg;
   cfg.storage = StorageKind::kPacked;
   cfg.mt_targets = true;
   cfg.workers = 2;
-  cfg.chunk_size = 64;  // buffering without lock-region flushes
   auto prof = make_parallel_profiler(cfg);
 
   Runtime::instance().reset();
   Runtime::instance().attach(prof.get(), true);
+  constexpr int kTurns = 64;  // per thread
+  constexpr int kTurn = 16;
   std::atomic<int> counter{0};
-  auto hammer = [&] {
-    for (int i = 0; i < 3000; ++i) {
-      DP_READ(counter);
-      DP_WRITE(counter);
-      counter.fetch_add(1, std::memory_order_relaxed);
-      // Interleave the two threads even on a single-core host.
-      if (i % 16 == 0) std::this_thread::yield();
+  std::atomic<int> turn{0};
+  auto hammer = [&](int me) {
+    for (int t = 0; t < kTurns; ++t) {
+      while (turn.load(std::memory_order_acquire) != 2 * t + me)
+        std::this_thread::yield();
+      for (int i = 0; i < kTurn; ++i) {
+        DP_READ(counter);
+        DP_WRITE(counter);
+        counter.fetch_add(1, std::memory_order_relaxed);
+      }
+      turn.fetch_add(1, std::memory_order_release);
     }
   };
-  std::thread a(hammer), b(hammer);
+  std::thread a(hammer, 0), b(hammer, 1);
   a.join();
   b.join();
   Runtime::instance().detach();

@@ -143,7 +143,7 @@ TEST(SchedPctTest, NoThreadHoldsTheSchedulePastTheRotationBound) {
 }
 
 TEST(ChunkPoolTest, SealedAcquireBlocksInsteadOfAllocating) {
-  ChunkPool pool(4, 4, /*sealed=*/true, WaitKind::kPark);
+  ChunkPool pool(4, WaitKind::kPark);
   ASSERT_EQ(pool.allocated(), 4u);
   Chunk* held[4];
   for (Chunk*& c : held) c = pool.acquire();
@@ -157,7 +157,7 @@ TEST(ChunkPoolTest, SealedAcquireBlocksInsteadOfAllocating) {
   Chunk* waited = pool.acquire();  // must block until the release, not new
   releaser.join();
   EXPECT_EQ(waited, held[0]);
-  EXPECT_EQ(pool.allocated(), 4u) << "sealed pools never grow";
+  EXPECT_EQ(pool.allocated(), 4u) << "the pool never grows";
   EXPECT_GE(pool.acquire_stalls(), 1u);
   pool.release(waited);
   for (int i = 1; i < 4; ++i) pool.release(held[i]);
@@ -167,7 +167,7 @@ TEST(ChunkPoolTest, RecycledChunkLeaksNoStaleHeader) {
   // Pool of one: the second acquire must hand back the same chunk, and
   // every header field a previous use could have dirtied must be reset —
   // a stale kind or count would make the worker misread the chunk.
-  ChunkPool pool(1, 1, /*sealed=*/true, WaitKind::kSpin);
+  ChunkPool pool(1, WaitKind::kSpin);
   Chunk* c = pool.acquire();
   const std::uint32_t gen_before = c->gen.load();
   c->kind = Chunk::Kind::kMigrateOut;
@@ -187,7 +187,7 @@ TEST(ChunkPoolTest, RecycledChunkLeaksNoStaleHeader) {
 }
 
 TEST(ChunkInvariantTest, WrongHandoffBumpsViolationCounter) {
-  ChunkPool pool(1, 1, /*sealed=*/true, WaitKind::kSpin);
+  ChunkPool pool(1, WaitKind::kSpin);
   Chunk* c = pool.acquire();  // legal: pool -> producer
   const std::uint64_t before = sched::violation_count();
   // A data chunk with records for workers 1 and 3, pushed to both.

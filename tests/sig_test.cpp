@@ -38,7 +38,7 @@ SeqSlot slot_at(std::uint32_t line) {
 TEST(Signature, InsertFindRemove) {
   Signature<SeqSlot> sig(1024);
   EXPECT_EQ(sig.find(42), nullptr);
-  sig.insert(42, slot_at(10));
+  EXPECT_TRUE(sig.insert(42, slot_at(10)));  // filled an empty slot
   ASSERT_NE(sig.find(42), nullptr);
   EXPECT_EQ(sig.find(42)->location().line(), 10u);
   EXPECT_EQ(sig.occupied(), 1u);
@@ -50,7 +50,7 @@ TEST(Signature, InsertFindRemove) {
 TEST(Signature, InsertOverwritesSlot) {
   Signature<SeqSlot> sig(1024);
   sig.insert(42, slot_at(10));
-  sig.insert(42, slot_at(20));
+  EXPECT_FALSE(sig.insert(42, slot_at(20)));
   EXPECT_EQ(sig.find(42)->location().line(), 20u);
   EXPECT_EQ(sig.occupied(), 1u);
 }
@@ -61,6 +61,7 @@ TEST(Signature, ModuloCollisionSharesSlot) {
   sig.insert(5, slot_at(10));
   ASSERT_NE(sig.find(5 + 128), nullptr);  // approximate membership: false hit
   EXPECT_EQ(sig.find(5 + 128)->location().line(), 10u);
+  EXPECT_FALSE(sig.insert(5 + 128, slot_at(11)));  // the slot was occupied
 }
 
 TEST(Signature, RemoveClearsCollidingResident) {
@@ -70,16 +71,6 @@ TEST(Signature, RemoveClearsCollidingResident) {
   sig.insert(5, slot_at(10));
   sig.remove(5 + 128);
   EXPECT_EQ(sig.find(5), nullptr);
-}
-
-TEST(Signature, ExtractMovesState) {
-  Signature<SeqSlot> sig(1024);
-  sig.insert(7, slot_at(33));
-  auto st = sig.extract(7);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->location().line(), 33u);
-  EXPECT_EQ(sig.find(7), nullptr);
-  EXPECT_FALSE(sig.extract(7).has_value());
 }
 
 TEST(Signature, IntersectCountsSharedSlots) {
@@ -97,68 +88,6 @@ TEST(Signature, ClearResetsEverything) {
   sig.clear();
   EXPECT_EQ(sig.occupied(), 0u);
   for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(sig.find(i), nullptr);
-}
-
-TEST(Signature, LoggedClearEmptiesWhatTheBurstWrote) {
-  // A signature built for a sampled run logs every slot that becomes
-  // occupied; clear() empties exactly those, charges the log once, and
-  // leaves the signature armed for the next burst.
-  const std::int64_t base =
-      MemStats::instance().bytes(MemComponent::kSignatures);
-  {
-    Signature<SeqSlot> sig(1u << 12, SigHash::kModulo, /*sampled=*/true);
-    EXPECT_TRUE(sig.armed());
-    EXPECT_EQ(sig.bytes(), (1u << 12) * sizeof(SeqSlot));  // no log yet
-    std::vector<std::uint64_t> addrs;
-    for (std::uint64_t i = 0; i < 300; ++i) addrs.push_back(i * 13 + 5);
-    for (std::size_t i = 0; i < addrs.size(); ++i)
-      sig.insert(addrs[i], slot_at(static_cast<std::uint32_t>(i + 1)));
-    sig.insert(addrs[0], slot_at(99));  // overwrite: nothing new to log
-    sig.remove(addrs[1]);
-    sig.insert(addrs[1], slot_at(98));  // occupied again: logged twice
-    sig.insert(addrs[2] + (1u << 12), slot_at(97));  // collides with addrs[2]
-    const std::size_t charged =
-        (1u << 12) * sizeof(SeqSlot) + Signature<SeqSlot>::kLogCap * 8;
-    EXPECT_EQ(sig.bytes(), charged);
-    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures) - base,
-              static_cast<std::int64_t>(charged));
-    ASSERT_EQ(sig.occupied(), addrs.size());
-    sig.clear();
-    EXPECT_TRUE(sig.armed());
-    EXPECT_EQ(sig.occupied(), 0u);
-    for (std::uint64_t i = 0; i < (1u << 12); ++i)
-      ASSERT_EQ(sig.find(i), nullptr) << "slot " << i;
-    sig.insert(addrs[3], slot_at(7));
-    ASSERT_NE(sig.find(addrs[3]), nullptr);
-    EXPECT_EQ(sig.find(addrs[3])->location().line(), 7u);
-    EXPECT_EQ(sig.occupied(), 1u);
-  }
-  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures), base);
-}
-
-TEST(Signature, LogOverflowTakesTheReleasePath) {
-  // More than kLogCap newly occupied slots overflow the log: clear() then
-  // empties every slot by releasing the pages, and arms the log again.  An
-  // unsampled signature starts unarmed and allocates no log until then.
-  constexpr std::size_t kSlots = std::size_t{1} << 17;
-  Signature<SeqSlot> sig(kSlots);
-  EXPECT_FALSE(sig.armed());
-  for (std::uint64_t i = 0; i < 100; ++i) sig.insert(i, slot_at(1));
-  EXPECT_EQ(sig.bytes(), kSlots * sizeof(SeqSlot));
-  sig.clear();
-  EXPECT_TRUE(sig.armed());
-  for (std::uint64_t i = 0; i <= Signature<SeqSlot>::kLogCap; ++i)
-    sig.insert(i, slot_at(2));
-  EXPECT_FALSE(sig.armed()) << "kLogCap + 1 new slots must overflow the log";
-  sig.clear();
-  EXPECT_TRUE(sig.armed());
-  EXPECT_EQ(sig.occupied(), 0u);
-  for (std::uint64_t i = 0; i <= Signature<SeqSlot>::kLogCap; ++i)
-    ASSERT_EQ(sig.find(i), nullptr) << "slot " << i;
-  sig.insert(5, slot_at(3));
-  sig.clear();  // logged again
-  EXPECT_EQ(sig.find(5), nullptr);
-  EXPECT_TRUE(sig.armed());
 }
 
 TEST(Signature, BytesIsSlotCountTimesSlotSize) {
@@ -267,7 +196,8 @@ TEST(PackedShadowStore, PackUnpackRoundTripsAtFieldBoundaries) {
 TEST(PackedShadowStore, InsertFindRemove) {
   PackedSeq store;
   EXPECT_EQ(store.find(42), nullptr);
-  store.insert(42, slot_at(10));
+  EXPECT_TRUE(store.insert(42, slot_at(10)));  // filled an absent word
+  EXPECT_FALSE(store.insert(42, slot_at(10)));
   ASSERT_NE(store.find(42), nullptr);
   EXPECT_EQ(store.find(42)->location().line(), 10u);
   EXPECT_EQ(store.find(42)->tag, addr_tag(42));  // recomputed, not stored
@@ -316,7 +246,7 @@ TEST(PackedShadowStore, InsertingEmptySlotReadsAsAbsent) {
   // exact store.
   PackedSeq store;
   store.insert(42, slot_at(10));
-  store.insert(42, SeqSlot{});
+  EXPECT_FALSE(store.insert(42, SeqSlot{}));
   EXPECT_EQ(store.find(42), nullptr);
   EXPECT_EQ(store.occupied(), 0u);
   EXPECT_EQ(store.interned_snapshots(), 0u);
@@ -486,17 +416,6 @@ TEST(PackedShadowStore, MtSidecarKeepsFlagBitsAndFullTimestamp) {
   EXPECT_EQ(store.find(1235)->ts, 0u);
 }
 
-TEST(PackedShadowStore, ExtractMovesState) {
-  PackedSeq store;
-  store.insert(7, slot_at(33));
-  auto st = store.extract(7);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->location().line(), 33u);
-  EXPECT_EQ(store.find(7), nullptr);
-  EXPECT_FALSE(store.extract(7).has_value());
-  EXPECT_EQ(store.interned_snapshots(), 0u);
-}
-
 TEST(PackedShadowStore, PagesAllocatedOnTouchOnly) {
   PackedSeq store;
   store.insert(0, slot_at(1));
@@ -519,9 +438,8 @@ TEST(PackedShadowStore, PagesAllocatedOnTouchOnly) {
 }
 
 TEST(PackedShadowStore, TeardownReleasesEveryByte) {
-  // Page-table teardown must return every charged byte: an unarmed store's
-  // clear() keeps only the (re-zeroed) root directory, destruction releases
-  // that too.
+  // Page-table teardown must return every charged byte: clear() keeps only
+  // the (re-zeroed) root directory, destruction releases that too.
   const std::int64_t base = MemStats::instance().bytes(MemComponent::kStore);
   std::int64_t after_clear = 0;
   {
@@ -541,66 +459,6 @@ TEST(PackedShadowStore, TeardownReleasesEveryByte) {
     // The store stays usable after a reset (burst-mark semantics).
     store.insert(42, slot_at(10));
     ASSERT_NE(store.find(42), nullptr);
-  }
-  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kStore), base);
-}
-
-TEST(PackedShadowStore, LoggedClearZeroesWhatTheBurstWroteAndKeepsPages) {
-  // An armed store's clear() zeroes only the words made resident since the
-  // last one: pages and their MemStats charge stay, and every earlier word
-  // reads absent with no live token.  Teardown still returns every byte.
-  const std::int64_t base = MemStats::instance().bytes(MemComponent::kStore);
-  {
-    PackedSeq store(/*sampled=*/true);
-    std::vector<std::uint64_t> addrs;
-    for (std::uint64_t i = 0; i < 150; ++i)
-      addrs.push_back((i % 3) * PackedSeq::kPageWords + i * 977);
-    for (std::size_t i = 0; i < addrs.size(); ++i) {
-      SeqSlot s = slot_at(static_cast<std::uint32_t>(10 + i));
-      s.ctx = static_cast<std::uint32_t>(i % 7);
-      store.insert(addrs[i], s);
-    }
-    store.insert(addrs[0], slot_at(99));  // overwrite: nothing new to log
-    store.remove(addrs[1]);
-    store.insert(addrs[1], slot_at(98));  // resident again: logged twice
-    const std::int64_t charged =
-        MemStats::instance().bytes(MemComponent::kStore);
-    ASSERT_EQ(store.page_count(), 3u);
-    store.clear();
-    EXPECT_EQ(store.page_count(), 3u);
-    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kStore), charged);
-    EXPECT_EQ(store.occupied(), 0u);
-    EXPECT_EQ(store.interned_snapshots(), 0u);
-    for (const std::uint64_t a : addrs) EXPECT_EQ(store.find(a), nullptr) << a;
-    store.insert(addrs[2], slot_at(7));
-    ASSERT_NE(store.find(addrs[2]), nullptr);
-    EXPECT_EQ(store.find(addrs[2])->location().line(), 7u);
-  }
-  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kStore), base);
-}
-
-TEST(PackedShadowStore, LogOverflowMakesClearReleaseEveryPage) {
-  // The first clear() of an unarmed store, and any clear() after more than
-  // kLogCap new words, releases every page; only the root directory and the
-  // log stay charged, and the re-armed log covers the next burst.
-  const std::int64_t base = MemStats::instance().bytes(MemComponent::kStore);
-  {
-    PackedSeq store;
-    const std::int64_t rooted =
-        MemStats::instance().bytes(MemComponent::kStore);
-    store.clear();
-    for (std::uint64_t i = 0; i <= PackedSeq::kLogCap; ++i)
-      store.insert(i * 3, slot_at(1));
-    store.clear();
-    EXPECT_EQ(store.page_count(), 0u);
-    EXPECT_EQ(store.find(3), nullptr);
-    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kStore),
-              rooted + static_cast<std::int64_t>(PackedSeq::kLogCap *
-                                                 sizeof(std::uint64_t*)));
-    store.insert(5, slot_at(2));
-    store.clear();
-    EXPECT_EQ(store.page_count(), 1u);
-    EXPECT_EQ(store.find(5), nullptr);
   }
   EXPECT_EQ(MemStats::instance().bytes(MemComponent::kStore), base);
 }
@@ -704,8 +562,8 @@ TYPED_TEST(SignatureZeroFill, FallbackBlock) {
     ForceFallback force;
     TestFixture::check(TestFixture::kHugeSlots);
   }
-  // The slot array, and the clear log the first clear() armed.
-  EXPECT_EQ(huge::fallback_count(), before + 2);
+  // The slot array: a store allocates nothing else.
+  EXPECT_EQ(huge::fallback_count(), before + 1);
 }
 
 // ------------------------------------------------------ HashTableRecorder
@@ -723,102 +581,56 @@ TEST(HashTableRecorder, ExactMembership) {
 
 TEST(HashTableRecorder, InsertUpdatesInPlace) {
   HashTableRecorder<SeqSlot> table(16);
-  table.insert(1, slot_at(10));
-  table.insert(1, slot_at(20));
+  EXPECT_TRUE(table.insert(1, slot_at(10)));  // a new node
+  EXPECT_FALSE(table.insert(1, slot_at(20)));
   EXPECT_EQ(table.occupied(), 1u);
   EXPECT_EQ(table.find(1)->location().line(), 20u);
 }
 
-TEST(HashTableRecorder, LoggedClearFreesWhatTheBurstWrote) {
-  // A table built for a sampled run logs every chain the burst starts;
-  // clear() frees exactly those chains, returns every node charge and stays
-  // armed.  The log is allocated on first use and charged once.
-  const std::int64_t base =
-      MemStats::instance().bytes(MemComponent::kSignatures);
-  {
-    constexpr std::size_t kBuckets = 1u << 10;
-    HashTableRecorder<SeqSlot> table(kBuckets, /*sampled=*/true);
-    EXPECT_TRUE(table.armed());
-    EXPECT_EQ(table.bytes(), kBuckets * sizeof(void*));  // no log yet
-    const std::int64_t built =
-        MemStats::instance().bytes(MemComponent::kSignatures);
-    std::vector<std::uint64_t> addrs;
-    for (std::uint64_t i = 0; i < 3000; ++i) addrs.push_back(i * 13 + 5);
-    for (std::size_t i = 0; i < addrs.size(); ++i)
-      table.insert(addrs[i], slot_at(static_cast<std::uint32_t>(i % 30 + 1)));
-    table.insert(addrs[0], slot_at(99));  // update in place: nothing new
-    table.remove(addrs[1]);
-    table.insert(addrs[1], slot_at(98));
-    ASSERT_EQ(table.occupied(), addrs.size());
-    EXPECT_GT(MemStats::instance().bytes(MemComponent::kSignatures),
-              built + static_cast<std::int64_t>(
-                          HashTableRecorder<SeqSlot>::kLogCap * 8));
-    table.clear();
-    EXPECT_TRUE(table.armed());
-    EXPECT_EQ(table.occupied(), 0u);
-    // Only the bucket array and the log stay charged: no node is left.
-    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures),
-              built + static_cast<std::int64_t>(
-                          HashTableRecorder<SeqSlot>::kLogCap * 8));
-    EXPECT_EQ(table.bytes(),
-              kBuckets * sizeof(void*) +
-                  HashTableRecorder<SeqSlot>::kLogCap * 8);
-    for (const std::uint64_t a : addrs) ASSERT_EQ(table.find(a), nullptr) << a;
-    table.insert(addrs[3], slot_at(7));
-    ASSERT_NE(table.find(addrs[3]), nullptr);
-    EXPECT_EQ(table.find(addrs[3])->location().line(), 7u);
-    EXPECT_EQ(table.occupied(), 1u);
-  }
-  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures), base);
-}
-
-TEST(HashTableRecorder, LogOverflowTakesTheWalkPath) {
-  // More than kLogCap new chain heads overflow the log: clear() then walks
-  // every bucket and arms the log again.  An unsampled table starts unarmed
-  // and allocates no log until then.
-  constexpr std::size_t kCap = HashTableRecorder<SeqSlot>::kLogCap;
-  const std::int64_t base =
-      MemStats::instance().bytes(MemComponent::kSignatures);
-  {
-    HashTableRecorder<SeqSlot> table(4 * kCap);
-    EXPECT_FALSE(table.armed());
-    const std::size_t empty = table.bytes();
-    for (std::uint64_t i = 0; i < 100; ++i) table.insert(i, slot_at(1));
-    EXPECT_LT(table.bytes() - empty, kCap) << "100 nodes and no log";
-    table.clear();
-    EXPECT_TRUE(table.armed());
-    // Each insert starts at most one chain, so the log overflows after
-    // kCap + 1 of them at the earliest.
-    std::uint64_t a = 0;
-    for (; a <= 4 * kCap && table.armed(); ++a) table.insert(a, slot_at(2));
-    EXPECT_FALSE(table.armed()) << "kCap + 1 new chain heads must overflow";
-    EXPECT_GT(a, kCap);
-    table.clear();
-    EXPECT_TRUE(table.armed());
-    EXPECT_EQ(table.occupied(), 0u);
-    for (std::uint64_t i = 0; i < a; ++i)
-      ASSERT_EQ(table.find(i), nullptr) << "address " << i;
-    table.insert(5, slot_at(3));
-    table.clear();  // logged again
-    EXPECT_EQ(table.find(5), nullptr);
-    EXPECT_TRUE(table.armed());
-  }
-  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures), base);
-}
-
-TEST(HashTableRecorder, ExtractFromChainMiddle) {
+TEST(HashTableRecorder, RemoveFromChainMiddle) {
   HashTableRecorder<SeqSlot> table(1);  // single bucket: everything chains
   for (std::uint64_t i = 0; i < 10; ++i) table.insert(i, slot_at(i + 1));
-  auto st = table.extract(5);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->location().line(), 6u);
+  table.remove(5);
+  table.remove(5);  // removing an absent address is a no-op
   EXPECT_EQ(table.occupied(), 9u);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    if (i == 5)
+    if (i == 5) {
       EXPECT_EQ(table.find(i), nullptr);
-    else
-      EXPECT_NE(table.find(i), nullptr);
+    } else {
+      ASSERT_NE(table.find(i), nullptr) << i;
+      EXPECT_EQ(table.find(i)->location().line(), i + 1) << i;
+    }
   }
+}
+
+TEST(HashTableRecorder, ClearFreesEveryNode) {
+  // clear() walks every bucket: no node survives, every node charge comes
+  // back, and the table stays usable (burst-mark semantics).
+  const std::int64_t base =
+      MemStats::instance().bytes(MemComponent::kSignatures);
+  {
+    HashTableRecorder<SeqSlot> table(64);
+    const std::int64_t built =
+        MemStats::instance().bytes(MemComponent::kSignatures);
+    for (std::uint64_t i = 0; i < 500; ++i) table.insert(i * 7, slot_at(1));
+    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures) - built,
+              static_cast<std::int64_t>(table.bytes() - 64 * sizeof(void*)));
+    table.clear();
+    EXPECT_EQ(table.occupied(), 0u);
+    EXPECT_EQ(table.bytes(), 64 * sizeof(void*));
+    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures), built);
+    for (std::uint64_t i = 0; i < 500; ++i)
+      ASSERT_EQ(table.find(i * 7), nullptr) << i;
+    // Removing every node one by one (a burst mark's drain) returns every
+    // charge too, though nodes are charged in blocks.
+    for (std::uint64_t i = 0; i < 500; ++i) table.insert(i * 3, slot_at(1));
+    for (std::uint64_t i = 0; i < 500; ++i) table.remove(i * 3);
+    EXPECT_EQ(table.bytes(), 64 * sizeof(void*));
+    EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures), built);
+    EXPECT_TRUE(table.insert(7, slot_at(2)));
+    EXPECT_EQ(table.find(7)->location().line(), 2u);
+  }
+  EXPECT_EQ(MemStats::instance().bytes(MemComponent::kSignatures), base);
 }
 
 // ---------------------------------------------------------------- FPR model

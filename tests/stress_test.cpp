@@ -9,14 +9,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <initializer_list>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/mem_stats.hpp"
 #include "core/formatter.hpp"
 #include "core/profiler.hpp"
 #include "harness/accuracy.hpp"
 #include "instrument/runtime.hpp"
 #include "queue/wait_strategy.hpp"
+#include "sched/sched.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace.hpp"
 
@@ -58,14 +62,16 @@ std::vector<AccessEvent> thread_stream(std::uint16_t tid, std::uint64_t base,
   return evs;
 }
 
-// >= 8 concurrent target threads with thread ids up to 40000, each
-// publishing chunks shared by several workers through capacity-2 MPMC
-// queues.  Address ranges are disjoint, so the merged map must equal a
-// serial replay of the concatenated streams regardless of interleaving,
-// for every wait strategy.
-TEST(ParallelStress, ConcurrentProducersHighTidsTinyQueues) {
-  constexpr std::uint16_t kTids[] = {3, 77, 255, 256, 300, 511, 1000, 40000};
-  constexpr std::size_t kThreads = sizeof(kTids) / sizeof(kTids[0]);
+/// `tids.size()` concurrent target threads, each publishing chunks shared
+/// by several of `workers` workers through capacity-2 MPMC queues.  Address
+/// ranges are disjoint, so the merged map must equal a serial replay of the
+/// concatenated streams regardless of interleaving, for every wait kind in
+/// `waits`.  The chunk pool is sealed for MT targets too: an acquire with
+/// every chunk in flight waits for a release, so the pool never grows past
+/// its construction charge and no chunk changes hands out of turn.
+void check_concurrent_producers(const std::vector<std::uint16_t>& tids,
+                                unsigned workers,
+                                std::initializer_list<WaitKind> waits) {
   // Sized for the worst case: kSpin on a single-core host makes every
   // blocked push burn a scheduler quantum, so chunk count — not event
   // count — bounds the runtime (also under TSan in CI).
@@ -74,8 +80,8 @@ TEST(ParallelStress, ConcurrentProducersHighTidsTinyQueues) {
 
   std::vector<std::vector<AccessEvent>> streams;
   Trace serial_trace;
-  for (std::size_t i = 0; i < kThreads; ++i) {
-    streams.push_back(thread_stream(kTids[i], 0x100000 + i * 0x10000, kRounds,
+  for (std::size_t i = 0; i < tids.size(); ++i) {
+    streams.push_back(thread_stream(tids[i], 0x100000 + i * 0x10000, kRounds,
                                     kAddrs));
     serial_trace.events.insert(serial_trace.events.end(), streams[i].begin(),
                                streams[i].end());
@@ -87,16 +93,20 @@ TEST(ParallelStress, ConcurrentProducersHighTidsTinyQueues) {
   auto serial = make_serial_profiler(cfg);
   replay(serial_trace, *serial);
 
-  for (WaitKind wait : {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark}) {
-    cfg.workers = 4;
+  for (WaitKind wait : waits) {
+    cfg.workers = workers;
     cfg.chunk_size = 4;
     cfg.queue_capacity = 2;
     cfg.wait = wait;
+    MemStats::instance().reset();  // so peak(kQueues) is this pipeline's
+    const std::uint64_t violations = sched::violation_count();
     auto prof = make_parallel_profiler(cfg);
     ASSERT_NE(prof, nullptr);
+    const std::int64_t built =
+        MemStats::instance().bytes(MemComponent::kQueues);
 
     std::vector<std::thread> producers;
-    for (std::size_t i = 0; i < kThreads; ++i)
+    for (std::size_t i = 0; i < tids.size(); ++i)
       producers.emplace_back([&, i] {
         const std::vector<AccessEvent>& evs = streams[i];
         constexpr std::size_t kBatch = 16;
@@ -108,13 +118,34 @@ TEST(ParallelStress, ConcurrentProducersHighTidsTinyQueues) {
     prof->finish();
 
     const ProfilerStats st = prof->stats();
-    const std::uint64_t total = kThreads * kRounds * kAddrs * 2;
+    const std::uint64_t total = tids.size() * kRounds * kAddrs * 2;
+    const std::string what = std::string("wait=") + wait_kind_name(wait) +
+                             " threads=" + std::to_string(tids.size()) +
+                             " workers=" + std::to_string(workers);
     // No event may be lost or duplicated by concurrent producers.
-    EXPECT_EQ(st.events, total) << "wait=" << wait_kind_name(wait);
-    EXPECT_EQ(st.stages.detect_events(), total) << "wait=" << wait_kind_name(wait);
-    EXPECT_TRUE(same_deps(serial->dependences(), prof->dependences()))
-        << "wait=" << wait_kind_name(wait);
+    EXPECT_EQ(st.events, total) << what;
+    EXPECT_EQ(st.stages.detect_events(), total) << what;
+    EXPECT_TRUE(same_deps(serial->dependences(), prof->dependences())) << what;
+    EXPECT_EQ(sched::violation_count(), violations) << what;
+    EXPECT_EQ(MemStats::instance().peak(MemComponent::kQueues), built)
+        << what << ": the chunk pool grew";
   }
+}
+
+// >= 8 concurrent target threads with thread ids up to 40000, for every
+// wait strategy; then more producer threads than the two-worker plan has
+// chunks beyond its queues (qcap 2 plans 2 x (2 + 2) + 8 = 16 chunks), so
+// producers block in the pool's acquire holding no chunk.
+TEST(ParallelStress, ConcurrentProducersHighTidsTinyQueues) {
+  const std::vector<std::uint16_t> tids = {3, 77, 255, 256, 300, 511, 1000,
+                                           40000};
+  check_concurrent_producers(
+      tids, 4, {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark});
+
+  std::vector<std::uint16_t> crowd = tids;
+  for (std::uint16_t t = 0; crowd.size() < 24; ++t)
+    crowd.push_back(static_cast<std::uint16_t>(2000 + 97 * t));
+  check_concurrent_producers(crowd, 2, {WaitKind::kYield, WaitKind::kPark});
 }
 
 // Aggressive load-balancer migrations through capacity-2 queues: the
