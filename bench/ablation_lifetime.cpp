@@ -37,7 +37,7 @@ namespace {
 Trace scratch_reuse_trace(std::size_t iters, std::size_t buf_words,
                           bool with_frees) {
   Trace t;
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   for (std::size_t it = 0; it < iters; ++it) {
     for (std::size_t w = 0; w < buf_words; ++w) {
       AccessEvent ev;

@@ -68,7 +68,7 @@ void feed(IProfiler& prof, std::uint64_t words) {
   constexpr std::size_t kChunk = 4096;
   std::vector<AccessEvent> buf(kChunk);
   std::size_t fill = 0;
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 3);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 3, 0);
   for (std::uint64_t i = 0; i < words; ++i) {
     const auto iter = static_cast<std::uint32_t>(i / kWordsPerIter);
     AccessEvent& w = buf[fill++];

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "core/detector.hpp"
 #include "core/profiler.hpp"
@@ -40,8 +41,9 @@ int main(int argc, char** argv) {
 
   // 2. Reload and replay under an exact baseline (the packed shadow store).
   Trace loaded;
-  if (!read_trace(loaded, path)) {
-    std::fprintf(stderr, "cannot read %s back\n", path);
+  std::string error;
+  if (!read_trace(loaded, path, &error)) {
+    std::fprintf(stderr, "cannot read %s back: %s\n", path, error.c_str());
     return 1;
   }
   ProfilerConfig exact;

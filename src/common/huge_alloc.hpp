@@ -21,6 +21,11 @@
 // hugepage_fallbacks obs counter) and the pointer is remembered so free()
 // releases it through the matching deallocator.
 //
+// Alignment contract: every block is at least 64-byte aligned (mmap blocks
+// are page aligned, and the fall-back asks operator new for kBlockAlign),
+// so a 16- or 32-byte slot never straddles a cache line and the detect
+// kernel prefetches one line per slot (common/prefetch.hpp).
+//
 // Zeroing contract: every block is returned zero-filled on every path —
 // anonymous mmap pages are zeroed by the kernel on first touch, and the
 // fall-back memsets to match — and zero() returns a block to all zeros,
@@ -48,6 +53,7 @@ namespace depprof {
 namespace huge {
 
 constexpr std::size_t kHugeThreshold = 2u << 20;  // one huge page
+constexpr std::align_val_t kBlockAlign{64};       // one cache line
 
 namespace detail {
 
@@ -89,7 +95,7 @@ struct FallbackRegistry {
 };
 
 inline void* alloc_fallback(std::size_t bytes) {
-  void* p = ::operator new(bytes);
+  void* p = ::operator new(bytes, kBlockAlign);
   std::memset(p, 0, bytes);  // match the kernel's zero-fill of mmap pages
   FallbackRegistry::instance().insert(p);
   fallback_counter().fetch_add(1, std::memory_order_relaxed);
@@ -128,7 +134,7 @@ inline void* alloc(std::size_t bytes) {
 
 inline void free(void* p, std::size_t bytes) {
   if (detail::FallbackRegistry::instance().erase(p)) {
-    ::operator delete(p);
+    ::operator delete(p, kBlockAlign);
     return;
   }
   ::munmap(p, bytes);
@@ -138,7 +144,7 @@ inline void* alloc(std::size_t bytes) { return detail::alloc_fallback(bytes); }
 inline void free(void* p, std::size_t bytes) {
   (void)bytes;
   (void)detail::FallbackRegistry::instance().erase(p);
-  ::operator delete(p);
+  ::operator delete(p, kBlockAlign);
 }
 #endif
 

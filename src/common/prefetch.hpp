@@ -11,6 +11,10 @@
 // (Algorithm 1 inserts on every non-free access), so fetching the line in
 // exclusive state spares the insert a second ownership round-trip — the
 // store would otherwise sit in the store buffer waiting for the RFO.
+//
+// One prefetch per slot is enough: signature slots (16/32 bytes) and the
+// packed store's MT sidecar entries (16 bytes) sit in 64-byte-aligned
+// blocks (huge::alloc), so none straddles two cache lines.
 
 namespace depprof {
 
@@ -30,18 +34,6 @@ inline void prefetch_rw(const void* p) {
 #else
   (void)p;
 #endif
-}
-
-/// Prefetches every cache line of the object at [p, p + bytes) with write
-/// intent.  Signature slots are 40/56 bytes, so a slot regularly straddles
-/// two lines; the second line's miss is otherwise exposed on the insert's
-/// store, which find() never touched.
-inline void prefetch_obj_rw(const void* p, unsigned long bytes) {
-  const char* c = static_cast<const char*>(p);
-  prefetch_rw(c);
-  if (((reinterpret_cast<unsigned long>(c) + bytes - 1) & ~63ul) !=
-      (reinterpret_cast<unsigned long>(c) & ~63ul))
-    prefetch_rw(c + bytes - 1);
 }
 
 }  // namespace depprof

@@ -451,14 +451,15 @@ class DetectStage {
   /// or not the runs were expanded upstream.
   void process(const AccessEvent* events, const std::uint32_t* reps,
                std::size_t count) {
-    // Both clock domains (see obs/stage_stats.hpp): wall busy_ns pairs with
-    // the wall idle_ns for consistent busy/idle ratios; thread-CPU cpu_ns
-    // excludes preemption and feeds the simulated parallel time.
+    // One wall-clock span charged to both busy_ns and cpu_ns: the serial
+    // kernel never waits, so its wall span is its CPU time up to
+    // preemption, and a thread-CPU read costs about eight wall-clock reads
+    // (obs/stage_stats.hpp).
     const std::uint64_t w0 = WallTimer::now();
-    const std::uint64_t c0 = ThreadCpuTimer::now();
     stats_->add_prefetches(core_.process(events, reps, count, deps_));
-    stats_->add_cpu_ns(ThreadCpuTimer::now() - c0);
-    stats_->add_busy_ns(WallTimer::now() - w0);
+    const std::uint64_t span = WallTimer::now() - w0;
+    stats_->add_cpu_ns(span);
+    stats_->add_busy_ns(span);
     std::uint64_t accesses = count;
     if (reps != nullptr) {
       accesses = 0;

@@ -320,8 +320,11 @@ void Runtime::loop_begin(std::uint32_t file, std::uint32_t line) {
   const std::uint32_t loc = SourceLocation(file, line).packed();
   const std::uint32_t parent_loop =
       ts.loop_stack.empty() ? 0 : ts.loop_stack.back().loop_id;
+  const std::uint32_t parent_iter =
+      ts.loop_stack.empty() ? 0 : ts.loop_stack.back().iter;
   // The template's context is the innermost entry (kRoot outside loops).
-  const std::uint32_t node = nest_forest().enter(ts.tmpl.ctx, loc);
+  const std::uint32_t node =
+      nest_forest().enter(ts.tmpl.ctx, loc, parent_iter);
   ts.loop_stack.push_back({loc, node, 0});
   ts.tmpl.ctx = node;
   if (ts.loop_stack.size() <= kNestIters)

@@ -19,7 +19,12 @@
 // on the same intervals — cpu_ns feeds the simulated parallel time (it
 // excludes preemption and parked sleep), idle_cpu_ns is the CPU a wait
 // strategy burned while the stage had no input (the oversubscription metric
-// of bench/ablation_waitstrategy).
+// of bench/ablation_waitstrategy).  One exception: the serial profiler's
+// detect stage times each delivered batch with one wall-clock span and
+// charges it to both busy_ns and cpu_ns.  Its kernel never waits, so the
+// span is its CPU time up to preemption, and a CLOCK_THREAD_CPUTIME_ID read
+// costs about eight CLOCK_MONOTONIC reads (340-360 ns against 40-48 ns on a
+// 4-vCPU Xeon VM), which per batch would sit on the profiled path.
 
 #include <atomic>
 #include <cstdint>
@@ -188,9 +193,10 @@ class PipelineObs {
   StageStats& detect(unsigned worker) { return detect_[worker]; }
   StageStats& merge() { return merge_; }
 
-  /// Sum of thread-CPU time across all stages — the profiler's own cost,
-  /// cheap enough to probe from the sampling controller between bursts
-  /// (AccessSink::profiling_cost_ns).
+  /// Sum of cpu_ns across all stages — the profiler's own cost, cheap
+  /// enough to probe from the sampling controller between bursts
+  /// (AccessSink::profiling_cost_ns).  The serial detect stage's share is
+  /// wall time (see the clock domains above).
   std::uint64_t total_cpu_ns() const {
     std::uint64_t ns = produce_.cpu_ns.load(std::memory_order_relaxed) +
                        route_.cpu_ns.load(std::memory_order_relaxed) +

@@ -20,7 +20,7 @@ namespace {
 
 // The one grammar.  There is no version ladder: a file in any other version
 // is rejected rather than replayed under reinterpreted semantics.
-constexpr std::string_view kVersionLine = "depfuzz-repro v9";
+constexpr std::string_view kVersionLine = "depfuzz-repro v10";
 
 const char* sig_hash_name(SigHash h) {
   return h == SigHash::kModulo ? "modulo" : "mix";
@@ -242,13 +242,14 @@ bool parse_keyed_line(const std::vector<std::string_view>& toks,
 /// File-local nest id -> process forest id (id 0 is the root).
 using NestIds = std::unordered_map<std::uint32_t, std::uint32_t>;
 
-/// `nest id=N parent=P loop=L` directive: interns one dynamic entry.
-/// Parents must be declared (or 0) before their children; all three keys
-/// are required — a defaulted parent/loop would silently re-shape the nest.
+/// `nest id=N parent=P loop=L iter=I` directive: interns one dynamic entry
+/// of loop L, begun in iteration I of entry P.  Parents must be declared (or
+/// 0) before their children; all four keys are required — a defaulted
+/// parent, loop or iteration would silently re-shape the nest.
 bool parse_nest_line(const std::vector<std::string_view>& toks,
                      NestIds& id_map, std::string& err) {
-  std::uint64_t id = 0, parent = 0, loop = 0;
-  bool saw_id = false, saw_parent = false, saw_loop = false;
+  std::uint64_t id = 0, parent = 0, loop = 0, iter = 0;
+  bool saw_id = false, saw_parent = false, saw_loop = false, saw_iter = false;
   std::vector<std::string_view> keys;
   for (std::size_t i = 1; i < toks.size(); ++i) {
     std::string_view key, value;
@@ -261,15 +262,16 @@ bool parse_nest_line(const std::vector<std::string_view>& toks,
     if (key == "id") ok = parse_u64(value, id), saw_id = true;
     else if (key == "parent") ok = parse_u64(value, parent), saw_parent = true;
     else if (key == "loop") ok = parse_u64(value, loop), saw_loop = true;
+    else if (key == "iter") ok = parse_u64(value, iter), saw_iter = true;
     else ok = false;
     if (!ok) {
       err = "bad nest token '" + std::string(toks[i]) + "'";
       return false;
     }
   }
-  if (!saw_parent || !saw_loop) {
+  if (!saw_parent || !saw_loop || !saw_iter) {
     err = std::string("nest directive missing ") +
-          (!saw_parent ? "parent=" : "loop=") + " key";
+          (!saw_parent ? "parent=" : !saw_loop ? "loop=" : "iter=") + " key";
     return false;
   }
   if (!saw_id || id == 0 || id_map.count(static_cast<std::uint32_t>(id))) {
@@ -282,7 +284,8 @@ bool parse_nest_line(const std::vector<std::string_view>& toks,
     return false;
   }
   id_map[static_cast<std::uint32_t>(id)] =
-      nest_forest().enter(pit->second, static_cast<std::uint32_t>(loop));
+      nest_forest().enter(pit->second, static_cast<std::uint32_t>(loop),
+                          static_cast<std::uint32_t>(iter));
   return true;
 }
 
@@ -377,7 +380,8 @@ std::string format_repro(const ReproCase& repro) {
     if (fid == NestForest::kRoot) continue;
     lid = next_id++;
     os << "nest id=" << lid << " parent=" << local_id[forest.parent(fid)]
-       << " loop=" << forest.loop(fid) << '\n';
+       << " loop=" << forest.loop(fid)
+       << " iter=" << forest.parent_iter(fid) << '\n';
   }
   static_assert(kNestIters == 7, "update the iters= format below");
   for (const AccessEvent& ev : repro.trace.events) {
@@ -481,6 +485,11 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
       AccessEvent ev;
       if (!parse_event_line(toks, ev, nest_ids, err))
         return set_error(error, line_no, err);
+      if (!window_matches_context(ev))
+        return set_error(error, line_no,
+                         "event " + std::to_string(repro.trace.events.size()) +
+                             ": iteration window does not match its nest "
+                             "context");
       repro.trace.events.push_back(ev);
     } else {
       return set_error(error, line_no,

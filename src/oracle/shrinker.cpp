@@ -36,7 +36,7 @@ Trace flatten_nest(const Trace& t) {
       const std::size_t depth = forest.depth(ev.ctx);
       auto [it, fresh] = flat.try_emplace(ev.ctx, NestForest::kRoot);
       if (fresh)
-        it->second = forest.enter(NestForest::kRoot, forest.loop(ev.ctx));
+        it->second = forest.enter(NestForest::kRoot, forest.loop(ev.ctx), 0);
       const std::uint32_t inner =
           depth >= 1 && depth <= kNestIters ? ev.iters[depth - 1] : 0;
       ev.ctx = it->second;

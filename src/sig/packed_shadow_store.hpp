@@ -2,7 +2,7 @@
 // Packed paged shadow memory (SLAMP/PROMPT-style exact store).
 //
 // The chained baseline pays for precision in cache traffic:
-// HashTableRecorder keeps a full 40/56-byte slot per live address behind a
+// HashTableRecorder keeps a full 16/32-byte slot per live address behind a
 // hash probe, so every access touches a bucket walk plus one or two slot
 // lines scattered across a node heap.  SLAMP's shadow memory shows the
 // production alternative: a lazily-allocated page table whose leaf pages
@@ -20,18 +20,20 @@
 //   loc   — packed SourceLocation of the last access (slots.hpp); loc != 0
 //           for every recorded access, so the zero word doubles as the
 //           empty sentinel and fresh mmap pages are valid empty pages.
-//   token — index of a (ctx, iters[kNestIters]) nest snapshot in the
-//           store's refcounted snapshot pool.  SLAMP packs {instr:20,
+//   token — index of a (ctx, iter) nest snapshot in the store's
+//           refcounted snapshot pool.  SLAMP packs {instr:20,
 //           timestamp:44} and PROMPT packs its timestamp into the word with
-//           no side table; our "timestamp" is the 224-bit root-anchored
-//           iteration window that nest attribution needs, which cannot fit,
+//           no side table; our "timestamp" is the 64-bit context and own
+//           iteration that nest attribution needs (the enclosing counters
+//           live in the nest forest), which cannot fit beside the location,
 //           but repeats across the accesses of a loop iteration — so words
 //           share one pooled copy by token instead of truncating it.
 //   tag   — NOT stored: the store is exact, so the recorded address equals
 //           the probed address and addr_tag(addr) is recomputed on find().
 //
 // MT targets add a 16-byte sidecar entry per word (tid, flags, ts) on the
-// same leaf page, after the word array.  The race check compares full
+// same leaf page, after the word array; 16-byte entries of a 64-byte-aligned
+// page never straddle a cache line.  The race check compares full
 // 64-bit timestamps, so ts cannot be bit-packed into the word without
 // breaking byte-identity with the exact oracle — readers and the MT/lock
 // flag bits live in the sidecar instead (see DESIGN.md, "Packed paged
@@ -76,7 +78,7 @@
 
 namespace depprof {
 
-/// Refcounted pool of (ctx, iters) nest snapshots — the decode side of the
+/// Refcounted pool of (ctx, iter) nest snapshots — the decode side of the
 /// packed word's token.  A word's token indexes `keys_`; `refs_` counts the
 /// resident words that hold it, and a token whose count reaches zero goes
 /// to the free list for reuse.  So every live token is held by at least one
@@ -86,7 +88,7 @@ namespace depprof {
 /// and repeats it across that iteration's accesses, so `acquire` only has
 /// to recognise the snapshot it handed out last for the same context:
 /// `hints_[ctx & 15]` holds the token last minted for that context slot,
-/// and a hit is a live check and eight u32 compares.  A miss mints a fresh
+/// and a hit is a live check and one 8-byte compare.  A miss mints a fresh
 /// token even when an equal snapshot is live elsewhere, so equal snapshots
 /// may hold distinct tokens; the bound above still holds, and on the 20
 /// suite programs live tokens equal distinct live snapshots.  Those counts
@@ -98,7 +100,7 @@ class NestSnapshotPool {
  public:
   struct Key {
     std::uint32_t ctx = 0;
-    std::uint32_t iters[kNestIters] = {};
+    std::uint32_t iter = 0;
     friend bool operator==(const Key&, const Key&) = default;
   };
 
@@ -231,7 +233,7 @@ class PackedShadowStore {
     scratch_.tag = addr_tag(addr);  // exact store: recorded addr == probed
     const NestSnapshotPool::Key& k = pool_.key(word_token(w));
     scratch_.ctx = k.ctx;
-    for (std::size_t i = 0; i < kNestIters; ++i) scratch_.iters[i] = k.iters[i];
+    scratch_.iter = k.iter;
     if constexpr (kMt) {
       const Sidecar& side = page->side[off];
       scratch_.tid = side.tid;
@@ -250,12 +252,9 @@ class PackedShadowStore {
     Page& page = touch_page(addr);
     const std::size_t off = offset(addr);
     std::uint64_t& w = page.words[off];
-    NestSnapshotPool::Key k;
-    k.ctx = value.ctx;
-    for (std::size_t i = 0; i < kNestIters; ++i) k.iters[i] = value.iters[i];
     // Acquire before release so an overwrite with the same snapshot never
     // bounces its refcount through zero (onto the free list, past the hint).
-    const std::uint32_t token = pool_.acquire(k);
+    const std::uint32_t token = pool_.acquire({value.ctx, value.iter});
     const bool filled = w == 0;
     if (filled)
       ++resident_;
@@ -283,7 +282,7 @@ class PackedShadowStore {
     if (page == nullptr) return;
     const std::size_t off = offset(addr);
     prefetch_rw(&page->words[off]);  // 8-byte word: always one line
-    if constexpr (kMt) prefetch_obj_rw(&page->side[off], sizeof(Sidecar));
+    if constexpr (kMt) prefetch_rw(&page->side[off]);  // 16 bytes: one line
   }
 
   /// Empties the store and keeps profiling: releases every page and

@@ -105,9 +105,11 @@ class Signature {
 
   /// Hints the slot for `addr` into cache (detect kernel, K events ahead).
   /// Write intent: nearly every probe is followed by an insert to the same
-  /// slot, and a Slot regularly straddles two cache lines.
+  /// slot.  One line: the array is 64-byte aligned (huge::alloc) and a slot
+  /// is 16 or 32 bytes, so no slot straddles two lines.
   void prefetch(std::uint64_t addr) const {
-    prefetch_obj_rw(&slots_[index(addr)], sizeof(Slot));
+    static_assert(64 % sizeof(Slot) == 0, "a slot must not straddle lines");
+    prefetch_rw(&slots_[index(addr)]);
   }
 
   /// Disambiguation (Sec. III-B signature operation): number of slot indices

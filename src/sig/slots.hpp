@@ -7,14 +7,17 @@
 // number ... can be stored in it"; the evaluation uses 4-byte slots).
 //
 // Our slots additionally record the nest context of the access (the
-// interned innermost dynamic loop entry plus the root-anchored iteration
-// window — see trace/nest.hpp and trace/event.hpp), which is what the
-// Sec. VII-A parallelism discovery needs to tell loop-carried from
-// intra-iteration dependences at every nest level, and — in the MT layout
-// (Sec. V) — the accessing thread id and the global timestamp used for race
-// detection.
-// The slot size remains a small constant, so the signature's bounded-memory
-// property is unchanged; only the constant differs from the paper's 4 bytes.
+// interned innermost dynamic loop entry plus that entry's own iteration —
+// see trace/nest.hpp and trace/event.hpp), which is what the Sec. VII-A
+// parallelism discovery needs to tell loop-carried from intra-iteration
+// dependences at every nest level, and — in the MT layout (Sec. V) — the
+// accessing thread id and the global timestamp used for race detection.
+// Every enclosing level's counter was fixed when the slot's loop entry
+// began, so the nest forest holds it once per dynamic entry (parent_iter)
+// instead of once per slot; the detector reads it there (core/detector.hpp).
+// A SeqSlot is 16 bytes and an MtSlot 32, so a slot never straddles a
+// cache line of a 64-byte-aligned array; the signature's bounded-memory
+// property is unchanged, only the constant differs from the paper's 4 bytes.
 //
 // Address tag: a hash collision in the paper's line-only slots usually
 // produces an *identical* dependence record (same array, same lines), which
@@ -44,7 +47,9 @@ struct SeqSlot {
   std::uint32_t loc = 0;  ///< packed SourceLocation of the last access; 0 = empty
   std::uint32_t tag = 0;  ///< addr_tag of the recorded address
   std::uint32_t ctx = 0;  ///< innermost dynamic loop entry (NestForest id)
-  std::uint32_t iters[kNestIters] = {};  ///< root-anchored iteration window
+  /// The context's own iteration: iters[D-1] of the access for a context of
+  /// depth 1 <= D <= kNestIters, else 0.
+  std::uint32_t iter = 0;
 
   bool empty() const { return loc == 0; }
   SourceLocation location() const { return SourceLocation::from_packed(loc); }
@@ -55,11 +60,10 @@ struct MtSlot {
   std::uint32_t loc = 0;  ///< packed SourceLocation of the last access; 0 = empty
   std::uint32_t tag = 0;  ///< addr_tag of the recorded address
   std::uint32_t ctx = 0;  ///< innermost dynamic loop entry (NestForest id)
-  std::uint32_t iters[kNestIters] = {};  ///< root-anchored iteration window
+  std::uint32_t iter = 0;  ///< the context's own iteration (as in SeqSlot)
   std::uint32_t tid = 0;  ///< target-program thread id of the last access
   /// AccessFlags of the last access (kInLockRegion feeds the Sec. V-B lock
-  /// suppression).  Fills the alignment hole before `ts`, so the MT slot
-  /// stays at 56 bytes.
+  /// suppression).
   std::uint32_t flags = 0;
   std::uint64_t ts = 0;  ///< global timestamp of the last access (race check)
 
@@ -67,7 +71,7 @@ struct MtSlot {
   SourceLocation location() const { return SourceLocation::from_packed(loc); }
 };
 
-static_assert(sizeof(SeqSlot) == 40);
-static_assert(sizeof(MtSlot) == 56);
+static_assert(sizeof(SeqSlot) == 16);
+static_assert(sizeof(MtSlot) == 32);
 
 }  // namespace depprof

@@ -109,7 +109,9 @@ class AccessSink {
   /// Stream end: flush buffered state.
   virtual void finish() {}
   /// Profiling cost spent inside this sink so far, in nanoseconds of CPU
-  /// time (sum of the pipeline stages' cpu_ns for profilers).  The
+  /// time (sum of the pipeline stages' cpu_ns for profilers; the serial
+  /// profiler's detect stage counts its batches' wall time, which equals
+  /// its CPU time up to preemption, since that kernel never waits).  The
   /// overhead-budget sampling controller polls this between bursts to
   /// measure the achieved overhead fraction online; sinks without stage
   /// clocks report 0 and the controller falls back to its configured duty.

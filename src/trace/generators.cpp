@@ -29,9 +29,8 @@ AccessEvent make_event(std::uint64_t addr, bool write, std::uint32_t line,
 class NestStamper {
  public:
   void push(std::uint32_t loop) {
-    const std::uint32_t parent =
-        stack_.empty() ? NestForest::kRoot : stack_.back().node;
-    stack_.push_back({nest_forest().enter(parent, loop), 0});
+    const Level parent = stack_.empty() ? Level{} : stack_.back();
+    stack_.push_back({nest_forest().enter(parent.node, loop, parent.iter), 0});
   }
   void iter() {
     if (!stack_.empty()) ++stack_.back().iter;

@@ -21,7 +21,8 @@ NestForest::~NestForest() {
   delete[] chunk_;
 }
 
-std::uint32_t NestForest::enter(std::uint32_t parent, std::uint32_t loop) {
+std::uint32_t NestForest::enter(std::uint32_t parent, std::uint32_t loop,
+                                std::uint32_t parent_iter) {
   std::lock_guard lock(mu_);
   const std::uint32_t id = size_.load(std::memory_order_relaxed);
   const std::uint32_t c = id >> kChunkShift;
@@ -34,6 +35,7 @@ std::uint32_t NestForest::enter(std::uint32_t parent, std::uint32_t loop) {
   n.parent = parent < id ? parent : kRoot;  // parents precede children
   n.loop = loop;
   n.depth = node(n.parent).depth + 1;
+  n.parent_iter = n.parent == kRoot ? 0 : parent_iter;
   // Publish after the node is fully written: readers gate on size().
   size_.store(id + 1, std::memory_order_release);
   return id;
@@ -42,6 +44,18 @@ std::uint32_t NestForest::enter(std::uint32_t parent, std::uint32_t loop) {
 NestForest& nest_forest() {
   static NestForest* forest = new NestForest();  // never destroyed (see hpp)
   return *forest;
+}
+
+bool window_matches_context(const AccessEvent& ev) {
+  const NestForest& forest = nest_forest();
+  if (ev.ctx >= forest.size()) return false;
+  // Walk up from the context: the node at depth d began in iteration
+  // parent_iter of level d - 1, which the window holds at index d - 2.
+  for (std::uint32_t c = ev.ctx, d = forest.depth(c); d > 1;
+       c = forest.parent(c), --d)
+    if (d - 1 <= kNestIters && ev.iters[d - 2] != forest.parent_iter(c))
+      return false;
+  return true;
 }
 
 }  // namespace depprof

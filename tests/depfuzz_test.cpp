@@ -75,7 +75,7 @@ TEST(ExactOracle, FreeRestartsLifetime) {
 }
 
 TEST(ExactOracle, LoopCarriedDistance) {
-  const std::uint32_t entry = nest_forest().enter(NestForest::kRoot, 9);
+  const std::uint32_t entry = nest_forest().enter(NestForest::kRoot, 9, 0);
   Trace t;
   for (std::uint32_t i = 0; i < 4; ++i) {
     AccessEvent w = make_ev(AccessKind::kWrite, 0x200, 21);
@@ -107,9 +107,9 @@ TEST(ExactOracle, NestedCommonLoopAttribution) {
   // gap of the shared outer loop: the dependence is carried by the *outer*
   // loop (level 1), and the inner loop never shows up as carrier.
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 5);
-  const std::uint32_t in1 = forest.enter(outer, 6);
-  const std::uint32_t in2 = forest.enter(outer, 6);
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 5, 0);
+  const std::uint32_t in1 = forest.enter(outer, 6, 0);
+  const std::uint32_t in2 = forest.enter(outer, 6, 2);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0x300, 31);
   w.ctx = in1;
@@ -391,8 +391,8 @@ TEST(Shrinker, FlattensNestWhenFailureSurvivesIt) {
   // innermost iteration moves to slot 0), so the shrinker must hand back a
   // depth-1 repro.
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 80);
-  const std::uint32_t inner = forest.enter(outer, 81);
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 80, 0);
+  const std::uint32_t inner = forest.enter(outer, 81, 2);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0xbeef0, 91);
   w.ctx = inner;
@@ -434,9 +434,9 @@ TEST(Shrinker, KeepsNestWhenFlatteningLosesTheFailure) {
   // the *outer* loop of a two-deep nest.  Flattening drops the outer level,
   // so the rung's candidate no longer fails and the nest must be kept.
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 85);
-  const std::uint32_t in1 = forest.enter(outer, 86);
-  const std::uint32_t in2 = forest.enter(outer, 86);
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 85, 0);
+  const std::uint32_t in1 = forest.enter(outer, 86, 0);
+  const std::uint32_t in2 = forest.enter(outer, 86, 1);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0xfeed0, 95);
   w.ctx = in1;
@@ -526,7 +526,7 @@ ReproCase sample_repro() {
   r.cfg.sampling_skip = 3;
   AccessEvent ev = make_ev(AccessKind::kWrite, 0xabc0, 41, 2, 1, 99);
   ev.flags = kInLockRegion;
-  ev.ctx = nest_forest().enter(NestForest::kRoot, 5);
+  ev.ctx = nest_forest().enter(NestForest::kRoot, 5, 0);
   ev.iters[0] = 7;
   r.trace.events.push_back(ev);
   r.trace.events.push_back(make_ev(AccessKind::kFree, 0xabc0, 0, 0, 1, 100));
@@ -581,18 +581,18 @@ TEST(Corpus, FormatParseRoundTrip) {
 }
 
 TEST(Corpus, OnlyTheCurrentVersionParses) {
-  // The body is a valid v9 file; under any older version line it must be
+  // The body is a valid v10 file; under any older version line it must be
   // rejected, never reinterpreted.
   const std::string header = default_header();
   const std::string body = header.substr(header.find('\n') + 1);
   ReproCase out;
   std::string error;
   ASSERT_TRUE(parse_repro(out, header, &error)) << error;
-  for (int v = 1; v <= 8; ++v) {
+  for (int v = 1; v <= 9; ++v) {
     const std::string text =
         "depfuzz-repro v" + std::to_string(v) + "\n" + body;
     EXPECT_FALSE(parse_repro(out, text, &error)) << "v" << v;
-    EXPECT_NE(error.find("depfuzz-repro v9"), std::string::npos) << error;
+    EXPECT_NE(error.find("depfuzz-repro v10"), std::string::npos) << error;
   }
 }
 
@@ -642,8 +642,8 @@ TEST(Corpus, EveryKeyIsRequired) {
 
 TEST(Corpus, NestDirectivesRebuildChains) {
   const std::string text = default_header() +
-                           "nest id=1 parent=0 loop=50\n"
-                           "nest id=2 parent=1 loop=60\n"
+                           "nest id=1 parent=0 loop=50 iter=0\n"
+                           "nest id=2 parent=1 loop=60 iter=3\n"
                            "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
                            "ev R addr=0x100 loc=12 ctx=1 iters=3,0,0,0,0,0,0\n";
   ReproCase out;
@@ -657,6 +657,7 @@ TEST(Corpus, NestDirectivesRebuildChains) {
   EXPECT_EQ(forest.depth(inner.ctx), 2u);
   EXPECT_EQ(forest.parent(inner.ctx), outer.ctx);
   EXPECT_EQ(forest.loop(outer.ctx), 50u);
+  EXPECT_EQ(forest.parent_iter(inner.ctx), 3u);
   EXPECT_EQ(inner.iters[1], 4u);
 }
 
@@ -665,12 +666,12 @@ TEST(Corpus, RejectsMalformedNests) {
   ReproCase out;
   std::string error;
   // Undeclared parent.
-  EXPECT_FALSE(parse_repro(out, header + "nest id=2 parent=1 loop=60\n",
+  EXPECT_FALSE(parse_repro(out, header + "nest id=2 parent=1 loop=60 iter=0\n",
                            &error));
   // Duplicate id.
   EXPECT_FALSE(parse_repro(out,
-                           header + "nest id=1 parent=0 loop=50\n"
-                                    "nest id=1 parent=0 loop=60\n",
+                           header + "nest id=1 parent=0 loop=50 iter=0\n"
+                                    "nest id=1 parent=0 loop=60 iter=0\n",
                            &error));
   // Event referencing an undeclared context.
   EXPECT_FALSE(parse_repro(out, header + "ev W addr=0x1 ctx=7\n", &error));
@@ -678,12 +679,35 @@ TEST(Corpus, RejectsMalformedNests) {
   EXPECT_FALSE(parse_repro(
       out, header + "ev W addr=0x1 loops=7:1:0,0:0:0,0:0:0\n", &error));
   EXPECT_NE(error.find("loops="), std::string::npos) << error;
-  // nest directives must carry parent= and loop= explicitly: a defaulted
-  // value would silently re-shape the nest.
-  EXPECT_FALSE(parse_repro(out, header + "nest id=1 loop=5\n", &error));
+  // nest directives must carry parent=, loop= and iter= explicitly: a
+  // defaulted value would silently re-shape the nest.
+  EXPECT_FALSE(parse_repro(out, header + "nest id=1 loop=5 iter=0\n", &error));
   EXPECT_NE(error.find("parent="), std::string::npos);
-  EXPECT_FALSE(parse_repro(out, header + "nest id=1 parent=0\n", &error));
+  EXPECT_FALSE(parse_repro(out, header + "nest id=1 parent=0 iter=0\n", &error));
   EXPECT_NE(error.find("loop="), std::string::npos);
+  EXPECT_FALSE(parse_repro(out, header + "nest id=1 parent=0 loop=5\n", &error));
+  EXPECT_NE(error.find("iter="), std::string::npos);
+}
+
+TEST(Corpus, RejectsAnEventThatBreaksTheWindowContract) {
+  // Entry 2 began in outer iteration 3, so an event in it must carry 3 at
+  // the outer level: the detector reads that counter from the forest.
+  const std::string nests = default_header() +
+                            "nest id=1 parent=0 loop=50 iter=0\n"
+                            "nest id=2 parent=1 loop=60 iter=3\n";
+  ReproCase out;
+  std::string error;
+  ASSERT_TRUE(parse_repro(
+      out, nests + "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n",
+      &error))
+      << error;
+  const std::string bad =
+      nests + "ev R addr=0x100 loc=12 ctx=1 iters=3,0,0,0,0,0,0\n" +
+      "ev W addr=0x100 loc=11 ctx=2 iters=2,4,0,0,0,0,0\n";
+  EXPECT_FALSE(parse_repro(out, bad, &error));
+  EXPECT_NE(error.find("event 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("does not match its nest context"), std::string::npos)
+      << error;
 }
 
 TEST(Corpus, StrictParserRejectsUnknownInput) {
@@ -709,7 +733,7 @@ TEST(Corpus, StrictParserRejectsUnknownInput) {
   EXPECT_FALSE(parse_repro(out, batch, &error));
   EXPECT_NE(error.find("batch=1"), std::string::npos);
   // Missing the config line entirely.
-  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v9\nnote hi\n", &error));
+  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v10\nnote hi\n", &error));
   EXPECT_NE(error.find("missing config line"), std::string::npos);
 }
 
@@ -773,14 +797,14 @@ TEST(Corpus, StrictParserRejectsAmbiguousShape) {
   EXPECT_NE(error.find("duplicate lb line"), std::string::npos);
   // Every directive except the provenance note needs the config line first.
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v9\nev W addr=0x1\n" + config + lb, &error));
+      out, "depfuzz-repro v10\nev W addr=0x1\n" + config + lb, &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
   EXPECT_NE(error.find("line 2"), std::string::npos);
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v9\nnest id=1 parent=0 loop=5\n" + config + lb,
+      out, "depfuzz-repro v10\nnest id=1 parent=0 loop=5 iter=0\n" + config + lb,
       &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v9\n" + lb + config, &error));
+  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v10\n" + lb + config, &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
 }
 

@@ -164,7 +164,9 @@ TEST(Detector, FreeRemovesReadStateToo) {
 
 // ------------------------------------------------- loop-nest attribution
 
-/// Stamps `e` with a nest context and a root-anchored iteration window.
+/// Stamps `e` with a nest context and a root-anchored iteration window,
+/// which must agree with the context's parent_iter chain (the contract the
+/// detector relies on, trace/nest.hpp).
 AccessEvent with_nest(AccessEvent e, std::uint32_t ctx,
                       std::initializer_list<std::uint32_t> iters) {
   e.ctx = ctx;
@@ -173,11 +175,12 @@ AccessEvent with_nest(AccessEvent e, std::uint32_t ctx,
     if (i < kNestIters) e.iters[i] = v;
     ++i;
   }
+  EXPECT_TRUE(window_matches_context(e)) << "context " << ctx;
   return e;
 }
 
 TEST(Detector, SameIterationIsNotCarried) {
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), ctx, {5}),
@@ -191,7 +194,7 @@ TEST(Detector, SameIterationIsNotCarried) {
 }
 
 TEST(Detector, DifferentIterationIsCarried) {
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), ctx, {5}),
@@ -208,8 +211,8 @@ TEST(Detector, DifferentEntryOfSameLoopIsNotCarriedByIt) {
   // A loop re-entered from an outer context: same static loop id, same
   // iteration index, different dynamic entries — not carried by that loop.
   NestForest& f = nest_forest();
-  const std::uint32_t e1 = f.enter(NestForest::kRoot, 1);
-  const std::uint32_t e2 = f.enter(NestForest::kRoot, 1);
+  const std::uint32_t e1 = f.enter(NestForest::kRoot, 1, 0);
+  const std::uint32_t e2 = f.enter(NestForest::kRoot, 1, 0);
   auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), e1, {5}),
@@ -226,9 +229,9 @@ TEST(Detector, OuterLoopCarriedThroughParentLevel) {
   // carried by the outer loop (the innermost *common* entry), not the
   // inner one.
   NestForest& f = nest_forest();
-  const std::uint32_t outer = f.enter(NestForest::kRoot, 1);
-  const std::uint32_t in1 = f.enter(outer, 2);
-  const std::uint32_t in2 = f.enter(outer, 2);
+  const std::uint32_t outer = f.enter(NestForest::kRoot, 1, 0);
+  const std::uint32_t in1 = f.enter(outer, 2, 0);
+  const std::uint32_t in2 = f.enter(outer, 2, 1);
   auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), in1, {0, 3}),
@@ -241,15 +244,43 @@ TEST(Detector, OuterLoopCarriedThroughParentLevel) {
   EXPECT_EQ(info->levels[0].d1, 1u);  // time-step distance 1
 }
 
+TEST(Detector, SourceEntryBegunInALaterOuterIteration) {
+  // The parent-level case with the roles reversed: the source sits in an
+  // inner entry begun at outer iteration 1, so its outer counter (1) is
+  // only in the forest's parent_iter.  A detector that read it as 0 would
+  // put the carried RAW at distance 2 instead of 1, and call the RAW
+  // between two entries of the same outer iteration carried.
+  NestForest& f = nest_forest();
+  const std::uint32_t outer = f.enter(NestForest::kRoot, 1, 0);
+  const std::uint32_t first = f.enter(outer, 2, 1);
+  const std::uint32_t again = f.enter(outer, 2, 1);  // same outer iteration
+  const std::uint32_t next = f.enter(outer, 2, 2);
+  auto det = make_exact();
+  DepMap deps;
+  detect(det, deps, {with_nest(wr(100, 10), first, {1, 5}),
+                     with_nest(wr(101, 11), first, {1, 6}),
+                     with_nest(rd(101, 21), again, {1, 6}),
+                     with_nest(rd(100, 20), next, {2, 5})});
+  const DepInfo* carried = deps.find(key(DepType::kRaw, 20, 10));
+  ASSERT_NE(carried, nullptr);
+  EXPECT_EQ(carried->carried_loop(), 1u);
+  EXPECT_EQ(carried->levels[0].d1, 1u) << "outer distance 2 - 1";
+  EXPECT_EQ(carried->levels[0].d2p, 0u);
+  const DepInfo* same_step = deps.find(key(DepType::kRaw, 21, 11));
+  ASSERT_NE(same_step, nullptr);
+  EXPECT_EQ(same_step->flags & kLoopCarried, 0);
+  EXPECT_EQ(same_step->levels[0].d0, 1u);
+}
+
 TEST(Detector, GrandparentLoopCarriedThroughThirdLevel) {
   // The h264dec pattern: frames > slices > macroblocks; the reference-frame
   // dependence is carried by the grandparent (frame) loop.
   NestForest& f = nest_forest();
-  const std::uint32_t frames = f.enter(NestForest::kRoot, 1);
-  const std::uint32_t s1 = f.enter(frames, 2);
-  const std::uint32_t s2 = f.enter(frames, 2);
-  const std::uint32_t m1 = f.enter(s1, 3);
-  const std::uint32_t m2 = f.enter(s2, 3);
+  const std::uint32_t frames = f.enter(NestForest::kRoot, 1, 0);
+  const std::uint32_t s1 = f.enter(frames, 2, 0);
+  const std::uint32_t s2 = f.enter(frames, 2, 1);
+  const std::uint32_t m1 = f.enter(s1, 3, 1);
+  const std::uint32_t m2 = f.enter(s2, 3, 1);
   auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), m1, {0, 1, 2}),
@@ -265,8 +296,8 @@ TEST(Detector, InnermostCommonLoopWins) {
   // Both endpoints share the whole nest; the inner iteration differs — the
   // dependence is attributed to the innermost common loop (level 2).
   NestForest& f = nest_forest();
-  const std::uint32_t outer = f.enter(NestForest::kRoot, 1);
-  const std::uint32_t inner = f.enter(outer, 2);
+  const std::uint32_t outer = f.enter(NestForest::kRoot, 1, 0);
+  const std::uint32_t inner = f.enter(outer, 2, 0);
   auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), inner, {0, 3}),
@@ -281,7 +312,7 @@ TEST(Detector, InnermostCommonLoopWins) {
 TEST(Detector, CarriedDistanceBucketed) {
   // Reads of a[i-4]: every carried instance has iteration distance 4,
   // which lands in the >= 2 bucket.
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   auto det = make_exact();
   DepMap deps;
   for (std::uint32_t i = 0; i < 16; ++i) {
@@ -299,7 +330,7 @@ TEST(Detector, CarriedDistanceBucketed) {
 }
 
 TEST(Detector, DistanceBucketsAccumulate) {
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   auto det = make_exact();
   DepMap deps;
   // One batch: both instances of the key meet in the batch table.
@@ -320,7 +351,8 @@ TEST(Detector, DeepNestBeyondWindowIsConservativelyCarried) {
   // being guessed independent.
   NestForest& f = nest_forest();
   std::uint32_t ctx = NestForest::kRoot;
-  for (std::uint32_t d = 1; d <= kNestIters + 2; ++d) ctx = f.enter(ctx, d);
+  for (std::uint32_t d = 1; d <= kNestIters + 2; ++d)
+    ctx = f.enter(ctx, d, d == 1 ? 0 : 1);
   auto det = make_exact();
   DepMap deps;
   detect(det, deps, {with_nest(wr(100, 10), ctx, {1, 1, 1, 1, 1, 1, 1}),
@@ -359,7 +391,7 @@ TEST(Detector, CollidingAddressStillBuildsDepButNoCarriedFlag) {
   // Modulo collision: addr and addr + slots share a slot.  The dependence
   // record is built (approximate membership), but the loop-context compare
   // is gated off by the address tag, so no carried flag can be fabricated.
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   DetectorCore<Signature<SeqSlot>> det{
       Signature<SeqSlot>(128, SigHash::kModulo),
       Signature<SeqSlot>(128, SigHash::kModulo)};
@@ -373,7 +405,7 @@ TEST(Detector, CollidingAddressStillBuildsDepButNoCarriedFlag) {
 }
 
 TEST(Detector, SameAddressKeepsCarriedFlagUnderSignature) {
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   DetectorCore<Signature<SeqSlot>> det{Signature<SeqSlot>(128),
                                        Signature<SeqSlot>(128)};
   DepMap deps;
@@ -484,16 +516,18 @@ TEST(Detector, ExtractAdoptMovesPerAddressState) {
 std::vector<AccessEvent> folding_stream(std::uint64_t seed,
                                         std::uint16_t tids) {
   NestForest& f = nest_forest();
+  Rng rng(seed);
   // A chain kNestIters + 2 deep with a sibling entry at every level, so
   // pairs of contexts share every common depth, beyond the window too.
+  // Each entry begins in a random parent iteration.
+  const auto draw = [&] { return static_cast<std::uint32_t>(rng.below(3)); };
   std::vector<std::uint32_t> ctxs{NestForest::kRoot};
   std::uint32_t chain = NestForest::kRoot;
   for (std::uint32_t d = 1; d <= kNestIters + 2; ++d) {
-    ctxs.push_back(f.enter(chain, 200 + d));
-    chain = f.enter(chain, 200 + d);
+    ctxs.push_back(f.enter(chain, 200 + d, d == 1 ? 0 : draw()));
+    chain = f.enter(chain, 200 + d, d == 1 ? 0 : draw());
     ctxs.push_back(chain);
   }
-  Rng rng(seed);
   std::vector<AccessEvent> out;
   while (out.size() < 3000) {
     // 1% burst marks (each costs a packed store a fresh leaf page), 4%
@@ -522,10 +556,14 @@ std::vector<AccessEvent> folding_stream(std::uint64_t seed,
                                                : AccessKind::kRead,
                        10 + static_cast<std::uint32_t>(rng.below(4)),
                        7 + static_cast<std::uint32_t>(rng.below(2)));
+    // Only the context's own counter is drawn; the enclosing ones are the
+    // parent iterations its chain began in.
     e.ctx = ctxs[rng.below(ctxs.size())];
-    const std::uint32_t depth = f.depth(e.ctx);
-    for (std::uint32_t d = 0; d < depth && d < kNestIters; ++d)
-      e.iters[d] = static_cast<std::uint32_t>(rng.below(3));
+    std::uint32_t d = f.depth(e.ctx);
+    if (d >= 1 && d <= kNestIters) e.iters[d - 1] = draw();
+    for (std::uint32_t c = e.ctx; d > 1; c = f.parent(c), --d)
+      if (d - 1 <= kNestIters) e.iters[d - 2] = f.parent_iter(c);
+    EXPECT_TRUE(window_matches_context(e));
     e.tid = static_cast<std::uint16_t>(rng.below(tids));
     out.push_back(e);
   }
@@ -637,7 +675,8 @@ TEST(RunFolding, WriteRunAfterReadCountsEveryInstance) {
   constexpr auto kDeep = static_cast<std::uint32_t>(kNestIters + 2);
   for (const std::uint32_t depth : {1u, kDeep}) {
     std::uint32_t ctx = NestForest::kRoot;
-    for (std::uint32_t d = 1; d <= depth; ++d) ctx = f.enter(ctx, 300 + d);
+    for (std::uint32_t d = 1; d <= depth; ++d)
+      ctx = f.enter(ctx, 300 + d, d == 1 ? 0 : 2);
     const std::initializer_list<std::uint32_t> iters = {2, 2, 2, 2, 2, 2, 2};
     std::vector<AccessEvent> stream{with_nest(rd(100, 20), ctx, iters)};
     for (int i = 0; i < 5; ++i)
@@ -749,8 +788,8 @@ TYPED_TEST(BurstMarkLog, ArmedMarksDrainWhatTheBurstWroteAndOverflowClears) {
     (void)det.extract_state(9);
     const std::uint32_t tag = addr_tag(kAlias + 7);
     det.adopt_state(kAlias + 7, {true, true,
-                                 make_slot<SeqSlot>(rd(kAlias + 7, 16), tag),
-                                 make_slot<SeqSlot>(wr(kAlias + 7, 17), tag)});
+                                 make_slot<SeqSlot>(rd(kAlias + 7, 16), tag, 0),
+                                 make_slot<SeqSlot>(wr(kAlias + 7, 17), tag, 0)});
     const std::size_t paged = pages(det);
     mark_and_check(det, deps);
     EXPECT_TRUE(det.armed());
@@ -812,15 +851,19 @@ TYPED_TEST(BurstMarkLog, UnarmedDetectorClearsAtItsFirstMarkThenLogs) {
 // ------------------------------------------------------- LCA memo
 
 /// Independent reference: the deepest entry of the source's ancestor chain
-/// that is also on the sink's.
+/// that is also on the sink's, and the source's counter there — its own
+/// when the source context is that entry, else the parent iteration of the
+/// chain entry just below it.
 NestLca chain_lca(std::uint32_t src, std::uint32_t sink) {
   const NestForest& f = nest_forest();
   std::vector<std::uint32_t> chain;
   for (std::uint32_t c = src; c != NestForest::kRoot; c = f.parent(c))
     chain.push_back(c);
   for (std::uint32_t c = sink; c != NestForest::kRoot; c = f.parent(c))
-    for (const std::uint32_t a : chain)
-      if (a == c) return NestLca{f.loop(c), f.depth(c)};
+    for (std::size_t i = 0; i < chain.size(); ++i)
+      if (chain[i] == c)
+        return NestLca{f.loop(c), f.depth(c),
+                       i == 0 ? 0 : f.parent_iter(chain[i - 1]), i == 0};
   return NestLca{};
 }
 
@@ -832,12 +875,14 @@ TEST(NestLcaMemo, AgreesWithTheForestWalk) {
   while (nodes.size() < 400) {
     const std::uint32_t parent = nodes[rng.below(nodes.size())];
     if (f.depth(parent) >= 12) continue;
-    nodes.push_back(
-        f.enter(parent, 400 + static_cast<std::uint32_t>(rng.below(40))));
+    nodes.push_back(f.enter(parent,
+                            400 + static_cast<std::uint32_t>(rng.below(40)),
+                            static_cast<std::uint32_t>(rng.below(5))));
   }
   const auto pick = [&] { return nodes[rng.below(nodes.size())]; };
   const auto same = [](NestLca a, NestLca b) {
-    return a.loop == b.loop && a.level == b.level;
+    return a.loop == b.loop && a.level == b.level &&
+           a.src_iter == b.src_iter && a.src_is_lca == b.src_is_lca;
   };
 
   // Pairs that share one memo slot but not one answer: a memo that skips

@@ -232,7 +232,7 @@ TEST(ReproSchedTest, SchedSectionRoundTrips) {
   repro.trace.events.push_back(ev);
 
   const std::string text = format_repro(repro);
-  EXPECT_NE(text.find("depfuzz-repro v9"), std::string::npos);
+  EXPECT_NE(text.find("depfuzz-repro v10"), std::string::npos);
   EXPECT_NE(text.find("sched seed=42 algo=pct"), std::string::npos);
   EXPECT_NE(text.find("sstep w0 queue.pop"), std::string::npos);
 

@@ -216,26 +216,26 @@ TEST(PackedShadowStore, MaxLocRoundTripsThroughPage) {
   SeqSlot s;
   s.loc = 0xFFFFFFFFu;
   s.ctx = 7;
-  s.iters[0] = 3;
+  s.iter = 3;
   store.insert(99, s);
   const SeqSlot* got = store.find(99);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->loc, 0xFFFFFFFFu);
   EXPECT_EQ(got->ctx, 7u);
-  EXPECT_EQ(got->iters[0], 3u);
+  EXPECT_EQ(got->iter, 3u);
 }
 
 TEST(PackedShadowStore, OverwriteReplacesSnapshotWithoutLeakingTokens) {
   PackedSeq store;
   SeqSlot s = slot_at(10);
-  s.iters[0] = 1;
+  s.iter = 1;
   store.insert(42, s);
   s = slot_at(20);
-  s.iters[0] = 2;
+  s.iter = 2;
   store.insert(42, s);
   EXPECT_EQ(store.occupied(), 1u);
   EXPECT_EQ(store.find(42)->location().line(), 20u);
-  EXPECT_EQ(store.find(42)->iters[0], 2u);
+  EXPECT_EQ(store.find(42)->iter, 2u);
   // Only the live snapshot remains interned after the overwrite.
   EXPECT_EQ(store.interned_snapshots(), 1u);
 }
@@ -260,7 +260,7 @@ TEST(PackedShadowStore, TokenRecyclingBoundsTheInternTable) {
   PackedSeq store;
   for (std::uint32_t i = 0; i < 10000; ++i) {
     SeqSlot s = slot_at(5);
-    s.iters[0] = i;  // every insert carries a brand-new snapshot
+    s.iter = i;  // every insert carries a brand-new snapshot
     store.insert(7, s);
   }
   EXPECT_EQ(store.interned_snapshots(), 1u);
@@ -269,7 +269,7 @@ TEST(PackedShadowStore, TokenRecyclingBoundsTheInternTable) {
   PackedSeq churn;
   for (std::uint32_t i = 0; i < 10000; ++i) {
     SeqSlot s = slot_at(5);
-    s.iters[0] = i;
+    s.iter = i;
     churn.insert(7, s);
     churn.remove(7);
   }
@@ -284,19 +284,19 @@ TEST(PackedShadowStore, FreedTokenIsNeverRevivedByTheHint) {
   PackedSeq store;
   SeqSlot s = slot_at(10);
   s.ctx = 5;
-  s.iters[0] = 3;
+  s.iter = 3;
   store.insert(7, s);
   store.remove(7);
   store.insert(8, s);
   SeqSlot other = slot_at(20);
   other.ctx = 6;
-  other.iters[0] = 4;
+  other.iter = 4;
   store.insert(9, other);
   const SeqSlot* got = store.find(8);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->location().line(), 10u);
   EXPECT_EQ(got->ctx, 5u);
-  EXPECT_EQ(got->iters[0], 3u);
+  EXPECT_EQ(got->iter, 3u);
   EXPECT_LE(store.interned_snapshots(), store.occupied());
 }
 
@@ -306,24 +306,23 @@ TEST(PackedShadowStore, SnapshotRecurringAfterAnInnerLoopReusesItsToken) {
   PackedSeq store;
   SeqSlot outer = slot_at(10);
   outer.ctx = 1;
-  outer.iters[0] = 2;
+  outer.iter = 2;
   SeqSlot inner = slot_at(11);
   inner.ctx = 2;
-  inner.iters[0] = 2;
-  inner.iters[1] = 7;
+  inner.iter = 7;
   store.insert(1, outer);
   store.insert(2, inner);
   store.insert(3, outer);
   EXPECT_EQ(store.interned_snapshots(), 2u);
   EXPECT_EQ(store.find(3)->ctx, 1u);
-  EXPECT_EQ(store.find(2)->iters[1], 7u);
+  EXPECT_EQ(store.find(2)->iter, 7u);
 }
 
 TEST(PackedShadowStore, SnapshotSeenBeforeClearDecodesAfterIt) {
   PackedSeq store;
   SeqSlot s = slot_at(10);
   s.ctx = 3;
-  s.iters[0] = 9;
+  s.iter = 9;
   SeqSlot other = slot_at(12);
   other.ctx = 4;
   store.insert(1, s);
@@ -335,7 +334,7 @@ TEST(PackedShadowStore, SnapshotSeenBeforeClearDecodesAfterIt) {
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->location().line(), 10u);
   EXPECT_EQ(got->ctx, 3u);
-  EXPECT_EQ(got->iters[0], 9u);
+  EXPECT_EQ(got->iter, 9u);
   EXPECT_EQ(store.interned_snapshots(), 1u);
 }
 
@@ -348,8 +347,7 @@ TEST(PackedShadowStore, RandomChurnMatchesAMapModel) {
   std::vector<SeqSlot> snaps(40);
   for (std::uint32_t i = 0; i < snaps.size(); ++i) {
     snaps[i].ctx = i % 24;
-    snaps[i].iters[0] = i / 24;
-    snaps[i].iters[2] = 7 * i;
+    snaps[i].iter = i / 24;
   }
   PackedSeq store;
   std::unordered_map<std::uint64_t, SeqSlot> model;
@@ -382,8 +380,7 @@ TEST(PackedShadowStore, RandomChurnMatchesAMapModel) {
       const SeqSlot& want = it->second;
       ASSERT_EQ(got->loc, want.loc) << "op " << op << " word " << w;
       ASSERT_EQ(got->ctx, want.ctx) << "op " << op << " word " << w;
-      for (std::size_t i = 0; i < kNestIters; ++i)
-        ASSERT_EQ(got->iters[i], want.iters[i]) << "op " << op << " word " << w;
+      ASSERT_EQ(got->iter, want.iter) << "op " << op << " word " << w;
     }
   }
 }
@@ -396,7 +393,7 @@ TEST(PackedShadowStore, MtSidecarKeepsFlagBitsAndFullTimestamp) {
   MtSlot s;
   s.loc = 0xFFFFFFFFu;
   s.ctx = 3;
-  s.iters[0] = 9;
+  s.iter = 9;
   s.tid = 0xFFFFFFFFu;
   s.flags = 0xFFFFFFFFu;
   s.ts = ~std::uint64_t{0};
@@ -407,7 +404,7 @@ TEST(PackedShadowStore, MtSidecarKeepsFlagBitsAndFullTimestamp) {
   EXPECT_EQ(got->tid, 0xFFFFFFFFu);
   EXPECT_EQ(got->flags, 0xFFFFFFFFu);
   EXPECT_EQ(got->ts, ~std::uint64_t{0});
-  EXPECT_EQ(got->iters[0], 9u);
+  EXPECT_EQ(got->iter, 9u);
   // A sibling word on the same page stays independent.
   MtSlot other;
   other.loc = 1;

@@ -179,9 +179,9 @@ TEST(TraceIo, NestContextsSurviveRoundTrip) {
   // nest *shape* (loop ids, depths, parent linkage, iteration windows) even
   // though the reader re-interns fresh forest ids.
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 40);
-  const std::uint32_t in1 = forest.enter(outer, 41);
-  const std::uint32_t in2 = forest.enter(outer, 41);  // sibling re-entry
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 40, 0);
+  const std::uint32_t in1 = forest.enter(outer, 41, 2);
+  const std::uint32_t in2 = forest.enter(outer, 41, 3);  // sibling re-entry
   Trace t;
   AccessEvent ev;
   ev.kind = AccessKind::kWrite;
@@ -211,9 +211,11 @@ TEST(TraceIo, NestContextsSurviveRoundTrip) {
   EXPECT_EQ(forest.loop(a.ctx), 41u);
   EXPECT_EQ(forest.depth(a.ctx), 2u);
   EXPECT_EQ(forest.loop(forest.parent(a.ctx)), 40u);
+  EXPECT_EQ(forest.parent_iter(a.ctx), 2u);
   EXPECT_EQ(a.iters[0], 2u);
   EXPECT_EQ(a.iters[1], 5u);
   EXPECT_EQ(forest.loop(b.ctx), 41u);
+  EXPECT_EQ(forest.parent_iter(b.ctx), 3u);
   // The two sibling entries stay distinct but share the same parent entry.
   EXPECT_NE(a.ctx, b.ctx);
   EXPECT_EQ(forest.parent(a.ctx), forest.parent(b.ctx));
@@ -238,6 +240,7 @@ TEST(TraceIo, GeneratedNestTraceRoundTripsAttribution) {
     ASSERT_EQ(forest.depth(got), forest.depth(orig));
     while (orig != NestForest::kRoot) {
       EXPECT_EQ(forest.loop(got), forest.loop(orig));
+      EXPECT_EQ(forest.parent_iter(got), forest.parent_iter(orig));
       orig = forest.parent(orig);
       got = forest.parent(got);
     }
@@ -247,9 +250,11 @@ TEST(TraceIo, GeneratedNestTraceRoundTripsAttribution) {
   }
 }
 
+constexpr char kTraceMagic[8] = {'D', 'E', 'P', 'T', 'R', 'C', '0', '3'};
+
 TEST(TraceIo, RejectsMalformedNestTables) {
   const std::string path = "/tmp/depprof_bad_nest_trace_test.bin";
-  const char magic[8] = {'D', 'E', 'P', 'T', 'R', 'C', '0', '2'};
+  const char (&magic)[8] = kTraceMagic;
   Trace out;
 
   // Node table claims more nodes than the file holds.
@@ -270,7 +275,7 @@ TEST(TraceIo, RejectsMalformedNestTables) {
     std::fwrite(magic, 1, sizeof(magic), f);
     const std::uint64_t node_count = 1;
     std::fwrite(&node_count, 1, sizeof(node_count), f);
-    const std::uint32_t node[2] = {1, 7};  // parent == own id
+    const std::uint32_t node[3] = {1, 7, 0};  // parent == own id
     std::fwrite(node, 1, sizeof(node), f);
     const std::uint64_t count = 0;
     std::fwrite(&count, 1, sizeof(count), f);
@@ -285,7 +290,7 @@ TEST(TraceIo, RejectsMalformedNestTables) {
     std::fwrite(magic, 1, sizeof(magic), f);
     const std::uint64_t node_count = 1;
     std::fwrite(&node_count, 1, sizeof(node_count), f);
-    const std::uint32_t node[2] = {0, 7};
+    const std::uint32_t node[3] = {0, 7, 0};
     std::fwrite(node, 1, sizeof(node), f);
     const std::uint64_t count = 1;
     std::fwrite(&count, 1, sizeof(count), f);
@@ -294,6 +299,67 @@ TEST(TraceIo, RejectsMalformedNestTables) {
     std::fwrite(&ev, 1, sizeof(ev), f);
     std::fclose(f);
     EXPECT_FALSE(read_trace(out, path));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, RejectsAnEventThatBreaksTheWindowContract) {
+  // Entry 2 began in iteration 3 of entry 1, so an event in entry 2 must
+  // carry 3 at the outer level: the detector reads that counter from the
+  // forest, not from the event.
+  const std::string path = "/tmp/depprof_window_trace_test.bin";
+  const auto write_file = [&](std::uint32_t outer_iter) {
+    FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(kTraceMagic, 1, sizeof(kTraceMagic), f);
+    const std::uint64_t node_count = 2;
+    std::fwrite(&node_count, 1, sizeof(node_count), f);
+    const std::uint32_t nodes[2][3] = {{0, 7, 0}, {1, 8, 3}};
+    std::fwrite(nodes, 1, sizeof(nodes), f);
+    const std::uint64_t count = 2;
+    std::fwrite(&count, 1, sizeof(count), f);
+    AccessEvent ev;
+    ev.ctx = 2;
+    ev.iters[0] = 3;
+    ev.iters[1] = 4;
+    std::fwrite(&ev, 1, sizeof(ev), f);
+    ev.iters[0] = outer_iter;
+    std::fwrite(&ev, 1, sizeof(ev), f);
+    std::fclose(f);
+  };
+  Trace out;
+  std::string error;
+  write_file(3);
+  ASSERT_TRUE(read_trace(out, path, &error)) << error;
+  EXPECT_EQ(nest_forest().parent_iter(out.events[1].ctx), 3u);
+
+  out = Trace{};
+  write_file(2);
+  EXPECT_FALSE(read_trace(out, path, &error));
+  EXPECT_NE(error.find("event 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("does not match its nest context"), std::string::npos)
+      << error;
+  EXPECT_TRUE(out.events.empty());
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, RejectsTheOlderFormats) {
+  // A DEPTRC02 nest table has no parent iterations, and a DEPTRC01 file no
+  // table at all: both are refused, not replayed with guessed counters.
+  GenParams p;
+  p.accesses = 64;
+  const std::string path = "/tmp/depprof_old_trace_test.bin";
+  ASSERT_TRUE(write_trace(gen_zipf(p), path));
+  for (const char version : {'1', '2'}) {
+    FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 7, SEEK_SET);
+    std::fputc(version, f);
+    std::fclose(f);
+    Trace out;
+    std::string error;
+    EXPECT_FALSE(read_trace(out, path, &error)) << version;
+    EXPECT_NE(error.find("DEPTRC03"), std::string::npos) << error;
   }
   std::remove(path.c_str());
 }

@@ -1,13 +1,15 @@
 // Tests for the workload suites: registry consistency, determinism,
 // native/profiled checksum equality (the profiler must not perturb the
-// computation), loop ground-truth wiring, parallel-variant agreement, and
-// exact maps that do not depend on the profiler's own heap.
+// computation), loop ground-truth wiring, parallel-variant agreement,
+// exact maps that do not depend on the profiler's own heap, and recorded
+// iteration windows that agree with the nest forest.
 
 #include <gtest/gtest.h>
 
 #include "core/formatter.hpp"
 #include "harness/runner.hpp"
 #include "instrument/runtime.hpp"
+#include "trace/nest.hpp"
 #include "workloads/workload.hpp"
 
 namespace depprof {
@@ -103,6 +105,21 @@ TEST_P(WorkloadParam, ExactMapDoesNotDependOnTheProfilersHeap) {
     if (reference.empty()) reference = csv;
     else EXPECT_EQ(csv, reference) << w->name << ": " << p.name;
   }
+}
+
+TEST_P(WorkloadParam, EveryEventKeepsTheWindowContract) {
+  // The detector reads a source's enclosing iteration counters from the
+  // nest forest (parent_iter), not from the event, so every recorded
+  // window must agree with its context's chain.
+  const Workload* w = GetParam();
+  const Trace t = record_workload(*w);
+  ASSERT_FALSE(t.events.empty()) << w->name;
+  std::size_t bad = 0;
+  std::size_t first = 0;
+  for (std::size_t i = 0; i < t.events.size(); ++i)
+    if (!window_matches_context(t.events[i]) && bad++ == 0) first = i;
+  EXPECT_EQ(bad, 0u) << w->name << ": first at event " << first << " of "
+                     << t.events.size();
 }
 
 INSTANTIATE_TEST_SUITE_P(

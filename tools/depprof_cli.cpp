@@ -378,8 +378,10 @@ int cmd_replay(const char* path, const CliOptions& opts) {
     return usage();
   }
   Trace trace;
-  if (!read_trace(trace, path)) {
-    std::fprintf(stderr, "cannot read trace '%s'\n", path);
+  std::string error;
+  if (!read_trace(trace, path, &error)) {
+    std::fprintf(stderr, "cannot read trace '%s': %s\n", path,
+                 error.c_str());
     return 1;
   }
   auto profiler = opts.parallel ? make_parallel_profiler(opts.cfg)
