@@ -78,7 +78,7 @@ void feed(IProfiler& prof, std::uint64_t words) {
     w.loc = 1;
     w.var = 1;
     w.ctx = ctx;
-    w.iters[0] = iter;
+    w.iter = iter;
     AccessEvent& r = buf[fill++];
     r = AccessEvent{};
     r.addr = (kBaseWord + (i > 0 ? i - 1 : 0)) * 4;
@@ -86,7 +86,7 @@ void feed(IProfiler& prof, std::uint64_t words) {
     r.loc = 2;
     r.var = 1;
     r.ctx = ctx;
-    r.iters[0] = iter;
+    r.iter = iter;
     if (fill == kChunk) {
       prof.on_batch(buf.data(), fill);
       fill = 0;

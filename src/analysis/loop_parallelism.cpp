@@ -39,7 +39,7 @@ std::vector<LoopVerdict> analyze_loops(const DepMap& deps,
       if (key.type == DepType::kInit) continue;
       // Carried by this loop means: at some nest level the innermost
       // common loop of the endpoints was this loop and the carried-distance
-      // buckets (1, >=2/unknown) are non-empty there.  Inner-loop carries
+      // buckets (1, >=2) are non-empty there.  Inner-loop carries
       // and distance-0 instances leave those buckets untouched.
       if (!info.carried_by(loop.loop_id)) continue;
       if (key.type != DepType::kRaw) {

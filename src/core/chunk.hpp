@@ -116,7 +116,7 @@ struct Chunk {
   // initializers, so an array of it would be zero-filled by every
   // `new Chunk`, and the pool builds hundreds of chunks before the target
   // runs.  AccessEvent is an implicit-lifetime type, so the bytes become
-  // events as the producer copies them in.  Each event fills one cache line.
+  // events as the producer copies them in: 40 bytes each, 10 KiB per chunk.
   static_assert(std::is_trivially_copyable_v<AccessEvent> &&
                 std::is_trivially_destructible_v<AccessEvent>);
   alignas(64) unsigned char events_[kCapacity * sizeof(AccessEvent)];

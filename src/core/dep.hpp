@@ -70,10 +70,8 @@ struct DepKeyHash {
   std::size_t operator()(const DepKey& k) const;
 };
 
-/// Nest levels DepInfo keeps per-level carry buckets for.  Matches the
-/// event's root-anchored iteration window (kNestIters in trace/event.hpp;
-/// detector.hpp static_asserts the two agree); common levels deeper than
-/// this fold into the last level.
+/// Nest levels DepInfo keeps per-level carry buckets for; common levels
+/// deeper than this fold into the last level, with their measured distance.
 inline constexpr std::size_t kNestLevels = 7;
 
 /// Per-instance nest attribution of one dependence: the innermost loop
@@ -83,10 +81,6 @@ struct DepAttribution {
   std::uint32_t loop = 0;      ///< static loop id of the common loop; 0 = none
   std::uint32_t level = 0;     ///< 1-based nest depth of that loop; 0 = none
   std::uint32_t distance = 0;  ///< |sink iter - src iter| at that level
-  /// False when the common level lies beyond the event iteration window
-  /// (nest deeper than kNestIters): the instance is treated as carried at
-  /// distance >= 2 — the conservative bucket.
-  bool distance_known = true;
 };
 
 /// One nest level's aggregated carry evidence: how many instances had their
@@ -97,7 +91,7 @@ struct DepLevel {
   std::uint32_t loop = 0;  ///< max static loop id attributed at this depth
   std::uint64_t d0 = 0;    ///< instances at distance 0 (not carried)
   std::uint64_t d1 = 0;    ///< instances at distance exactly 1
-  std::uint64_t d2p = 0;   ///< instances at distance >= 2 (or unknown)
+  std::uint64_t d2p = 0;   ///< instances at distance >= 2
 
   std::uint64_t carried() const { return d1 + d2p; }
 };
@@ -172,7 +166,7 @@ inline void apply_dep_instance(DepInfo& info, std::uint8_t flags,
         at.level <= kNestLevels ? at.level - 1 : kNestLevels - 1;
     DepLevel& lvl = info.levels[d];
     lvl.loop = std::max(lvl.loop, at.loop);
-    if (!at.distance_known || at.distance >= 2)
+    if (at.distance >= 2)
       lvl.d2p += n;
     else if (at.distance == 1)
       lvl.d1 += n;

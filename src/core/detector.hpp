@@ -42,19 +42,15 @@
 
 namespace depprof {
 
-static_assert(kNestLevels == kNestIters,
-              "DepInfo level buckets mirror the event iteration window");
-
 /// Builds the slot recorded for an access; `tag` is addr_tag of the
-/// access's word unit and `iter` its context's own iteration (the slot's
-/// `iter`), both computed once per event by the kernel.
+/// access's word unit, computed once per event by the kernel.
 template <typename Slot>
-Slot make_slot(const AccessEvent& ev, std::uint32_t tag, std::uint32_t iter) {
+Slot make_slot(const AccessEvent& ev, std::uint32_t tag) {
   Slot s;
   s.loc = ev.loc;
   s.tag = tag;
   s.ctx = ev.ctx;
-  s.iter = iter;
+  s.iter = ev.iter;
   if constexpr (std::is_same_v<Slot, MtSlot>) {
     s.tid = ev.tid;
     s.flags = ev.flags;
@@ -65,7 +61,7 @@ Slot make_slot(const AccessEvent& ev, std::uint32_t tag, std::uint32_t iter) {
 
 /// The innermost dynamic loop entry common to two nest contexts (the lowest
 /// common ancestor in the forest): its static loop id and 1-based depth,
-/// and where the source's iteration counter at that level lives.
+/// and where each endpoint's iteration counter at that level lives.
 /// level == 0 when the contexts share no loop entry.
 struct NestLca {
   std::uint32_t loop = 0;
@@ -73,9 +69,14 @@ struct NestLca {
   /// The source's counter at the common level when the source context lies
   /// below the common entry: parent_iter of its ancestor one level down.
   std::uint32_t src_iter = 0;
+  /// The sink's counter there, found the same way.
+  std::uint32_t sink_iter = 0;
   /// The source context is the common entry itself, so its counter is the
   /// slot's own `iter`.
   bool src_is_lca = false;
+  /// The sink context is the common entry, so its counter is the event's
+  /// own `iter`.
+  bool sink_is_lca = false;
 };
 
 /// The forest half of nest attribution: resolves two context ids to their
@@ -90,10 +91,11 @@ struct NestLca {
 /// endpoints, and the distance vector of the pair is zero everywhere except
 /// possibly at the LCA level itself.
 ///
-/// The source's counter at that level is fixed by the walk too: the last
-/// source-side node the walk leaves before it reaches the common entry
-/// began in that iteration (its parent_iter), unless the source context is
-/// the common entry, whose counter only the source's slot holds.
+/// Each endpoint's counter at that level is fixed by the walk too: the last
+/// node the walk leaves on that endpoint's side before it reaches the
+/// common entry began in that iteration (its parent_iter), unless the
+/// endpoint's context is the common entry, whose counter only the
+/// endpoint itself holds.
 inline NestLca nest_lca(std::uint32_t src_ctx, std::uint32_t sink_ctx) {
   NestLca lca;
   if (src_ctx == NestForest::kRoot || sink_ctx == NestForest::kRoot)
@@ -101,20 +103,23 @@ inline NestLca nest_lca(std::uint32_t src_ctx, std::uint32_t sink_ctx) {
   const NestForest& forest = nest_forest();
   std::uint32_t a = src_ctx;
   std::uint32_t b = sink_ctx;
-  std::uint32_t below = NestForest::kRoot;  // last source-side node left
+  std::uint32_t below_a = NestForest::kRoot;  // last node left on each side
+  std::uint32_t below_b = NestForest::kRoot;
   std::uint32_t da = forest.depth(a);
   std::uint32_t db = forest.depth(b);
   while (da > db) {
-    below = a;
+    below_a = a;
     a = forest.parent(a);
     --da;
   }
   while (db > da) {
+    below_b = b;
     b = forest.parent(b);
     --db;
   }
   while (a != b) {
-    below = a;
+    below_a = a;
+    below_b = b;
     a = forest.parent(a);
     b = forest.parent(b);
     --da;
@@ -122,32 +127,27 @@ inline NestLca nest_lca(std::uint32_t src_ctx, std::uint32_t sink_ctx) {
   if (a == NestForest::kRoot) return lca;
   lca.loop = forest.loop(a);
   lca.level = da;
-  lca.src_is_lca = below == NestForest::kRoot;
-  if (!lca.src_is_lca) lca.src_iter = forest.parent_iter(below);
+  lca.src_is_lca = below_a == NestForest::kRoot;
+  if (!lca.src_is_lca) lca.src_iter = forest.parent_iter(below_a);
+  lca.sink_is_lca = below_b == NestForest::kRoot;
+  if (!lca.sink_is_lca) lca.sink_iter = forest.parent_iter(below_b);
   return lca;
 }
 
 /// The per-instance half of nest attribution: the carried distance at the
-/// common level.  The source's counter there is its slot's own iteration
-/// or the walk's parent_iter (see NestLca); the sink's is read from its
-/// event's root-anchored iteration window.  That level's counters are known
-/// whenever its depth is <= kNestIters; deeper common levels degrade to
-/// "carried, distance unknown" (the >= 2 bucket) rather than to any
-/// heuristic.
+/// common level, from each endpoint's own iteration or the walk's
+/// parent_iter (see NestLca).  The forest holds every level's counter, so
+/// the distance is exact at any depth.
 inline DepAttribution nest_distance(const NestLca& lca,
                                     std::uint32_t src_own_iter,
-                                    const std::uint32_t* sink_iters) {
+                                    std::uint32_t sink_own_iter) {
   DepAttribution at;
   if (lca.level == 0) return at;
   at.loop = lca.loop;
   at.level = lca.level;
-  if (lca.level <= kNestIters) {
-    const std::uint32_t ia = lca.src_is_lca ? src_own_iter : lca.src_iter;
-    const std::uint32_t ib = sink_iters[lca.level - 1];
-    at.distance = ib > ia ? ib - ia : ia - ib;
-  } else {
-    at.distance_known = false;
-  }
+  const std::uint32_t ia = lca.src_is_lca ? src_own_iter : lca.src_iter;
+  const std::uint32_t ib = lca.sink_is_lca ? sink_own_iter : lca.sink_iter;
+  at.distance = ib > ia ? ib - ia : ia - ib;
   return at;
 }
 
@@ -201,9 +201,8 @@ std::uint8_t classify_dep(const Slot& src, const AccessEvent& sink,
   at = {};
   const bool same_address = src.tag == sink_tag;
   if (same_address) {
-    at = nest_distance(memo.lookup(src.ctx, sink.ctx), src.iter, sink.iters);
-    if (at.loop != 0 && (!at.distance_known || at.distance != 0))
-      f |= kLoopCarried;
+    at = nest_distance(memo.lookup(src.ctx, sink.ctx), src.iter, sink.iter);
+    if (at.loop != 0 && at.distance != 0) f |= kLoopCarried;
     if (src.ctx != sink.ctx &&
         (src.ctx != NestForest::kRoot || sink.ctx != NestForest::kRoot))
       f |= kCrossLoop;
@@ -353,7 +352,7 @@ class DetectorCore {
       return;
     }
     const std::uint32_t tag = addr_tag(unit);
-    const Slot slot = make_slot<Slot>(ev, tag, own_iter(ev));
+    const Slot slot = make_slot<Slot>(ev, tag);
     if (ev.is_write()) {
       write_source(ev, tag, sig_write_.find(unit), 1);
       if (const Slot* r = sig_read_.find(unit))
@@ -367,17 +366,6 @@ class DetectorCore {
         emit(ev, tag, *w, DepType::kRaw, reps);
       note(sig_read_.insert(unit, slot), read_log_, unit);
     }
-  }
-
-  /// The slot's `iter`: the event's window entry at its context's depth.
-  /// Consecutive records share a context, so the depth lookup is cached
-  /// for the last context seen.
-  std::uint32_t own_iter(const AccessEvent& ev) {
-    if (ev.ctx != depth_ctx_) {
-      depth_ctx_ = ev.ctx;
-      depth_ = nest_forest().depth(ev.ctx);
-    }
-    return depth_ >= 1 && depth_ <= kNestIters ? ev.iters[depth_ - 1] : 0;
   }
 
   /// Overhead-budget sampling: accesses were dropped before this point.
@@ -599,8 +587,6 @@ class DetectorCore {
   BurstLog write_log_;
   RecordTable records_;
   NestLcaMemo lca_;
-  std::uint32_t depth_ctx_ = NestForest::kRoot;  ///< own_iter's cached context
-  std::uint32_t depth_ = 0;                      ///< and its depth
 };
 
 }  // namespace depprof

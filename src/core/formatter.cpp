@@ -33,8 +33,8 @@ std::string source_str(const DepKey& k, const DepInfo& info,
   if (opts.show_counts) os << " x" << info.count;
   if (opts.show_distances) {
     // One term per attributed nest level: L<level>=<d0>|<d1>|<d2p> — the
-    // instance counts per carry-distance bucket (0, 1, >=2-or-unknown) at
-    // that level's common loop.
+    // instance counts per carry-distance bucket (0, 1, >=2) at that level's
+    // common loop.
     for (std::size_t d = 0; d < kNestLevels; ++d) {
       const DepLevel& lvl = info.levels[d];
       if (lvl.loop == 0 && lvl.d0 == 0 && lvl.d1 == 0 && lvl.d2p == 0)

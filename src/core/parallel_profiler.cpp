@@ -36,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/huge_alloc.hpp"
 #include "common/timer.hpp"
 #include "core/chunk.hpp"
 #include "core/pipeline.hpp"
@@ -72,24 +71,24 @@ struct Mailbox {
 };
 
 template <AccessStore Store>
-class ParallelProfiler final : public IProfiler {
+class ParallelProfiler final : public ProfilerBase<Store> {
+  using Base = ProfilerBase<Store>;
   using AddrState = typename DetectorCore<Store>::AddrState;
+  using Base::detectors_;
+  using Base::obs_;
 
  public:
-  ParallelProfiler(const ProfilerConfig& cfg, std::vector<Store> read_sigs,
-                   std::vector<Store> write_sigs, std::size_t signature_bytes,
-                   std::uint64_t hugepage_baseline)
-      : cfg_(cfg),
-        hugepage_baseline_(hugepage_baseline),
+  ParallelProfiler(const ProfilerConfig& cfg, std::vector<Store> reads,
+                   std::vector<Store> writes, std::uint64_t hugepage_baseline)
+      : Base(std::move(reads), std::move(writes), cfg.sampled(),
+             hugepage_baseline),
+        cfg_(cfg),
         chunk_fill_(std::min<std::size_t>(cfg.chunk_size ? cfg.chunk_size : 1,
                                           Chunk::kCapacity)),
-        signature_bytes_(signature_bytes),
         lb_enabled_(cfg.load_balance.enabled),
         wait_(cfg.wait),
-        all_workers_(~std::uint64_t{0} >> (64 - (cfg.workers ? cfg.workers : 1))),
-        obs_(cfg.workers ? cfg.workers : 1),
+        all_workers_(~std::uint64_t{0} >> (64 - obs_.workers())),
         router_(cfg, obs_.workers(), obs_.route()),
-        merge_(obs_.merge()),
         // The whole chunk population is allocated here, before the target
         // starts running, so the steady state never allocates (see
         // ChunkPool).
@@ -111,13 +110,8 @@ class ParallelProfiler final : public IProfiler {
     QueueKind qk = cfg_.queue;
     if (cfg_.mt_targets && qk == QueueKind::kLockFreeSpsc)
       qk = QueueKind::kLockFreeMpmc;
-    detectors_.reserve(w);
-    for (unsigned i = 0; i < w; ++i) {
-      detectors_.push_back(std::make_unique<DetectStage<Store>>(
-          std::move(read_sigs[i]), std::move(write_sigs[i]), cfg.sampled(),
-          obs_.detect(i)));
+    for (unsigned i = 0; i < w; ++i)
       queues_.push_back(make_queue<Chunk*>(qk, cfg_.queue_capacity));
-    }
     for (std::uint32_t i = 0; i < kMailboxCount; ++i)
       (void)mailbox_free_.try_push(i);
     threads_.reserve(w);
@@ -155,45 +149,11 @@ class ParallelProfiler final : public IProfiler {
       send(w, stop);
     }
     join_workers();
-    // Footprint counters, published once the workers have quiesced: each
-    // detect stage's resident leaf pages (paged backends), and the run's
-    // huge-allocation fallbacks as a delta against the construction-time
-    // process total.
-    for (auto& d : detectors_) d->publish_residency();
-    obs_.produce().add_hugepage_fallbacks(huge::fallback_count() -
-                                          hugepage_baseline_);
-    for (auto& d : detectors_) merge_.fold(global_, d->deps());
-    // MT targets only: triage the merged map for Sec. V-B race counters
-    // once the workers' maps are folded (slots carry timestamps then).
-    if constexpr (std::is_same_v<typename Store::slot_type, MtSlot>)
-      publish_race_counters(global_, obs_.produce());
+    this->conclude();
     // A pool that had to wait for recycled chunks was a producer
     // stall: fold it into the produce-stage backpressure counter.
     obs_.produce().add_stalls(pool_.acquire_stalls());
     finished_ = true;
-  }
-
-  const DepMap& dependences() const override { return global_; }
-
-  DepMap take_dependences() override { return std::move(global_); }
-
-  ProfilerStats stats() const override {
-    ProfilerStats st;
-    st.signature_bytes = signature_bytes_;
-    fill_stats_from(obs_.snapshot(), st);
-    return st;
-  }
-
-  std::uint64_t profiling_cost_ns() const override {
-    return obs_.total_cpu_ns();
-  }
-
-  void on_sampling_stats(std::uint64_t events_sampled_out,
-                         std::uint64_t bursts,
-                         std::uint64_t overhead_ppm) override {
-    obs_.produce().add_events_sampled_out(events_sampled_out);
-    obs_.produce().add_bursts(bursts);
-    obs_.produce().raise_sampled_overhead_ppm(overhead_ppm);
   }
 
  private:
@@ -409,18 +369,13 @@ class ParallelProfiler final : public IProfiler {
   }
 
   ProfilerConfig cfg_;
-  const std::uint64_t hugepage_baseline_;
   const std::size_t chunk_fill_;
-  const std::size_t signature_bytes_;
   const bool lb_enabled_;
   const WaitKind wait_;
   const std::uint64_t all_workers_;  ///< a bit per worker
 
-  obs::PipelineObs obs_;
   RouteStage router_;
-  MergeStage merge_;
 
-  std::vector<std::unique_ptr<DetectStage<Store>>> detectors_;
   std::vector<std::unique_ptr<ConcurrentQueue<Chunk*>>> queues_;
   std::vector<std::thread> threads_;
   ChunkPool pool_;
@@ -434,35 +389,17 @@ class ParallelProfiler final : public IProfiler {
   MpmcQueue<std::uint32_t> mailbox_free_;
   EventCount mailbox_ec_;
 
-  DepMap global_;
   bool finished_ = false;
 };
 
 }  // namespace
 
 std::unique_ptr<IProfiler> make_parallel_profiler(const ProfilerConfig& config) {
-  if (!races_config_ok(config)) return nullptr;
   const unsigned w = config.workers ? config.workers : 1;
   // A chunk's target set is one 64-bit word.
   static_assert(kMaxWorkers <= 64);
   if (w > kMaxWorkers) return nullptr;
-  // Baseline BEFORE the stores are built: a signature slot array that falls
-  // back during construction belongs to this run's counter.
-  const std::uint64_t hp0 = huge::fallback_count();
-  return with_store(config, [&](auto make) -> std::unique_ptr<IProfiler> {
-    using Store = decltype(make());
-    std::vector<Store> reads, writes;
-    reads.reserve(w);
-    writes.reserve(w);
-    std::size_t bytes = 0;
-    for (unsigned i = 0; i < w; ++i) {
-      reads.push_back(make());
-      writes.push_back(make());
-      bytes += reads.back().bytes() + writes.back().bytes();
-    }
-    return std::make_unique<ParallelProfiler<Store>>(
-        config, std::move(reads), std::move(writes), bytes, hp0);
-  });
+  return make_profiler<ParallelProfiler>(config, w);
 }
 
 }  // namespace depprof

@@ -15,12 +15,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <new>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/huge_alloc.hpp"
 #include "common/mem_stats.hpp"
 #include "common/timer.hpp"
 #include "core/chunk.hpp"
@@ -574,50 +577,112 @@ class MergeStage {
   obs::StageStats* stats_;
 };
 
-/// Publishes the Sec. V-B race triage of the merged global map into the
-/// produce-stage counters.  Runs once, at finish() after the global merge,
-/// so the counters stay monotone for concurrent snapshots; both profiler
-/// drivers call it for MT targets, and find_races() applies the identical
-/// classification, so the snapshot counters and the rendered race report
-/// agree by construction.
-inline void publish_race_counters(const DepMap& global,
-                                  obs::StageStats& produce) {
-  std::uint64_t confirmed = 0, unconfirmed = 0, suppressed = 0;
-  for (const auto& [key, info] : global) {
-    switch (classify_race_candidate(key, info)) {
-      case RaceCandidate::kConfirmed: ++confirmed; break;
-      case RaceCandidate::kUnconfirmed: ++unconfirmed; break;
-      case RaceCandidate::kSuppressedByLock: ++suppressed; break;
-      case RaceCandidate::kNone: break;
-    }
-  }
-  produce.add_races_confirmed(confirmed);
-  produce.add_races_unconfirmed(unconfirmed);
-  produce.add_races_lock_suppressed(suppressed);
-}
+/// What both profilers share: the stage counters, one detect stage per
+/// read/write store pair, the merge stage and global map, what they report
+/// from them, and the end of finish() (conclude).  A driver delivers
+/// batches to its detect stages and calls conclude() once they have
+/// quiesced.
+template <AccessStore Store>
+class ProfilerBase : public IProfiler {
+ public:
+  const DepMap& dependences() const override { return global_; }
+  DepMap take_dependences() override { return std::move(global_); }
 
-/// Derives the classic ProfilerStats fields from a pipeline snapshot — the
-/// one place that defines their meaning, used by both profilers.
-inline void fill_stats_from(obs::PipelineSnapshot snap, ProfilerStats& st) {
-  if (const auto* p = snap.find("produce")) {
-    st.events = p->events;
-    st.chunks = p->chunks;
+  /// Derives the classic ProfilerStats fields from a pipeline snapshot —
+  /// the one place that defines their meaning.
+  ProfilerStats stats() const override {
+    ProfilerStats st;
+    st.signature_bytes = signature_bytes_;
+    obs::PipelineSnapshot snap = obs_.snapshot();
+    if (const auto* p = snap.find("produce")) {
+      st.events = p->events;
+      st.chunks = p->chunks;
+    }
+    if (const auto* r = snap.find("route")) {
+      st.redistribution_rounds = static_cast<unsigned>(r->rounds);
+      st.migrated_addresses = r->migrations;
+    }
+    for (const auto& s : snap.stages) {
+      if (s.stage.rfind("detect", 0) == 0) {
+        // CPU seconds, not wall: worker_busy_sec is the simulated-parallel-
+        // time input, so it must exclude preemption and parked sleep
+        // (DESIGN.md).
+        st.worker_busy_sec.push_back(s.cpu_sec());
+        st.worker_events.push_back(s.events);
+      }
+    }
+    if (const auto* m = snap.find("merge")) st.merge_sec = m->busy_sec();
+    st.workers = static_cast<unsigned>(st.worker_busy_sec.size());
+    st.stages = std::move(snap);
+    return st;
   }
-  if (const auto* r = snap.find("route")) {
-    st.redistribution_rounds = static_cast<unsigned>(r->rounds);
-    st.migrated_addresses = r->migrations;
+
+  std::uint64_t profiling_cost_ns() const override {
+    return obs_.total_cpu_ns();
   }
-  for (const auto& s : snap.stages) {
-    if (s.stage.rfind("detect", 0) == 0) {
-      // CPU seconds, not wall: worker_busy_sec is the simulated-parallel-time
-      // input, so it must exclude preemption and parked sleep (DESIGN.md).
-      st.worker_busy_sec.push_back(s.cpu_sec());
-      st.worker_events.push_back(s.events);
+
+  void on_sampling_stats(std::uint64_t events_sampled_out,
+                         std::uint64_t bursts,
+                         std::uint64_t overhead_ppm) override {
+    obs_.produce().add_events_sampled_out(events_sampled_out);
+    obs_.produce().add_bursts(bursts);
+    obs_.produce().raise_sampled_overhead_ppm(overhead_ppm);
+  }
+
+ protected:
+  /// `hugepage_baseline` is the process's huge-allocation fallback count
+  /// before the stores were built, so fallbacks building them count.
+  ProfilerBase(std::vector<Store> reads, std::vector<Store> writes,
+               bool sampled, std::uint64_t hugepage_baseline)
+      : obs_(static_cast<unsigned>(reads.size())),
+        merge_(obs_.merge()),
+        hugepage_baseline_(hugepage_baseline) {
+    detectors_.reserve(obs_.workers());
+    for (unsigned i = 0; i < obs_.workers(); ++i) {
+      signature_bytes_ += reads[i].bytes() + writes[i].bytes();
+      detectors_.push_back(std::make_unique<DetectStage<Store>>(
+          std::move(reads[i]), std::move(writes[i]), sampled,
+          obs_.detect(i)));
     }
   }
-  if (const auto* m = snap.find("merge")) st.merge_sec = m->busy_sec();
-  st.workers = static_cast<unsigned>(st.worker_busy_sec.size());
-  st.stages = std::move(snap);
-}
+
+  /// The finish() epilogue, once the detect stages have quiesced.
+  /// Footprint counters are published once so snapshots stay monotone: the
+  /// paged stores' resident leaf pages, and the run's huge allocations
+  /// that degraded to operator new.  Then the local maps fold into the
+  /// global map, and for MT targets — where the slots carry timestamps and
+  /// thread ids — its Sec. V-B race triage goes into the produce counters,
+  /// by the classification find_races() applies, so the counters and the
+  /// rendered race report agree by construction.
+  void conclude() {
+    for (auto& d : detectors_) d->publish_residency();
+    obs_.produce().add_hugepage_fallbacks(huge::fallback_count() -
+                                          hugepage_baseline_);
+    for (auto& d : detectors_) merge_.fold(global_, d->deps());
+    if constexpr (std::is_same_v<typename Store::slot_type, MtSlot>) {
+      std::uint64_t confirmed = 0, unconfirmed = 0, suppressed = 0;
+      for (const auto& [key, info] : global_) {
+        switch (classify_race_candidate(key, info)) {
+          case RaceCandidate::kConfirmed: ++confirmed; break;
+          case RaceCandidate::kUnconfirmed: ++unconfirmed; break;
+          case RaceCandidate::kSuppressedByLock: ++suppressed; break;
+          case RaceCandidate::kNone: break;
+        }
+      }
+      obs_.produce().add_races_confirmed(confirmed);
+      obs_.produce().add_races_unconfirmed(unconfirmed);
+      obs_.produce().add_races_lock_suppressed(suppressed);
+    }
+  }
+
+  obs::PipelineObs obs_;
+  std::vector<std::unique_ptr<DetectStage<Store>>> detectors_;
+
+ private:
+  MergeStage merge_;
+  DepMap global_;
+  std::size_t signature_bytes_ = 0;
+  const std::uint64_t hugepage_baseline_;
+};
 
 }  // namespace depprof

@@ -23,7 +23,7 @@ struct LoopRow {
   std::size_t carried_raw = 0;       ///< carried RAW deps attributed to this loop
   /// Smallest carried-RAW distance bucket attributed to this loop: 1 =
   /// adjacent iterations conflict, 2 = a gap of at least one independent
-  /// iteration (or unknown for very deep nests), 0 = no carried RAW.
+  /// iteration, 0 = no carried RAW.
   std::uint32_t min_carried_bucket = 0;
   LoopVerdictKind verdict = LoopVerdictKind::kDoallSafe;
   bool parallelizable = true;

@@ -52,16 +52,12 @@ namespace depprof {
 
 /// Dedup identity: two events are exact repeats when they touch the same
 /// word with the same kind, location, variable, thread, timestamp, flags,
-/// nest context, and iteration window.  (Sub-word byte addresses may differ
-/// — the profilers canonicalize to word granularity before detection.)
+/// nest context, and iteration.  (Sub-word byte addresses may differ — the
+/// profilers canonicalize to word granularity before detection.)
 inline bool same_access_identity(const AccessEvent& a, const AccessEvent& b) {
-  if (word_addr(a.addr) != word_addr(b.addr) || a.kind != b.kind ||
-      a.loc != b.loc || a.var != b.var || a.tid != b.tid || a.ts != b.ts ||
-      a.flags != b.flags || a.ctx != b.ctx)
-    return false;
-  for (std::size_t i = 0; i < kNestIters; ++i)
-    if (a.iters[i] != b.iters[i]) return false;
-  return true;
+  return word_addr(a.addr) == word_addr(b.addr) && a.kind == b.kind &&
+         a.loc == b.loc && a.var == b.var && a.tid == b.tid && a.ts == b.ts &&
+         a.flags == b.flags && a.ctx == b.ctx && a.iter == b.iter;
 }
 
 /// Whether the cache may merge this event at all.  Timestamped events (MT

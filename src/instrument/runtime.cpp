@@ -327,8 +327,7 @@ void Runtime::loop_begin(std::uint32_t file, std::uint32_t line) {
       nest_forest().enter(ts.tmpl.ctx, loc, parent_iter);
   ts.loop_stack.push_back({loc, node, 0});
   ts.tmpl.ctx = node;
-  if (ts.loop_stack.size() <= kNestIters)
-    ts.tmpl.iters[ts.loop_stack.size() - 1] = 0;
+  ts.tmpl.iter = 0;
   std::lock_guard lock(cf_mu_);
   auto [it, inserted] = loops_.try_emplace(loc);
   if (inserted) {
@@ -353,10 +352,7 @@ void Runtime::loop_iter() {
   // An outermost-loop iteration boundary ends one sampling unit and starts
   // the next (inner-loop iterations stay inside the enclosing unit).
   if (ts.loop_stack.size() == 1 && ts.sampling) begin_unit(ts);
-  const std::uint32_t iter = ++ts.loop_stack.back().iter;
-  // Root-anchored iteration window: outermost loop first (event.hpp).
-  if (ts.loop_stack.size() <= kNestIters)
-    ts.tmpl.iters[ts.loop_stack.size() - 1] = iter;
+  ts.tmpl.iter = ++ts.loop_stack.back().iter;
 }
 
 void Runtime::loop_end(std::uint32_t file, std::uint32_t line) {
@@ -370,11 +366,12 @@ void Runtime::loop_end(std::uint32_t file, std::uint32_t line) {
     return;
   }
   const ActiveLoop top = ts.loop_stack.back();
-  if (ts.loop_stack.size() <= kNestIters)
-    ts.tmpl.iters[ts.loop_stack.size() - 1] = 0;
   ts.loop_stack.pop_back();
-  ts.tmpl.ctx =
-      ts.loop_stack.empty() ? NestForest::kRoot : ts.loop_stack.back().node;
+  // The parent frame is innermost again, in the iteration it was in.
+  const ActiveLoop* parent =
+      ts.loop_stack.empty() ? nullptr : &ts.loop_stack.back();
+  ts.tmpl.ctx = parent != nullptr ? parent->node : NestForest::kRoot;
+  ts.tmpl.iter = parent != nullptr ? parent->iter : 0;
   // Leaving the outermost loop ends the current sampling unit; code outside
   // any loop is always profiled (the gate additionally requires a nonempty
   // stack, so a stale unit_off could never drop root-level events — this

@@ -212,7 +212,7 @@ class Runtime {
     int lock_depth = 0;
     bool registered = false;
     /// The next access event of this thread, minus its per-access fields:
-    /// tid, innermost loop context, iteration window and lock flag.
+    /// tid, innermost loop context, its iteration and the lock flag.
     /// loop_begin/iter/end, lock_enter/exit and bind_thread_id keep it
     /// current; record() copies it into the buffer slot and fills in the
     /// address, location, variable, kind and timestamp.

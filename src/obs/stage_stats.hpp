@@ -73,7 +73,7 @@ enum class CounterKind {
   X(rounds,                add_rounds,                 "rounds",                "rounds",       6, kCount)     \
   /* Detect kernel (detect): slot prefetches issued K records ahead (a dedup run is one record). */            \
   X(prefetches,            add_prefetches,             "prefetches",            "prefetch",    10, kCount)     \
-  /* Dedup and wire (produce): repeats elided, chunk payload bytes queued (64 per event carried). */           \
+  /* Dedup and wire (produce): repeats elided, chunk payload bytes queued (40 B per event, + owner/run). */    \
   X(events_deduped,        add_events_deduped,         "events_deduped",        "deduped",     10, kCount)     \
   X(bytes_on_wire,         add_bytes_on_wire,          "bytes_on_wire",         "wire_bytes",  12, kCount)     \
   /* Always 0: chunks carry raw events.  Kept because perfbench/ reads StageSnapshot::pack_escapes. */         \

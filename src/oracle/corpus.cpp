@@ -20,7 +20,7 @@ namespace {
 
 // The one grammar.  There is no version ladder: a file in any other version
 // is rejected rather than replayed under reinterpreted semantics.
-constexpr std::string_view kVersionLine = "depfuzz-repro v10";
+constexpr std::string_view kVersionLine = "depfuzz-repro v11";
 
 const char* sig_hash_name(SigHash h) {
   return h == SigHash::kModulo ? "modulo" : "mix";
@@ -330,17 +330,8 @@ bool parse_event_line(const std::vector<std::string_view>& toks,
         ok = it != id_map.end();
         if (ok) ev.ctx = it->second;
       }
-    } else if (key == "iters") {
-      const std::string s(value);
-      std::size_t idx = 0;
-      const char* p = s.c_str();
-      char* end = nullptr;
-      while (*p != '\0' && idx < kNestIters) {
-        ev.iters[idx++] = static_cast<std::uint32_t>(std::strtoul(p, &end, 0));
-        if (end == p) break;
-        p = *end == ',' ? end + 1 : end;
-      }
-      ok = end != nullptr && *end == '\0';
+    } else if (key == "iter") {
+      ok = parse_u64(value, u), ev.iter = static_cast<std::uint32_t>(u);
     } else ok = false;
     if (!ok) {
       err = "bad event token '" + std::string(toks[i]) + "'";
@@ -383,18 +374,15 @@ std::string format_repro(const ReproCase& repro) {
        << " loop=" << forest.loop(fid)
        << " iter=" << forest.parent_iter(fid) << '\n';
   }
-  static_assert(kNestIters == 7, "update the iters= format below");
   for (const AccessEvent& ev : repro.trace.events) {
     const char kind = ev.is_free() ? 'F' : ev.is_write() ? 'W' : 'R';
-    char buf[256];
+    char buf[192];
     std::snprintf(buf, sizeof(buf),
                   "ev %c addr=0x%llx loc=%u var=%u tid=%u ts=%llu flags=%u "
-                  "ctx=%u iters=%u,%u,%u,%u,%u,%u,%u\n",
+                  "ctx=%u iter=%u\n",
                   kind, static_cast<unsigned long long>(ev.addr), ev.loc,
                   ev.var, ev.tid, static_cast<unsigned long long>(ev.ts),
-                  ev.flags, local_id[ev.ctx], ev.iters[0], ev.iters[1],
-                  ev.iters[2], ev.iters[3], ev.iters[4], ev.iters[5],
-                  ev.iters[6]);
+                  ev.flags, local_id[ev.ctx], ev.iter);
     os << buf;
   }
   return os.str();
@@ -485,11 +473,6 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
       AccessEvent ev;
       if (!parse_event_line(toks, ev, nest_ids, err))
         return set_error(error, line_no, err);
-      if (!window_matches_context(ev))
-        return set_error(error, line_no,
-                         "event " + std::to_string(repro.trace.events.size()) +
-                             ": iteration window does not match its nest "
-                             "context");
       repro.trace.events.push_back(ev);
     } else {
       return set_error(error, line_no,

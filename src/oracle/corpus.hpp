@@ -6,7 +6,7 @@
 // tests/corpus/ is replayed by the corpus regression test on each CI run,
 // turning yesterday's fuzz finding into tomorrow's regression gate.
 //
-//   depfuzz-repro v10
+//   depfuzz-repro v11
 //   # free-form provenance comment
 //   note <one-line description>
 //   config storage=packed slots=1048576 sighash=modulo mt=1 workers=4
@@ -20,10 +20,10 @@
 //   nest id=1 parent=0 loop=16777276 iter=0
 //   nest id=2 parent=1 loop=16777280 iter=3
 //   ev W addr=0x2000 loc=16777226 var=0 tid=0 ts=0 flags=0
-//          ... ctx=2 iters=3,1,0,0,0,0,0
+//          ... ctx=2 iter=1
 //
 // (`config` and `lb` are single lines; they are wrapped here for the
-// comment only.)  There is one grammar, v10; a file with any other version
+// comment only.)  There is one grammar, v11; a file with any other version
 // line is rejected.  The config, lb and sched lines are driven by one key
 // table each: format_repro writes every key and parse_repro requires every
 // key, so a repro never replays under whatever the defaults have since
@@ -37,10 +37,9 @@
 // line.  `nest` directives intern the loop-nest contexts (file-local ids,
 // parents declared before children, each with iter= the parent iteration
 // the entry began in) that each event references with ctx=, next to its
-// root-anchored iteration window iters=; parsing re-interns the table into
-// the process nest forest.  An event whose window's enclosing levels are
-// not its context's iter= chain is rejected (window_matches_context in
-// trace/nest.hpp).  `ev` kinds are R / W / F.
+// context's own iteration iter=; parsing re-interns the table into the
+// process nest forest, whose iter= chain holds every enclosing counter.
+// `ev` kinds are R / W / F.
 //
 // Strictness: unknown directives or keys, duplicate keys within a line,
 // duplicate config/lb/sched lines, a missing key, and any directive other
@@ -81,15 +80,15 @@ struct ReproCase {
   sched::ScheduleTrace schedule;
 };
 
-/// Renders `repro` in the v10 grammar (the sched section is present only
+/// Renders `repro` in the v11 grammar (the sched section is present only
 /// when the case carries one).
 std::string format_repro(const ReproCase& repro);
 
 /// Strict parser: returns false and sets `error` (when non-null, prefixed
-/// with the offending line number) on a version line other than v10, any
+/// with the offending line number) on a version line other than v11, any
 /// unknown directive, unknown or duplicate key, malformed value, missing
 /// key, duplicate config/lb/sched line, directive before the config line,
-/// an event breaking the nest window contract, or missing config/lb line.
+/// or missing config/lb line.
 bool parse_repro(ReproCase& out, std::string_view text,
                  std::string* error = nullptr);
 

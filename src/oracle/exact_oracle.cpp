@@ -13,17 +13,17 @@ namespace {
 /// Deliberately a different algorithm than the detector's lockstep
 /// depth-levelled walk — same forest data, independently derived answer —
 /// so an off-by-one in either side shows up as a differential divergence.
+/// Each endpoint's counter at the common entry is its own iteration when
+/// its context is that entry, else parent_iter of the chain node just
+/// inside it.
 struct OracleAttr {
   std::uint32_t loop = 0;
   std::uint32_t level = 0;
   std::uint32_t distance = 0;
-  bool distance_known = true;
 };
 
-OracleAttr oracle_attribute(std::uint32_t src_ctx,
-                            const std::uint32_t* src_iters,
-                            std::uint32_t sink_ctx,
-                            const std::uint32_t* sink_iters) {
+OracleAttr oracle_attribute(std::uint32_t src_ctx, std::uint32_t src_iter,
+                            std::uint32_t sink_ctx, std::uint32_t sink_iter) {
   OracleAttr r;
   const NestForest& forest = nest_forest();
   // Ancestor chain of the source context, innermost first.
@@ -33,19 +33,18 @@ OracleAttr oracle_attribute(std::uint32_t src_ctx,
     chain.push_back(c);
   // Walk the sink's chain outward; the first hit in the source chain is the
   // deepest common entry.
+  std::uint32_t inside = NestForest::kRoot;  // sink chain node below c
   for (std::uint32_t c = sink_ctx; c != NestForest::kRoot;
-       c = forest.parent(c)) {
+       inside = c, c = forest.parent(c)) {
     for (std::size_t i = 0; i < chain.size(); ++i) {
       if (chain[i] != c) continue;
       r.loop = forest.loop(c);
       r.level = forest.depth(c);
-      if (r.level <= kNestIters) {
-        const std::uint32_t ia = src_iters[r.level - 1];
-        const std::uint32_t ib = sink_iters[r.level - 1];
-        r.distance = ib > ia ? ib - ia : ia - ib;
-      } else {
-        r.distance_known = false;
-      }
+      const std::uint32_t ia =
+          i == 0 ? src_iter : forest.parent_iter(chain[i - 1]);
+      const std::uint32_t ib =
+          inside == NestForest::kRoot ? sink_iter : forest.parent_iter(inside);
+      r.distance = ib > ia ? ib - ia : ia - ib;
       return r;
     }
   }
@@ -61,17 +60,16 @@ ExactOracle::LastAccess ExactOracle::remember(const AccessEvent& ev) {
   a.flags = ev.flags;
   a.ts = ev.ts;
   a.ctx = ev.ctx;
-  for (std::size_t i = 0; i < kNestIters; ++i) a.iters[i] = ev.iters[i];
+  a.iter = ev.iter;
   return a;
 }
 
 void ExactOracle::emit(const AccessEvent& sink, const LastAccess& src,
                        DepType type) {
   const OracleAttr attr =
-      oracle_attribute(src.ctx, src.iters, sink.ctx, sink.iters);
+      oracle_attribute(src.ctx, src.iter, sink.ctx, sink.iter);
   std::uint8_t flags = 0;
-  if (attr.loop != 0 && (!attr.distance_known || attr.distance != 0))
-    flags |= kLoopCarried;
+  if (attr.loop != 0 && attr.distance != 0) flags |= kLoopCarried;
   if (src.ctx != sink.ctx && (src.ctx != 0 || sink.ctx != 0))
     flags |= kCrossLoop;
   if (mt_) {
@@ -92,7 +90,6 @@ void ExactOracle::emit(const AccessEvent& sink, const LastAccess& src,
   at.loop = attr.loop;
   at.level = attr.level;
   at.distance = attr.distance;
-  at.distance_known = attr.distance_known;
   deps_.add(k, flags, at);
 }
 

@@ -52,8 +52,8 @@ class ExactOracle final : public AccessSink {
     std::uint16_t tid = 0;
     std::uint8_t flags = 0;  ///< AccessFlags (kInLockRegion) of that access
     std::uint64_t ts = 0;
-    std::uint32_t ctx = 0;                 ///< innermost dynamic loop entry
-    std::uint32_t iters[kNestIters] = {};  ///< root-anchored iteration window
+    std::uint32_t ctx = 0;   ///< innermost dynamic loop entry
+    std::uint32_t iter = 0;  ///< that entry's iteration
   };
 
   static LastAccess remember(const AccessEvent& ev);

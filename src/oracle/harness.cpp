@@ -31,16 +31,25 @@ struct UnitStats {
   std::size_t distinct = 0; ///< distinct word units
 };
 
-/// Depth-1 ancestor of a nest context — the outermost-loop invocation the
-/// event executed under (kRoot for events outside any loop, or for context
-/// ids the forest never interned, which only corrupt input can produce).
-std::uint32_t outermost_invocation(const NestForest& forest,
-                                   std::uint32_t ctx) {
-  if (ctx == NestForest::kRoot || ctx >= forest.size())
-    return NestForest::kRoot;
-  std::uint32_t c = ctx;
-  while (forest.parent(c) != NestForest::kRoot) c = forest.parent(c);
-  return c;
+/// The outermost-loop invocation an event executed under — the depth-1
+/// ancestor of its context — and that invocation's iteration at the event.
+/// `entry` is kRoot for events outside any loop, or for context ids the
+/// forest never interned, which only corrupt input can produce.
+struct Outermost {
+  std::uint32_t entry = NestForest::kRoot;
+  std::uint32_t iter = 0;
+};
+
+Outermost outermost_invocation(const NestForest& forest,
+                               const AccessEvent& ev) {
+  if (ev.ctx == NestForest::kRoot || ev.ctx >= forest.size()) return {};
+  // The event's own counter, or parent_iter of the depth-2 ancestor.
+  Outermost o{ev.ctx, ev.iter};
+  while (forest.parent(o.entry) != NestForest::kRoot) {
+    o.iter = forest.parent_iter(o.entry);
+    o.entry = forest.parent(o.entry);
+  }
+  return o;
 }
 
 UnitStats unit_stats(const Trace& trace) {
@@ -104,17 +113,17 @@ Trace sample_stream(const Trace& trace, unsigned burst, unsigned skip) {
   bool off = false;       // current unit is skipped
   bool pending_gap = false;
   for (const AccessEvent& ev : trace.events) {
-    const std::uint32_t root = outermost_invocation(forest, ev.ctx);
-    if (root == NestForest::kRoot) {
+    const Outermost root = outermost_invocation(forest, ev);
+    if (root.entry == NestForest::kRoot) {
       // Outside any loop: always profiled, and any open unit is over.
       in_unit = false;
       off = false;
-    } else if (!in_unit || root != unit_root || ev.iters[0] != unit_iter) {
+    } else if (!in_unit || root.entry != unit_root || root.iter != unit_iter) {
       // New unit: a fresh outermost-loop invocation (each dynamic entry is
       // a fresh forest node) or the next iteration of the current one.
       in_unit = true;
-      unit_root = root;
-      unit_iter = ev.iters[0];
+      unit_root = root.entry;
+      unit_iter = root.iter;
       off = pos >= burst;
       pos += 1;
       if (pos >= cycle) pos = 0;

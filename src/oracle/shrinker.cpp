@@ -22,7 +22,7 @@ std::vector<AccessEvent> without_range(const std::vector<AccessEvent>& events,
 
 /// Rewrites every event onto a depth-1 nest: each dynamic context is
 /// replaced by a fresh entry of its innermost loop directly under the root,
-/// and the innermost iteration moves to window slot 0.  Distinct dynamic
+/// keeping the event's own iteration.  Distinct dynamic
 /// entries stay distinct, so same-entry/different-entry relationships (and
 /// hence carried-vs-independent classification at the innermost level)
 /// survive; only the enclosing levels are discarded.
@@ -33,15 +33,10 @@ Trace flatten_nest(const Trace& t) {
   out.events.reserve(t.events.size());
   for (AccessEvent ev : t.events) {
     if (ev.ctx != NestForest::kRoot) {
-      const std::size_t depth = forest.depth(ev.ctx);
       auto [it, fresh] = flat.try_emplace(ev.ctx, NestForest::kRoot);
       if (fresh)
         it->second = forest.enter(NestForest::kRoot, forest.loop(ev.ctx), 0);
-      const std::uint32_t inner =
-          depth >= 1 && depth <= kNestIters ? ev.iters[depth - 1] : 0;
       ev.ctx = it->second;
-      ev.iters[0] = inner;
-      for (std::size_t i = 1; i < kNestIters; ++i) ev.iters[i] = 0;
     }
     out.events.push_back(ev);
   }

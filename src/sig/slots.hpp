@@ -14,7 +14,8 @@
 // accessing thread id and the global timestamp used for race detection.
 // Every enclosing level's counter was fixed when the slot's loop entry
 // began, so the nest forest holds it once per dynamic entry (parent_iter)
-// instead of once per slot; the detector reads it there (core/detector.hpp).
+// instead of once per slot or event; the detector reads it there
+// (core/detector.hpp).
 // A SeqSlot is 16 bytes and an MtSlot 32, so a slot never straddles a
 // cache line of a 64-byte-aligned array; the signature's bounded-memory
 // property is unchanged, only the constant differs from the paper's 4 bytes.
@@ -47,8 +48,7 @@ struct SeqSlot {
   std::uint32_t loc = 0;  ///< packed SourceLocation of the last access; 0 = empty
   std::uint32_t tag = 0;  ///< addr_tag of the recorded address
   std::uint32_t ctx = 0;  ///< innermost dynamic loop entry (NestForest id)
-  /// The context's own iteration: iters[D-1] of the access for a context of
-  /// depth 1 <= D <= kNestIters, else 0.
+  /// The context's own iteration: the access's `iter` (0 outside loops).
   std::uint32_t iter = 0;
 
   bool empty() const { return loc == 0; }

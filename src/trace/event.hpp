@@ -8,16 +8,12 @@
 //
 // Each event carries the loop context of the access as one interned nest
 // context id — the innermost dynamic loop entry, a node of the global
-// NestForest (trace/nest.hpp) — plus a bounded, root-anchored window of
-// iteration counters: iters[i] is the iteration of the enclosing loop at
-// nest depth i+1, counted from the *outermost* loop.  A dependence is
-// carried by the innermost loop entry common to source and sink when their
-// iteration counters differ at that entry's depth.  Root-anchoring is what
-// keeps the window sufficient: the common entry's depth never exceeds
-// either endpoint's depth, so its counter sits inside both windows whenever
-// the common depth is <= kNestIters, regardless of how deep the endpoints
-// themselves are.  Deeper common levels (nests beyond kNestIters) degrade
-// conservatively to "carried, distance >= 2" — never to a heuristic.
+// NestForest (trace/nest.hpp) — plus that entry's own iteration counter.
+// Every enclosing counter lives in the forest (each node's parent_iter), so
+// the event needs no copy of them: a dependence is carried by the innermost
+// loop entry common to source and sink when their counters at that entry
+// differ, and the detector reads both counters from the two events and the
+// forest at any depth.
 
 #include <cstdint>
 
@@ -47,9 +43,6 @@ enum AccessFlags : std::uint8_t {
   kInLockRegion = 1u << 0,
 };
 
-/// Levels of the root-anchored iteration window carried per access.
-inline constexpr std::size_t kNestIters = 7;
-
 /// One instrumented memory access (or lifetime event).
 struct AccessEvent {
   std::uint64_t addr = 0;  ///< byte address of the access
@@ -59,10 +52,9 @@ struct AccessEvent {
   /// Innermost enclosing dynamic loop entry — a NestForest node id
   /// (NestForest::kRoot = not inside any loop).
   std::uint32_t ctx = 0;
-  /// Root-anchored iteration counters: iters[i] is the iteration of the
-  /// enclosing loop at depth i+1 (outermost = depth 1).  Levels beyond the
-  /// context's depth — and beyond kNestIters — are 0.
-  std::uint32_t iters[kNestIters] = {};
+  /// The iteration `ctx` is in (0 outside loops); the enclosing loops'
+  /// counters are the forest's parent_iter chain above `ctx`.
+  std::uint32_t iter = 0;
   std::uint16_t tid = 0;   ///< target-program thread id
   AccessKind kind = AccessKind::kRead;
   std::uint8_t flags = 0;
@@ -74,7 +66,7 @@ struct AccessEvent {
   SourceLocation location() const { return SourceLocation::from_packed(loc); }
 };
 
-static_assert(sizeof(AccessEvent) == 64);  // exactly one cache line
+static_assert(sizeof(AccessEvent) == 40);  // 36 data bytes + tail padding
 
 /// Consumer of an instrumentation event stream.  Implemented by the serial
 /// profiler, the parallel profiler's producer side, and the trace recorder.

@@ -20,7 +20,7 @@ namespace depprof {
 
 class EventBuffer {
  public:
-  /// Events buffered per thread before a flush (16 KiB per thread).
+  /// Events buffered per thread before a flush (10 KiB per thread).
   static constexpr std::size_t kCapacity = 256;
 
   /// The slot the next event is built in.  It joins the buffer only on

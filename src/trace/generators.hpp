@@ -47,9 +47,8 @@ Trace gen_loop(const GenParams& p, std::size_t iters, bool carried,
 /// Each level carries a distance-1 RAW on its accumulator, each iteration a
 /// distance-0 pair plus a recurring distance >= 2 WAW; some inner entries
 /// execute zero iterations, every child entry is a sibling re-entry, and
-/// two top-level nests make cross-loop pairs.  `depth` beyond the event's
-/// iteration window (kNestIters) exercises the conservative deep-nest
-/// attribution path.
+/// two top-level nests make cross-loop pairs.  `depth` beyond DepInfo's
+/// kNestLevels rows exercises the fold of deep levels into the last row.
 Trace gen_nest(const GenParams& p, std::uint32_t depth = 3,
                std::size_t width = 4);
 

@@ -46,16 +46,4 @@ NestForest& nest_forest() {
   return *forest;
 }
 
-bool window_matches_context(const AccessEvent& ev) {
-  const NestForest& forest = nest_forest();
-  if (ev.ctx >= forest.size()) return false;
-  // Walk up from the context: the node at depth d began in iteration
-  // parent_iter of level d - 1, which the window holds at index d - 2.
-  for (std::uint32_t c = ev.ctx, d = forest.depth(c); d > 1;
-       c = forest.parent(c), --d)
-    if (d - 1 <= kNestIters && ev.iters[d - 2] != forest.parent_iter(c))
-      return false;
-  return true;
-}
-
 }  // namespace depprof

@@ -4,10 +4,10 @@
 // Every dynamic entry of a loop (one execution of its DP_LOOP_BEGIN) is
 // interned as one node of a global append-only forest: (parent entry,
 // static loop id, depth, parent iteration).  An access event then carries
-// a single 32-bit context id — the innermost enclosing entry — instead of a
-// fixed number of (loop, entry, iteration) triples, so arbitrarily deep
-// nests cost the same four bytes per event (PROMPT's LoopHierarchy
-// contexts work the same way).
+// a single 32-bit context id — the innermost enclosing entry — and that
+// entry's iteration instead of a fixed number of (loop, entry, iteration)
+// triples, so arbitrarily deep nests cost the same eight bytes per event
+// (PROMPT's LoopHierarchy contexts work the same way).
 //
 // The attribution question the detector asks — "which loop carries this
 // dependence?" — becomes a lowest-common-ancestor walk over two context
@@ -16,19 +16,17 @@
 // distance is the difference of their iteration counters at that level
 // (every level strictly above the common entry has, by construction, equal
 // counters for both endpoints, so the common entry is the *only* candidate
-// carrier).  Iteration counters travel in the event as a bounded
-// root-anchored window (event.hpp); the walk itself only needs parent and
-// depth lookups, which this forest serves lock-free.
+// carrier).  The walk only needs parent and depth lookups, which this
+// forest serves lock-free.
 //
 // Each node also keeps `parent_iter`, the iteration its parent entry was in
 // when this entry began.  That is every enclosing counter an access can
 // carry: while a loop is innermost only its own counter moves, so for an
-// event in context N of depth D and every enclosing level k < D (within
-// kNestIters), the window's entry for level k equals parent_iter of N's
-// ancestor at depth k+1 (window_matches_context checks it).  A recorded
-// access therefore needs only its context and its own iteration; the
-// detector finds the source's counter at a common loop in the forest
-// (core/detector.hpp).
+// event in context N and every enclosing level k above N, the counter of
+// level k is parent_iter of N's ancestor at depth k+1, at any depth.  An
+// access therefore carries only its context and that context's own
+// iteration (trace/event.hpp); the detector finds either endpoint's counter
+// at a common loop in the forest (core/detector.hpp).
 //
 // Growth and lifetime: one node per dynamic loop entry — the same rate the
 // previous design burned its process-unique `entry` counter at.  Nodes are
@@ -42,8 +40,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-
-#include "trace/event.hpp"
 
 namespace depprof {
 
@@ -100,10 +96,5 @@ class NestForest {
 /// The process-wide forest every runtime, generator, and replayer interns
 /// into (the var_registry() pattern).
 NestForest& nest_forest();
-
-/// True when `ev`'s context is a node of nest_forest() and its window's
-/// enclosing levels are the forest's parent_iter chain (the contract above).
-/// Trace and repro readers reject an event that fails it.
-bool window_matches_context(const AccessEvent& ev);
 
 }  // namespace depprof

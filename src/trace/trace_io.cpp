@@ -12,13 +12,16 @@
 namespace depprof {
 namespace {
 
-// v03: events carry interned nest-context ids, which are process-local, so
-// the file embeds a nest node table (file-local ids, parents before
-// children, each with the parent iteration it began in) and the reader
-// re-interns it.  Older files are rejected rather than silently
-// misattributed: v01 records embed ids from a dead forest, and v02 nodes
-// lack the parent iteration the detector reads enclosing counters from.
-constexpr char kMagic[8] = {'D', 'E', 'P', 'T', 'R', 'C', '0', '3'};
+// v04: events carry interned nest-context ids and variable-name ids, both
+// process-local, so the file embeds a nest node table (file-local ids,
+// parents before children, each with the parent iteration it began in) and
+// a variable table (the names, ascending by recorded id), and the reader
+// re-interns both.  Each event carries its context's own iteration; the
+// enclosing counters are the nest table's parent iterations.  Older files
+// are rejected rather than silently misattributed: v01 records embed ids
+// from a dead forest, v02 nodes lack the parent iteration, and v03 events
+// carry a 64-byte record with an iteration window and no variable names.
+constexpr char kMagic[8] = {'D', 'E', 'P', 'T', 'R', 'C', '0', '4'};
 
 /// One serialized nest node: file-local parent id, static loop id and the
 /// parent's iteration when the entry began.  The file-local id of a node is
@@ -59,12 +62,32 @@ bool write_trace(const Trace& trace, const std::string& path) {
   os.write(reinterpret_cast<const char*>(nodes.data()),
            static_cast<std::streamsize>(node_count * sizeof(WireNestNode)));
 
+  // Variable table: every named var id an event uses, ascending by
+  // recorded id, so re-interning them in a fresh process keeps their
+  // relative order (DepMap::sorted() breaks ties on it).  File-local id =
+  // index + 1; id 0, the unnamed variable, is never written.
+  std::map<std::uint32_t, std::uint32_t> var_id;  // recorded id -> file id
+  var_id[0] = 0;
+  for (const AccessEvent& ev : trace.events) var_id.try_emplace(ev.var, 0);
+  const std::uint64_t var_count = var_id.size() - 1;
+  os.write(reinterpret_cast<const char*>(&var_count), sizeof(var_count));
+  std::uint32_t next_var = 1;
+  for (auto& [rid, lid] : var_id) {
+    if (rid == 0) continue;
+    lid = next_var++;
+    const std::string name = var_registry().name(rid);
+    const auto len = static_cast<std::uint32_t>(name.size());
+    os.write(reinterpret_cast<const char*>(&len), sizeof(len));
+    os.write(name.data(), len);
+  }
+
   const std::uint64_t count = trace.events.size();
   os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  // Events are written with the context id translated to its file-local id
-  // so the file is self-contained across processes.
+  // Events are written with their context and variable ids translated to
+  // file-local ids so the file is self-contained across processes.
   for (AccessEvent ev : trace.events) {
     ev.ctx = local_id[ev.ctx];
+    ev.var = var_id[ev.var];
     os.write(reinterpret_cast<const char*>(&ev), sizeof(ev));
   }
   return static_cast<bool>(os);
@@ -84,9 +107,9 @@ bool read_trace(Trace& out, const std::string& path, std::string* error) {
   const auto file_size = static_cast<std::uint64_t>(end);
   char magic[8];
   is.read(magic, sizeof(magic));
-  // Rejects v01 and v02 files along with garbage (see kMagic).
+  // Rejects v01 to v03 files along with garbage (see kMagic).
   if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    return fail("not a DEPTRC03 trace");
+    return fail("not a DEPTRC04 trace");
 
   // All counts below are untrusted: the payload a count claims must be
   // present in the file before anything is allocated for it.
@@ -115,6 +138,27 @@ bool read_trace(Trace& out, const std::string& path, std::string* error) {
                                  nodes[i].parent_iter);
   }
 
+  // Re-intern the variable names; file-local id 0 stays the unnamed one.
+  std::uint64_t var_count = 0;
+  if (remaining < sizeof(var_count)) return fail("truncated var table");
+  is.read(reinterpret_cast<char*>(&var_count), sizeof(var_count));
+  remaining -= sizeof(var_count);
+  if (!is || var_count > remaining / sizeof(std::uint32_t))
+    return fail("truncated var table");
+  std::vector<std::uint32_t> var_map(var_count + 1, 0);
+  for (std::uint64_t i = 0; i < var_count; ++i) {
+    std::uint32_t len = 0;
+    if (remaining < sizeof(len)) return fail("truncated var table");
+    is.read(reinterpret_cast<char*>(&len), sizeof(len));
+    remaining -= sizeof(len);
+    if (!is || len > remaining) return fail("truncated var table");
+    std::string name(len, '\0');
+    is.read(name.data(), len);
+    remaining -= len;
+    if (!is) return fail("truncated var table");
+    var_map[i + 1] = var_registry().intern(name);
+  }
+
   std::uint64_t count = 0;
   if (remaining < sizeof(count)) return fail("truncated event table");
   is.read(reinterpret_cast<char*>(&count), sizeof(count));
@@ -128,13 +172,16 @@ bool read_trace(Trace& out, const std::string& path, std::string* error) {
   if (!is) return fail("truncated event table");
   for (std::size_t i = 0; i < t.events.size(); ++i) {
     AccessEvent& ev = t.events[i];
+    const std::string at = "event " + std::to_string(i);
+    if (ev.kind > AccessKind::kBurstMark)
+      return fail(at + " has unknown kind " +
+                  std::to_string(static_cast<unsigned>(ev.kind)));
     if (ev.ctx > node_count)
-      return fail("event " + std::to_string(i) + " names undeclared nest " +
-                  std::to_string(ev.ctx));
+      return fail(at + " names undeclared nest " + std::to_string(ev.ctx));
+    if (ev.var > var_count)
+      return fail(at + " names undeclared var " + std::to_string(ev.var));
     ev.ctx = id_map[ev.ctx];
-    if (!window_matches_context(ev))
-      return fail("event " + std::to_string(i) +
-                  ": iteration window does not match its nest context");
+    ev.var = var_map[ev.var];
   }
   out = std::move(t);
   return true;

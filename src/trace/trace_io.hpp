@@ -12,8 +12,8 @@ namespace depprof {
 bool write_trace(const Trace& trace, const std::string& path);
 
 /// Reads a trace from `path`.  Returns false on I/O failure, a malformed
-/// header, or an event whose iteration window breaks the nest contract
-/// (trace/nest.hpp), and then says why in `*error` when it is non-null;
+/// header or table, or an event with an unknown kind or an undeclared nest
+/// or variable id, and then says why in `*error` when it is non-null;
 /// `out` is untouched on failure.
 bool read_trace(Trace& out, const std::string& path,
                 std::string* error = nullptr);

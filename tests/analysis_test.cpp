@@ -38,7 +38,7 @@ LoopRecord loop(std::uint32_t begin, std::uint32_t end) {
 /// the given carried distance.
 DepAttribution at(std::uint32_t begin_line, std::uint32_t level,
                   std::uint32_t dist) {
-  return {SourceLocation(1, begin_line).packed(), level, dist, true};
+  return {SourceLocation(1, begin_line).packed(), level, dist};
 }
 
 // ------------------------------------------------------- loop parallelism

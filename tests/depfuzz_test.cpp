@@ -80,11 +80,11 @@ TEST(ExactOracle, LoopCarriedDistance) {
   for (std::uint32_t i = 0; i < 4; ++i) {
     AccessEvent w = make_ev(AccessKind::kWrite, 0x200, 21);
     w.ctx = entry;
-    w.iters[0] = i;
+    w.iter = i;
     t.events.push_back(w);
     AccessEvent r = make_ev(AccessKind::kRead, 0x200, 22);
     r.ctx = entry;
-    r.iters[0] = i + 1;  // reads the previous iteration's value
+    r.iter = i + 1;  // reads the previous iteration's value
     t.events.push_back(r);
   }
   const DepMap deps = oracle_dependences(t, false);
@@ -112,14 +112,12 @@ TEST(ExactOracle, NestedCommonLoopAttribution) {
   const std::uint32_t in2 = forest.enter(outer, 6, 2);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0x300, 31);
-  w.ctx = in1;
-  w.iters[0] = 0;  // outer iteration
-  w.iters[1] = 3;  // inner iteration
+  w.ctx = in1;  // began in outer iteration 0
+  w.iter = 3;   // inner iteration
   t.events.push_back(w);
   AccessEvent r = make_ev(AccessKind::kRead, 0x300, 32);
-  r.ctx = in2;
-  r.iters[0] = 2;
-  r.iters[1] = 3;
+  r.ctx = in2;  // began in outer iteration 2
+  r.iter = 3;
   t.events.push_back(r);
   const DepMap deps = oracle_dependences(t, false);
   bool found = false;
@@ -387,21 +385,19 @@ TEST(Shrinker, MinimizesToThePlantedKernel) {
 TEST(Shrinker, FlattensNestWhenFailureSurvivesIt) {
   // The planted failure is an innermost-carried RAW: write and read share
   // one dynamic entry of the inner loop but sit in different iterations of
-  // it.  That survives flattening (same entry stays same entry, the
-  // innermost iteration moves to slot 0), so the shrinker must hand back a
-  // depth-1 repro.
+  // it.  That survives flattening (same entry stays same entry, each event
+  // keeps its own iteration), so the shrinker must hand back a depth-1
+  // repro.
   NestForest& forest = nest_forest();
   const std::uint32_t outer = forest.enter(NestForest::kRoot, 80, 0);
   const std::uint32_t inner = forest.enter(outer, 81, 2);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0xbeef0, 91);
   w.ctx = inner;
-  w.iters[0] = 2;
-  w.iters[1] = 0;
+  w.iter = 0;
   AccessEvent r = make_ev(AccessKind::kRead, 0xbeef0, 92);
   r.ctx = inner;
-  r.iters[0] = 2;
-  r.iters[1] = 1;
+  r.iter = 1;
   t.events.push_back(w);
   t.events.push_back(r);
 
@@ -422,11 +418,11 @@ TEST(Shrinker, FlattensNestWhenFailureSurvivesIt) {
   for (const auto& ev : flat.events) {
     EXPECT_EQ(forest.depth(ev.ctx), 1u);
     EXPECT_EQ(forest.loop(ev.ctx), 81u);  // innermost loop kept
-    EXPECT_EQ(ev.iters[1], 0u);
+    EXPECT_EQ(forest.parent_iter(ev.ctx), 0u);
   }
-  // The innermost iteration moved to window slot 0.
-  EXPECT_EQ(flat.events[0].iters[0], 0u);
-  EXPECT_EQ(flat.events[1].iters[0], 1u);
+  // Each event keeps its own iteration.
+  EXPECT_EQ(flat.events[0].iter, 0u);
+  EXPECT_EQ(flat.events[1].iter, 1u);
 }
 
 TEST(Shrinker, KeepsNestWhenFlatteningLosesTheFailure) {
@@ -440,10 +436,8 @@ TEST(Shrinker, KeepsNestWhenFlatteningLosesTheFailure) {
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0xfeed0, 95);
   w.ctx = in1;
-  w.iters[0] = 0;
   AccessEvent r = make_ev(AccessKind::kRead, 0xfeed0, 96);
   r.ctx = in2;
-  r.iters[0] = 1;
   t.events.push_back(w);
   t.events.push_back(r);
 
@@ -527,7 +521,7 @@ ReproCase sample_repro() {
   AccessEvent ev = make_ev(AccessKind::kWrite, 0xabc0, 41, 2, 1, 99);
   ev.flags = kInLockRegion;
   ev.ctx = nest_forest().enter(NestForest::kRoot, 5, 0);
-  ev.iters[0] = 7;
+  ev.iter = 7;
   r.trace.events.push_back(ev);
   r.trace.events.push_back(make_ev(AccessKind::kFree, 0xabc0, 0, 0, 1, 100));
   return r;
@@ -576,23 +570,23 @@ TEST(Corpus, FormatParseRoundTrip) {
   ASSERT_NE(ev.ctx, NestForest::kRoot);
   EXPECT_EQ(nest_forest().loop(ev.ctx), 5u);
   EXPECT_EQ(nest_forest().depth(ev.ctx), 1u);
-  EXPECT_EQ(ev.iters[0], 7u);
+  EXPECT_EQ(ev.iter, 7u);
   EXPECT_TRUE(back.trace.events[1].is_free());
 }
 
 TEST(Corpus, OnlyTheCurrentVersionParses) {
-  // The body is a valid v10 file; under any older version line it must be
+  // The body is a valid v11 file; under any older version line it must be
   // rejected, never reinterpreted.
   const std::string header = default_header();
   const std::string body = header.substr(header.find('\n') + 1);
   ReproCase out;
   std::string error;
   ASSERT_TRUE(parse_repro(out, header, &error)) << error;
-  for (int v = 1; v <= 9; ++v) {
+  for (int v = 1; v <= 10; ++v) {
     const std::string text =
         "depfuzz-repro v" + std::to_string(v) + "\n" + body;
     EXPECT_FALSE(parse_repro(out, text, &error)) << "v" << v;
-    EXPECT_NE(error.find("depfuzz-repro v10"), std::string::npos) << error;
+    EXPECT_NE(error.find("depfuzz-repro v11"), std::string::npos) << error;
   }
 }
 
@@ -644,8 +638,8 @@ TEST(Corpus, NestDirectivesRebuildChains) {
   const std::string text = default_header() +
                            "nest id=1 parent=0 loop=50 iter=0\n"
                            "nest id=2 parent=1 loop=60 iter=3\n"
-                           "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
-                           "ev R addr=0x100 loc=12 ctx=1 iters=3,0,0,0,0,0,0\n";
+                           "ev W addr=0x100 loc=11 ctx=2 iter=4\n"
+                           "ev R addr=0x100 loc=12 ctx=1 iter=3\n";
   ReproCase out;
   std::string error;
   ASSERT_TRUE(parse_repro(out, text, &error)) << error;
@@ -658,7 +652,8 @@ TEST(Corpus, NestDirectivesRebuildChains) {
   EXPECT_EQ(forest.parent(inner.ctx), outer.ctx);
   EXPECT_EQ(forest.loop(outer.ctx), 50u);
   EXPECT_EQ(forest.parent_iter(inner.ctx), 3u);
-  EXPECT_EQ(inner.iters[1], 4u);
+  EXPECT_EQ(inner.iter, 4u);
+  EXPECT_EQ(outer.iter, 3u);
 }
 
 TEST(Corpus, RejectsMalformedNests) {
@@ -675,10 +670,14 @@ TEST(Corpus, RejectsMalformedNests) {
                            &error));
   // Event referencing an undeclared context.
   EXPECT_FALSE(parse_repro(out, header + "ev W addr=0x1 ctx=7\n", &error));
-  // Events carry their nest as ctx=/iters=; loops= triples are not a key.
+  // Events carry their nest as ctx=/iter=; loops= triples are not a key,
+  // nor is the older iters= window.
   EXPECT_FALSE(parse_repro(
       out, header + "ev W addr=0x1 loops=7:1:0,0:0:0,0:0:0\n", &error));
   EXPECT_NE(error.find("loops="), std::string::npos) << error;
+  EXPECT_FALSE(parse_repro(
+      out, header + "ev W addr=0x1 iters=3,0,0,0,0,0,0\n", &error));
+  EXPECT_NE(error.find("iters="), std::string::npos) << error;
   // nest directives must carry parent=, loop= and iter= explicitly: a
   // defaulted value would silently re-shape the nest.
   EXPECT_FALSE(parse_repro(out, header + "nest id=1 loop=5 iter=0\n", &error));
@@ -687,27 +686,6 @@ TEST(Corpus, RejectsMalformedNests) {
   EXPECT_NE(error.find("loop="), std::string::npos);
   EXPECT_FALSE(parse_repro(out, header + "nest id=1 parent=0 loop=5\n", &error));
   EXPECT_NE(error.find("iter="), std::string::npos);
-}
-
-TEST(Corpus, RejectsAnEventThatBreaksTheWindowContract) {
-  // Entry 2 began in outer iteration 3, so an event in it must carry 3 at
-  // the outer level: the detector reads that counter from the forest.
-  const std::string nests = default_header() +
-                            "nest id=1 parent=0 loop=50 iter=0\n"
-                            "nest id=2 parent=1 loop=60 iter=3\n";
-  ReproCase out;
-  std::string error;
-  ASSERT_TRUE(parse_repro(
-      out, nests + "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n",
-      &error))
-      << error;
-  const std::string bad =
-      nests + "ev R addr=0x100 loc=12 ctx=1 iters=3,0,0,0,0,0,0\n" +
-      "ev W addr=0x100 loc=11 ctx=2 iters=2,4,0,0,0,0,0\n";
-  EXPECT_FALSE(parse_repro(out, bad, &error));
-  EXPECT_NE(error.find("event 1"), std::string::npos) << error;
-  EXPECT_NE(error.find("does not match its nest context"), std::string::npos)
-      << error;
 }
 
 TEST(Corpus, StrictParserRejectsUnknownInput) {
@@ -733,7 +711,7 @@ TEST(Corpus, StrictParserRejectsUnknownInput) {
   EXPECT_FALSE(parse_repro(out, batch, &error));
   EXPECT_NE(error.find("batch=1"), std::string::npos);
   // Missing the config line entirely.
-  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v10\nnote hi\n", &error));
+  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v11\nnote hi\n", &error));
   EXPECT_NE(error.find("missing config line"), std::string::npos);
 }
 
@@ -797,14 +775,14 @@ TEST(Corpus, StrictParserRejectsAmbiguousShape) {
   EXPECT_NE(error.find("duplicate lb line"), std::string::npos);
   // Every directive except the provenance note needs the config line first.
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v10\nev W addr=0x1\n" + config + lb, &error));
+      out, "depfuzz-repro v11\nev W addr=0x1\n" + config + lb, &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
   EXPECT_NE(error.find("line 2"), std::string::npos);
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v10\nnest id=1 parent=0 loop=5 iter=0\n" + config + lb,
+      out, "depfuzz-repro v11\nnest id=1 parent=0 loop=5 iter=0\n" + config + lb,
       &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v10\n" + lb + config, &error));
+  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v11\n" + lb + config, &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
 }
 

@@ -164,18 +164,11 @@ TEST(Detector, FreeRemovesReadStateToo) {
 
 // ------------------------------------------------- loop-nest attribution
 
-/// Stamps `e` with a nest context and a root-anchored iteration window,
-/// which must agree with the context's parent_iter chain (the contract the
-/// detector relies on, trace/nest.hpp).
-AccessEvent with_nest(AccessEvent e, std::uint32_t ctx,
-                      std::initializer_list<std::uint32_t> iters) {
+/// Stamps `e` with a nest context and that context's own iteration; the
+/// enclosing counters are the context's parent_iter chain (trace/nest.hpp).
+AccessEvent with_nest(AccessEvent e, std::uint32_t ctx, std::uint32_t iter) {
   e.ctx = ctx;
-  std::size_t i = 0;
-  for (std::uint32_t v : iters) {
-    if (i < kNestIters) e.iters[i] = v;
-    ++i;
-  }
-  EXPECT_TRUE(window_matches_context(e)) << "context " << ctx;
+  e.iter = iter;
   return e;
 }
 
@@ -183,8 +176,8 @@ TEST(Detector, SameIterationIsNotCarried) {
   const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   auto det = make_exact();
   DepMap deps;
-  detect(det, deps, {with_nest(wr(100, 10), ctx, {5}),
-                     with_nest(rd(100, 20), ctx, {5})});
+  detect(det, deps, {with_nest(wr(100, 10), ctx, 5),
+                     with_nest(rd(100, 20), ctx, 5)});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->flags & kLoopCarried, 0);
@@ -197,8 +190,8 @@ TEST(Detector, DifferentIterationIsCarried) {
   const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   auto det = make_exact();
   DepMap deps;
-  detect(det, deps, {with_nest(wr(100, 10), ctx, {5}),
-                     with_nest(rd(100, 20), ctx, {6})});
+  detect(det, deps, {with_nest(wr(100, 10), ctx, 5),
+                     with_nest(rd(100, 20), ctx, 6)});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_NE(info->flags & kLoopCarried, 0);
@@ -215,8 +208,8 @@ TEST(Detector, DifferentEntryOfSameLoopIsNotCarriedByIt) {
   const std::uint32_t e2 = f.enter(NestForest::kRoot, 1, 0);
   auto det = make_exact();
   DepMap deps;
-  detect(det, deps, {with_nest(wr(100, 10), e1, {5}),
-                     with_nest(rd(100, 20), e2, {5})});
+  detect(det, deps, {with_nest(wr(100, 10), e1, 5),
+                     with_nest(rd(100, 20), e2, 5)});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->flags & kLoopCarried, 0);
@@ -234,8 +227,8 @@ TEST(Detector, OuterLoopCarriedThroughParentLevel) {
   const std::uint32_t in2 = f.enter(outer, 2, 1);
   auto det = make_exact();
   DepMap deps;
-  detect(det, deps, {with_nest(wr(100, 10), in1, {0, 3}),
-                     with_nest(rd(100, 20), in2, {1, 3})});
+  detect(det, deps, {with_nest(wr(100, 10), in1, 3),
+                     with_nest(rd(100, 20), in2, 3)});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_NE(info->flags & kLoopCarried, 0);
@@ -257,10 +250,10 @@ TEST(Detector, SourceEntryBegunInALaterOuterIteration) {
   const std::uint32_t next = f.enter(outer, 2, 2);
   auto det = make_exact();
   DepMap deps;
-  detect(det, deps, {with_nest(wr(100, 10), first, {1, 5}),
-                     with_nest(wr(101, 11), first, {1, 6}),
-                     with_nest(rd(101, 21), again, {1, 6}),
-                     with_nest(rd(100, 20), next, {2, 5})});
+  detect(det, deps, {with_nest(wr(100, 10), first, 5),
+                     with_nest(wr(101, 11), first, 6),
+                     with_nest(rd(101, 21), again, 6),
+                     with_nest(rd(100, 20), next, 5)});
   const DepInfo* carried = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(carried, nullptr);
   EXPECT_EQ(carried->carried_loop(), 1u);
@@ -283,8 +276,8 @@ TEST(Detector, GrandparentLoopCarriedThroughThirdLevel) {
   const std::uint32_t m2 = f.enter(s2, 3, 1);
   auto det = make_exact();
   DepMap deps;
-  detect(det, deps, {with_nest(wr(100, 10), m1, {0, 1, 2}),
-                     with_nest(rd(100, 20), m2, {1, 1, 2})});
+  detect(det, deps, {with_nest(wr(100, 10), m1, 2),
+                     with_nest(rd(100, 20), m2, 2)});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_NE(info->flags & kLoopCarried, 0);
@@ -300,8 +293,8 @@ TEST(Detector, InnermostCommonLoopWins) {
   const std::uint32_t inner = f.enter(outer, 2, 0);
   auto det = make_exact();
   DepMap deps;
-  detect(det, deps, {with_nest(wr(100, 10), inner, {0, 3}),
-                     with_nest(rd(100, 20), inner, {0, 4})});
+  detect(det, deps, {with_nest(wr(100, 10), inner, 3),
+                     with_nest(rd(100, 20), inner, 4)});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->carried_loop(), 2u);
@@ -317,8 +310,8 @@ TEST(Detector, CarriedDistanceBucketed) {
   DepMap deps;
   for (std::uint32_t i = 0; i < 16; ++i) {
     if (i >= 4)
-      detect(det, deps, {with_nest(rd(100 + (i - 4), 20), ctx, {i})});
-    detect(det, deps, {with_nest(wr(100 + i, 10), ctx, {i})});
+      detect(det, deps, {with_nest(rd(100 + (i - 4), 20), ctx, i)});
+    detect(det, deps, {with_nest(wr(100 + i, 10), ctx, i)});
   }
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
@@ -334,10 +327,10 @@ TEST(Detector, DistanceBucketsAccumulate) {
   auto det = make_exact();
   DepMap deps;
   // One batch: both instances of the key meet in the batch table.
-  detect(det, deps, {with_nest(wr(100, 10), ctx, {0}),
-                     with_nest(rd(100, 20), ctx, {1}),  // d = 1
-                     with_nest(wr(100, 10), ctx, {1}),
-                     with_nest(rd(100, 20), ctx, {6})});  // d = 5
+  detect(det, deps, {with_nest(wr(100, 10), ctx, 0),
+                     with_nest(rd(100, 20), ctx, 1),  // d = 1
+                     with_nest(wr(100, 10), ctx, 1),
+                     with_nest(rd(100, 20), ctx, 6)});  // d = 5
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->levels[0].d1, 1u);
@@ -345,29 +338,41 @@ TEST(Detector, DistanceBucketsAccumulate) {
   EXPECT_EQ(info->min_carried_bucket(), 1u);
 }
 
-TEST(Detector, DeepNestBeyondWindowIsConservativelyCarried) {
-  // Common entry deeper than the event's iteration window: the distance is
-  // unknown, so the instance lands in the carried >= 2 bucket rather than
-  // being guessed independent.
+TEST(Detector, DeepNestDistanceIsExactInTheLastRow) {
+  // Common entry deeper than DepInfo's kNestLevels rows: the forest holds
+  // every level's counter, so the distance is exact there too and folds
+  // into the last row.  The sink sits one level deeper, in an entry begun
+  // in iteration 4 of the common one, so its counter there comes from the
+  // forest's parent_iter, not from its own iteration.
   NestForest& f = nest_forest();
+  constexpr auto kDeep = static_cast<std::uint32_t>(kNestLevels + 2);
   std::uint32_t ctx = NestForest::kRoot;
-  for (std::uint32_t d = 1; d <= kNestIters + 2; ++d)
+  for (std::uint32_t d = 1; d <= kDeep; ++d)
     ctx = f.enter(ctx, d, d == 1 ? 0 : 1);
+  const std::uint32_t below = f.enter(ctx, kDeep + 1, 4);
   auto det = make_exact();
   DepMap deps;
-  detect(det, deps, {with_nest(wr(100, 10), ctx, {1, 1, 1, 1, 1, 1, 1}),
-                     with_nest(rd(100, 20), ctx, {1, 1, 1, 1, 1, 1, 1})});
-  const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
-  ASSERT_NE(info, nullptr);
-  EXPECT_NE(info->flags & kLoopCarried, 0);
-  // Level clamps to the last window row; the bucket is ">= 2 / unknown".
-  EXPECT_EQ(info->levels[kNestLevels - 1].d2p, 1u);
+  detect(det, deps, {with_nest(wr(100, 10), ctx, 4),
+                     with_nest(rd(100, 20), below, 7),  // same iteration
+                     with_nest(wr(101, 11), ctx, 3),
+                     with_nest(rd(101, 21), below, 7)});  // one apart
+  const DepInfo* same = deps.find(key(DepType::kRaw, 20, 10));
+  ASSERT_NE(same, nullptr);
+  EXPECT_EQ(same->flags & kLoopCarried, 0);
+  EXPECT_EQ(same->levels[kNestLevels - 1].loop, kDeep);
+  EXPECT_EQ(same->levels[kNestLevels - 1].d0, 1u);
+  EXPECT_EQ(same->levels[kNestLevels - 1].carried(), 0u);
+  const DepInfo* next = deps.find(key(DepType::kRaw, 21, 11));
+  ASSERT_NE(next, nullptr);
+  EXPECT_NE(next->flags & kLoopCarried, 0);
+  EXPECT_EQ(next->levels[kNestLevels - 1].d1, 1u);
+  EXPECT_EQ(next->levels[kNestLevels - 1].d2p, 0u);
 }
 
 TEST(DepMap, MergeCombinesBuckets) {
   DepMap a, b;
-  a.add(key(DepType::kRaw, 20, 10), kLoopCarried, {1, 1, 3, true});
-  b.add(key(DepType::kRaw, 20, 10), kLoopCarried, {1, 1, 1, true});
+  a.add(key(DepType::kRaw, 20, 10), kLoopCarried, {1, 1, 3});
+  b.add(key(DepType::kRaw, 20, 10), kLoopCarried, {1, 1, 1});
   a.merge(b);
   const DepInfo* info = a.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
@@ -396,8 +401,8 @@ TEST(Detector, CollidingAddressStillBuildsDepButNoCarriedFlag) {
       Signature<SeqSlot>(128, SigHash::kModulo),
       Signature<SeqSlot>(128, SigHash::kModulo)};
   DepMap deps;
-  detect(det, deps, {with_nest(wr(5, 10), ctx, {3})});
-  detect(det, deps, {with_nest(rd(5 + 128, 20), ctx, {4})});  // collides
+  detect(det, deps, {with_nest(wr(5, 10), ctx, 3)});
+  detect(det, deps, {with_nest(rd(5 + 128, 20), ctx, 4)});  // collides
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr) << "false dependence is still reported";
   EXPECT_EQ(info->flags & kLoopCarried, 0) << "but never classified carried";
@@ -409,8 +414,8 @@ TEST(Detector, SameAddressKeepsCarriedFlagUnderSignature) {
   DetectorCore<Signature<SeqSlot>> det{Signature<SeqSlot>(128),
                                        Signature<SeqSlot>(128)};
   DepMap deps;
-  detect(det, deps, {with_nest(wr(5, 10), ctx, {3}),
-                     with_nest(rd(5, 20), ctx, {4})});
+  detect(det, deps, {with_nest(wr(5, 10), ctx, 3),
+                     with_nest(rd(5, 20), ctx, 4)});
   const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
   ASSERT_NE(info, nullptr);
   EXPECT_NE(info->flags & kLoopCarried, 0);
@@ -512,18 +517,18 @@ TEST(Detector, ExtractAdoptMovesPerAddressState) {
 /// A seeded stream over twelve words, four of which share a slot of a
 /// 128-slot modulo signature with another, with exact repeats (which
 /// dedup_stream folds into runs), frees and burst marks, in nest contexts
-/// up to kNestIters + 2 deep.  `tids` > 1 spreads events over threads.
+/// up to kNestLevels + 2 deep.  `tids` > 1 spreads events over threads.
 std::vector<AccessEvent> folding_stream(std::uint64_t seed,
                                         std::uint16_t tids) {
   NestForest& f = nest_forest();
   Rng rng(seed);
-  // A chain kNestIters + 2 deep with a sibling entry at every level, so
-  // pairs of contexts share every common depth, beyond the window too.
-  // Each entry begins in a random parent iteration.
+  // A chain kNestLevels + 2 deep with a sibling entry at every level, so
+  // pairs of contexts share every common depth, beyond the last DepInfo
+  // row too.  Each entry begins in a random parent iteration.
   const auto draw = [&] { return static_cast<std::uint32_t>(rng.below(3)); };
   std::vector<std::uint32_t> ctxs{NestForest::kRoot};
   std::uint32_t chain = NestForest::kRoot;
-  for (std::uint32_t d = 1; d <= kNestIters + 2; ++d) {
+  for (std::uint32_t d = 1; d <= kNestLevels + 2; ++d) {
     ctxs.push_back(f.enter(chain, 200 + d, d == 1 ? 0 : draw()));
     chain = f.enter(chain, 200 + d, d == 1 ? 0 : draw());
     ctxs.push_back(chain);
@@ -559,11 +564,7 @@ std::vector<AccessEvent> folding_stream(std::uint64_t seed,
     // Only the context's own counter is drawn; the enclosing ones are the
     // parent iterations its chain began in.
     e.ctx = ctxs[rng.below(ctxs.size())];
-    std::uint32_t d = f.depth(e.ctx);
-    if (d >= 1 && d <= kNestIters) e.iters[d - 1] = draw();
-    for (std::uint32_t c = e.ctx; d > 1; c = f.parent(c), --d)
-      if (d - 1 <= kNestIters) e.iters[d - 2] = f.parent_iter(c);
-    EXPECT_TRUE(window_matches_context(e));
+    if (e.ctx != NestForest::kRoot) e.iter = draw();
     e.tid = static_cast<std::uint16_t>(rng.below(tids));
     out.push_back(e);
   }
@@ -669,18 +670,17 @@ TEST(RunFolding, MatchesInstanceByInstanceWithThreadSlots) {
 TEST(RunFolding, WriteRunAfterReadCountsEveryInstance) {
   // read x, then five writes to x in one iteration: the run makes INIT
   // once, WAR five times, and four self-WAWs in the same iteration —
-  // distance 0 at the loop's level, or "carried, distance unknown" when
-  // the loop lies beyond the iteration window.
+  // distance 0 at the loop's level, which folds into the last DepInfo row
+  // when the loop lies deeper than kNestLevels.
   NestForest& f = nest_forest();
-  constexpr auto kDeep = static_cast<std::uint32_t>(kNestIters + 2);
+  constexpr auto kDeep = static_cast<std::uint32_t>(kNestLevels + 2);
   for (const std::uint32_t depth : {1u, kDeep}) {
     std::uint32_t ctx = NestForest::kRoot;
     for (std::uint32_t d = 1; d <= depth; ++d)
       ctx = f.enter(ctx, 300 + d, d == 1 ? 0 : 2);
-    const std::initializer_list<std::uint32_t> iters = {2, 2, 2, 2, 2, 2, 2};
-    std::vector<AccessEvent> stream{with_nest(rd(100, 20), ctx, iters)};
+    std::vector<AccessEvent> stream{with_nest(rd(100, 20), ctx, 2)};
     for (int i = 0; i < 5; ++i)
-      stream.push_back(with_nest(wr(100, 10), ctx, iters));
+      stream.push_back(with_nest(wr(100, 10), ctx, 2));
     const RleStream rle = dedup_stream(stream.data(), stream.size());
     ASSERT_EQ(rle.events.size(), 2u);
     ASSERT_EQ(rle.reps[1], 5u);
@@ -698,13 +698,9 @@ TEST(RunFolding, WriteRunAfterReadCountsEveryInstance) {
     const DepInfo* waw = deps.find(key(DepType::kWaw, 10, 10));
     ASSERT_NE(waw, nullptr);
     EXPECT_EQ(waw->count, 4u);
-    if (depth <= kNestIters) {
-      EXPECT_EQ(waw->levels[depth - 1].d0, 4u);
-      EXPECT_EQ(waw->flags & kLoopCarried, 0);
-    } else {
-      EXPECT_EQ(waw->levels[kNestLevels - 1].d2p, 4u);
-      EXPECT_NE(waw->flags & kLoopCarried, 0);
-    }
+    EXPECT_EQ(waw->levels[std::min<std::size_t>(depth, kNestLevels) - 1].d0,
+              4u);
+    EXPECT_EQ(waw->flags & kLoopCarried, 0);
   }
 }
 
@@ -788,8 +784,8 @@ TYPED_TEST(BurstMarkLog, ArmedMarksDrainWhatTheBurstWroteAndOverflowClears) {
     (void)det.extract_state(9);
     const std::uint32_t tag = addr_tag(kAlias + 7);
     det.adopt_state(kAlias + 7, {true, true,
-                                 make_slot<SeqSlot>(rd(kAlias + 7, 16), tag, 0),
-                                 make_slot<SeqSlot>(wr(kAlias + 7, 17), tag, 0)});
+                                 make_slot<SeqSlot>(rd(kAlias + 7, 16), tag),
+                                 make_slot<SeqSlot>(wr(kAlias + 7, 17), tag)});
     const std::size_t paged = pages(det);
     mark_and_check(det, deps);
     EXPECT_TRUE(det.armed());
@@ -851,19 +847,27 @@ TYPED_TEST(BurstMarkLog, UnarmedDetectorClearsAtItsFirstMarkThenLogs) {
 // ------------------------------------------------------- LCA memo
 
 /// Independent reference: the deepest entry of the source's ancestor chain
-/// that is also on the sink's, and the source's counter there — its own
-/// when the source context is that entry, else the parent iteration of the
-/// chain entry just below it.
+/// that is also on the sink's, and each endpoint's counter there — its own
+/// when its context is that entry, else the parent iteration of its chain
+/// entry just below it.
 NestLca chain_lca(std::uint32_t src, std::uint32_t sink) {
   const NestForest& f = nest_forest();
   std::vector<std::uint32_t> chain;
   for (std::uint32_t c = src; c != NestForest::kRoot; c = f.parent(c))
     chain.push_back(c);
-  for (std::uint32_t c = sink; c != NestForest::kRoot; c = f.parent(c))
+  std::uint32_t below = NestForest::kRoot;
+  for (std::uint32_t c = sink; c != NestForest::kRoot;
+       below = c, c = f.parent(c))
     for (std::size_t i = 0; i < chain.size(); ++i)
-      if (chain[i] == c)
-        return NestLca{f.loop(c), f.depth(c),
-                       i == 0 ? 0 : f.parent_iter(chain[i - 1]), i == 0};
+      if (chain[i] == c) {
+        const bool sink_is_lca = below == NestForest::kRoot;
+        return NestLca{f.loop(c),
+                       f.depth(c),
+                       i == 0 ? 0 : f.parent_iter(chain[i - 1]),
+                       sink_is_lca ? 0 : f.parent_iter(below),
+                       i == 0,
+                       sink_is_lca};
+      }
   return NestLca{};
 }
 
@@ -882,7 +886,8 @@ TEST(NestLcaMemo, AgreesWithTheForestWalk) {
   const auto pick = [&] { return nodes[rng.below(nodes.size())]; };
   const auto same = [](NestLca a, NestLca b) {
     return a.loop == b.loop && a.level == b.level &&
-           a.src_iter == b.src_iter && a.src_is_lca == b.src_is_lca;
+           a.src_iter == b.src_iter && a.src_is_lca == b.src_is_lca &&
+           a.sink_iter == b.sink_iter && a.sink_is_lca == b.sink_is_lca;
   };
 
   // Pairs that share one memo slot but not one answer: a memo that skips
@@ -935,7 +940,7 @@ TEST(DepMap, MergesIdenticalInstances) {
   DepMap deps;
   const DepKey k = key(DepType::kRaw, 20, 10);
   deps.add(k, 0);
-  deps.add(k, kLoopCarried, {3, 1, 1, true});
+  deps.add(k, kLoopCarried, {3, 1, 1});
   deps.add(k, kCrossThread);
   EXPECT_EQ(deps.size(), 1u);
   const DepInfo* info = deps.find(k);
@@ -949,7 +954,7 @@ TEST(DepMap, MergesIdenticalInstances) {
 TEST(DepMap, MergeCombinesMaps) {
   DepMap a, b;
   a.add(key(DepType::kRaw, 20, 10), 0);
-  b.add(key(DepType::kRaw, 20, 10), kLoopCarried, {9, 1, 1, true});
+  b.add(key(DepType::kRaw, 20, 10), kLoopCarried, {9, 1, 1});
   b.add(key(DepType::kWar, 21, 11), 0);
   a.merge(b);
   EXPECT_EQ(a.size(), 2u);
@@ -974,15 +979,15 @@ TEST(DepMap, FoldMatchesReplayedAdds) {
   // must land exactly as the one-at-a-time adds it replaces.
   const DepKey k = key(DepType::kRaw, 20, 10);
   DepMap replayed;
-  replayed.add(k, kLoopCarried, {3, 2, 1, true});
-  replayed.add(k, kLoopCarried, {3, 2, 9, true});
+  replayed.add(k, kLoopCarried, {3, 2, 1});
+  replayed.add(k, kLoopCarried, {3, 2, 9});
   replayed.add(k, kCrossThread);
 
   DepMap folded;
   DepInfo rec;
   // Build the pre-aggregated record exactly as the batch accumulator does.
-  apply_dep_instance(rec, kLoopCarried, {3, 2, 1, true}, 1);
-  apply_dep_instance(rec, kLoopCarried, {3, 2, 9, true}, 1);
+  apply_dep_instance(rec, kLoopCarried, {3, 2, 1}, 1);
+  apply_dep_instance(rec, kLoopCarried, {3, 2, 9}, 1);
   apply_dep_instance(rec, kCrossThread, {}, 1);
   folded.fold(k, rec);
 
@@ -1006,10 +1011,10 @@ TEST(DepMap, FoldCombinesLevelBuckets) {
   // buckets and max-join the loop ids — never overwrite either side.
   const DepKey k = key(DepType::kRaw, 20, 10);
   DepMap deps;
-  deps.add(k, kLoopCarried, {3, 1, 5, true});  // level 1, d>=2 bucket
+  deps.add(k, kLoopCarried, {3, 1, 5});  // level 1, d>=2 bucket
   DepInfo rec;
-  apply_dep_instance(rec, kLoopCarried, {7, 1, 1, true}, 1);  // level 1, d=1
-  apply_dep_instance(rec, 0, {2, 2, 0, true}, 1);             // level 2, d=0
+  apply_dep_instance(rec, kLoopCarried, {7, 1, 1}, 1);  // level 1, d=1
+  apply_dep_instance(rec, 0, {2, 2, 0}, 1);             // level 2, d=0
   deps.fold(k, rec);
   const DepInfo* info = deps.find(k);
   ASSERT_NE(info, nullptr);
@@ -1025,7 +1030,7 @@ TEST(DepMap, FoldCombinesLevelBuckets) {
 TEST(DepMap, MergeFromTransfersAndEmptiesSource) {
   DepMap a, b;
   a.add(key(DepType::kRaw, 20, 10), 0);
-  b.add(key(DepType::kRaw, 20, 10), kLoopCarried, {9, 1, 1, true});
+  b.add(key(DepType::kRaw, 20, 10), kLoopCarried, {9, 1, 1});
   b.add(key(DepType::kWar, 21, 11), 0);
   a.merge_from(b);
   EXPECT_EQ(b.size(), 0u);

@@ -126,7 +126,7 @@ TEST(Formatter, CsvExportRoundTrip) {
   const std::uint32_t loop5 = SourceLocation(1, 5).packed();
   DepMap deps;
   deps.add(key(DepType::kRaw, 20, 10, var_x, 1, 2), kLoopCarried | kCrossThread,
-           {loop5, 1, 1, true});
+           {loop5, 1, 1});
   deps.add(key(DepType::kInit, 20, 0, var_x), 0);
   const std::string csv = deps_csv(deps);
   EXPECT_NE(csv.find("type,sink,sink_tid,source,src_tid,var,count,carried,"
@@ -144,9 +144,9 @@ TEST(Formatter, CsvExportRoundTrip) {
 TEST(Formatter, DistanceAnnotation) {
   const std::uint32_t loop5 = SourceLocation(1, 5).packed();
   DepMap deps;
-  deps.add(key(DepType::kRaw, 20, 10), kLoopCarried, {loop5, 1, 1, true});
-  deps.add(key(DepType::kRaw, 20, 10), kLoopCarried, {loop5, 1, 9, true});
-  deps.add(key(DepType::kRaw, 20, 10), 0, {loop5, 2, 0, true});
+  deps.add(key(DepType::kRaw, 20, 10), kLoopCarried, {loop5, 1, 1});
+  deps.add(key(DepType::kRaw, 20, 10), kLoopCarried, {loop5, 1, 9});
+  deps.add(key(DepType::kRaw, 20, 10), 0, {loop5, 2, 0});
   FormatOptions opts;
   opts.show_distances = true;
   const std::string out = format_deps(deps, nullptr, opts);
@@ -180,22 +180,6 @@ TEST(Formatter, InitOnlyMapFormatsEverySink) {
   const std::string csv = deps_csv(deps);
   EXPECT_NE(csv.find("INIT,1:10,0,*,"), std::string::npos) << csv;
   EXPECT_NE(csv.find("INIT,1:12,0,*,"), std::string::npos) << csv;
-}
-
-TEST(Formatter, UnknownDistanceLandsInConservativeBucket) {
-  // A carried instance whose common level lies beyond the event iteration
-  // window has no measured distance: it must land in the d>=2 bucket (the
-  // conservative choice), never in d0 or d1.
-  const std::uint32_t loop5 = SourceLocation(1, 5).packed();
-  DepMap deps;
-  deps.add(key(DepType::kRaw, 20, 10), kLoopCarried,
-           {loop5, 1, 0, /*distance_known=*/false});
-  FormatOptions opts;
-  opts.show_distances = true;
-  EXPECT_NE(format_deps(deps, nullptr, opts).find("L1=0|0|1"),
-            std::string::npos);
-  const std::string csv = deps_csv(deps);
-  EXPECT_NE(csv.find(",1,0,0,0,1,1:5,0,0,1"), std::string::npos) << csv;
 }
 
 }  // namespace

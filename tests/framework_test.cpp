@@ -116,7 +116,7 @@ TEST(DepGraphTest, DetectsRawCycle) {
 TEST(DepGraphTest, DotExportMentionsEdgesAndStyles) {
   const auto var = var_registry().intern("acc");
   DepMap deps;
-  deps.add(key(DepType::kRaw, 20, 10, var), kLoopCarried, {5, 1, 1, true});
+  deps.add(key(DepType::kRaw, 20, 10, var), kLoopCarried, {5, 1, 1});
   deps.add(key(DepType::kWaw, 20, 10, var), 0);
   deps.add(key(DepType::kInit, 10, 0, var), 0);
   const std::string dot = DepGraph(deps).to_dot();
@@ -141,8 +141,8 @@ TEST(LoopTableTest, AggregatesPerLoop) {
 
   DepMap deps;
   DepKey inside = key(DepType::kRaw, 15, 12);
-  deps.add(inside, kLoopCarried, {loop.loop_id, 1, 1, true});
-  deps.add(inside, kLoopCarried, {loop.loop_id, 1, 1, true});
+  deps.add(inside, kLoopCarried, {loop.loop_id, 1, 1});
+  deps.add(inside, kLoopCarried, {loop.loop_id, 1, 1});
   deps.add(key(DepType::kRaw, 50, 40), 0);  // outside the loop body
 
   const LoopTable table(deps, cf, {});
@@ -232,7 +232,7 @@ TEST(PluginTest, SelfParallelismPrefersParallelHotLoops) {
   DepMap deps;
   for (int i = 0; i < 100; ++i) {
     deps.add(key(DepType::kRaw, 15, 12), 0);  // intra-iteration work
-    deps.add(key(DepType::kRaw, 45, 42), kLoopCarried, {seq.loop_id, 1, 1, true});
+    deps.add(key(DepType::kRaw, 45, 42), kLoopCarried, {seq.loop_id, 1, 1});
   }
   ProgramModel model(std::move(deps), cf, {}, {});
   const std::string out = make_self_parallelism_plugin()->run(model);
@@ -244,8 +244,8 @@ TEST(PluginTest, DepDistanceReportsBlockingAdvice) {
   const std::uint32_t loop5 = SourceLocation(1, 5).packed();
   DepMap deps;
   DepKey k = key(DepType::kRaw, 20, 10, var_registry().intern("a"));
-  deps.add(k, kLoopCarried, {loop5, 1, 4, true});
-  deps.add(k, kLoopCarried, {loop5, 1, 4, true});
+  deps.add(k, kLoopCarried, {loop5, 1, 4});
+  deps.add(k, kLoopCarried, {loop5, 1, 4});
   ProgramModel model(std::move(deps), {}, {}, {});
   const std::string out = make_dep_distance_plugin()->run(model);
   // Both instances sit in the d>=2 bucket: a gap of independent iterations
@@ -256,7 +256,7 @@ TEST(PluginTest, DepDistanceReportsBlockingAdvice) {
 
   DepMap serial_deps;
   serial_deps.add(key(DepType::kRaw, 20, 10), kLoopCarried,
-                  {loop5, 1, 1, true});
+                  {loop5, 1, 1});
   ProgramModel serial_model(std::move(serial_deps), {}, {}, {});
   EXPECT_NE(make_dep_distance_plugin()->run(serial_model).find(
                 "serializing recurrence"),
@@ -274,7 +274,7 @@ TEST(PluginTest, SelfParallelismUsesBucketForCarriedLoops) {
   cf.loops.push_back(loop);
   DepMap deps;
   deps.add(key(DepType::kRaw, 15, 12), kLoopCarried,
-           {loop.loop_id, 1, 8, true});
+           {loop.loop_id, 1, 8});
   ProgramModel model(std::move(deps), cf, {}, {});
   const LoopRow& row = model.loop_table().rows()[0];
   EXPECT_FALSE(row.parallelizable);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/timer.hpp"
+#include "core/dep.hpp"
 #include "instrument/macros.hpp"
 #include "instrument/runtime.hpp"
 #include "trace/nest.hpp"
@@ -85,7 +86,7 @@ TEST_F(RuntimeTest, LoopContextAttachedToAccesses) {
   EXPECT_EQ(nest_forest().depth(ctx), 1u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(t.events[i].ctx, ctx) << "one dynamic entry, one context";
-    EXPECT_EQ(t.events[i].iters[0], static_cast<std::uint32_t>(i + 1));
+    EXPECT_EQ(t.events[i].iter, static_cast<std::uint32_t>(i + 1));
   }
 }
 
@@ -142,10 +143,12 @@ TEST_F(RuntimeTest, ThreeLevelNestingRecorded) {
   EXPECT_NE(forest.loop(outer), 0u);
   EXPECT_NE(forest.loop(inner), forest.loop(middle));
   EXPECT_NE(forest.loop(middle), forest.loop(outer));
-  // Root-anchored iteration window: one DP_LOOP_ITER at each level.
-  EXPECT_EQ(e.iters[0], 1u);
-  EXPECT_EQ(e.iters[1], 1u);
-  EXPECT_EQ(e.iters[2], 1u);
+  // One DP_LOOP_ITER at each level: the event's own iteration, and the
+  // iteration each enclosing entry was in when its child began.
+  EXPECT_EQ(e.iter, 1u);
+  EXPECT_EQ(forest.parent_iter(inner), 1u);
+  EXPECT_EQ(forest.parent_iter(middle), 1u);
+  EXPECT_EQ(forest.parent_iter(outer), 0u);
 }
 
 TEST_F(RuntimeTest, NestEdgesFormLoopTree) {
@@ -215,7 +218,7 @@ TEST_F(RuntimeTest, ThreadEnteringMidLoopKeepsOwnNestCursor) {
   for (const auto& e : t.events) {
     if (e.tid == main_tid) {
       EXPECT_NE(e.ctx, NestForest::kRoot);
-      EXPECT_EQ(e.iters[0], 1u);
+      EXPECT_EQ(e.iter, 1u);
     } else {
       EXPECT_EQ(e.ctx, NestForest::kRoot);
     }
@@ -402,11 +405,12 @@ TEST_F(RuntimeTest, LockExitFlushesBufferedAccesses) {
 // --- per-thread event template --------------------------------------------
 
 TEST_F(RuntimeTest, EventContextMatchesTheLoopNestAtEveryDepth) {
-  // Every access carries the thread's loop context, iteration window, thread
-  // id and lock flag.  The expected values come from a model of the nest the
-  // test drives, not from the runtime's own bookkeeping: depths 1 through
-  // kNestIters + 2 (past the window), iteration advances and loop exits, a
-  // lock region, bind_thread_id mid-nest, and reset() plus a fresh attach.
+  // Every access carries the thread's loop context, its iteration, thread id
+  // and lock flag, and the forest holds every enclosing counter.  The
+  // expected values come from a model of the nest the test drives, not from
+  // the runtime's own bookkeeping: depths 1 through kNestLevels + 2 (past
+  // DepInfo's last row), iteration advances and loop exits, a lock region,
+  // bind_thread_id mid-nest, and reset() plus a fresh attach.
   Runtime& rt = Runtime::instance();
   struct Expect {
     std::vector<std::uint32_t> loops;  ///< static loop id per depth
@@ -447,7 +451,7 @@ TEST_F(RuntimeTest, EventContextMatchesTheLoopNestAtEveryDepth) {
   rt.attach(&recorder_);
   tid = rt.thread_id();
   access();
-  const std::uint32_t deepest = kNestIters + 2;
+  const std::uint32_t deepest = kNestLevels + 2;
   for (std::uint32_t d = 1; d <= deepest; ++d) {
     begin(100 + d);
     access();  // before the first iteration marker
@@ -511,15 +515,17 @@ TEST_F(RuntimeTest, EventContextMatchesTheLoopNestAtEveryDepth) {
     EXPECT_EQ(ev.tid, want.tid);
     EXPECT_EQ(ev.flags, want.locked ? kInLockRegion : 0);
     ASSERT_EQ(forest.depth(ev.ctx), want.loops.size());
+    EXPECT_EQ(ev.iter, want.iters.empty() ? 0u : want.iters.back());
+    // The entry at depth d began in the iteration its parent level is in
+    // now: a parent's counter does not move while a child entry is open.
     std::uint32_t node = ev.ctx;
     for (std::size_t d = want.loops.size(); d > 0; --d) {
       EXPECT_EQ(forest.loop(node), want.loops[d - 1]) << "depth " << d;
+      EXPECT_EQ(forest.parent_iter(node), d > 1 ? want.iters[d - 2] : 0u)
+          << "depth " << d;
       node = forest.parent(node);
     }
     EXPECT_EQ(node, NestForest::kRoot);
-    for (std::size_t k = 0; k < kNestIters; ++k)
-      EXPECT_EQ(ev.iters[k], k < want.iters.size() ? want.iters[k] : 0u)
-          << "window level " << k;
     // One dynamic entry, one context; every entry a context of its own.
     EXPECT_EQ(ctx_of_entry.emplace(want.entry, ev.ctx).first->second, ev.ctx);
     EXPECT_EQ(entry_of_ctx.emplace(ev.ctx, want.entry).first->second,
@@ -710,10 +716,10 @@ TEST_F(RuntimeTest, FixedSkipSamplingGatesWholeIterations) {
   ASSERT_EQ(t.events.size(), 4u);
   EXPECT_TRUE(t.events[0].is_burst_mark());
   EXPECT_TRUE(t.events[1].is_write());
-  EXPECT_EQ(t.events[1].iters[0], 2u);
+  EXPECT_EQ(t.events[1].iter, 2u);
   EXPECT_TRUE(t.events[2].is_burst_mark());
   EXPECT_TRUE(t.events[3].is_write());
-  EXPECT_EQ(t.events[3].iters[0], 4u);
+  EXPECT_EQ(t.events[3].iter, 4u);
 }
 
 TEST_F(RuntimeTest, AccessesOutsideLoopsBypassTheGate) {
@@ -813,7 +819,7 @@ TEST_F(RuntimeTest, CycleLengthBeyond32BitsDoesNotWrap) {
   Runtime::instance().detach();
   ASSERT_EQ(sink.trace_.events.size(), 7u);
   for (const auto& e : sink.trace_.events) EXPECT_TRUE(e.is_write());
-  EXPECT_EQ(sink.trace_.events.back().iters[0], 7u);
+  EXPECT_EQ(sink.trace_.events.back().iter, 7u);
   EXPECT_EQ(sink.sampled_out_, 13u);
 }
 

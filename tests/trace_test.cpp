@@ -86,10 +86,10 @@ TEST(Generators, LoopTraceCarriesLoopContext) {
     EXPECT_EQ(forest.loop(ev.ctx), 7u);
     EXPECT_EQ(forest.depth(ev.ctx), 1u);
   }
-  // All events share one dynamic loop entry; iters[0] tracks the iteration.
+  // All events share one dynamic loop entry; iter tracks the iteration.
   EXPECT_EQ(t.events.back().ctx, t.events[0].ctx);
-  EXPECT_EQ(t.events[0].iters[0], 0u);
-  EXPECT_EQ(t.events.back().iters[0], 2u);
+  EXPECT_EQ(t.events[0].iter, 0u);
+  EXPECT_EQ(t.events.back().iter, 2u);
 }
 
 TEST(Generators, NestTraceBuildsDeepImperfectNests) {
@@ -176,7 +176,7 @@ TEST(TraceIo, RoundTrip) {
 
 TEST(TraceIo, NestContextsSurviveRoundTrip) {
   // Events stamped with interned nest contexts must come back with the same
-  // nest *shape* (loop ids, depths, parent linkage, iteration windows) even
+  // nest *shape* (loop ids, depths, parent linkage, iterations) even
   // though the reader re-interns fresh forest ids.
   NestForest& forest = nest_forest();
   const std::uint32_t outer = forest.enter(NestForest::kRoot, 40, 0);
@@ -187,14 +187,12 @@ TEST(TraceIo, NestContextsSurviveRoundTrip) {
   ev.kind = AccessKind::kWrite;
   ev.addr = 100;
   ev.ctx = in1;
-  ev.iters[0] = 2;
-  ev.iters[1] = 5;
+  ev.iter = 5;
   t.events.push_back(ev);
   ev.kind = AccessKind::kRead;
   ev.addr = 100;
   ev.ctx = in2;
-  ev.iters[0] = 3;
-  ev.iters[1] = 0;
+  ev.iter = 0;
   t.events.push_back(ev);
   ev.ctx = NestForest::kRoot;  // an event outside any loop
   t.events.push_back(ev);
@@ -212,8 +210,7 @@ TEST(TraceIo, NestContextsSurviveRoundTrip) {
   EXPECT_EQ(forest.depth(a.ctx), 2u);
   EXPECT_EQ(forest.loop(forest.parent(a.ctx)), 40u);
   EXPECT_EQ(forest.parent_iter(a.ctx), 2u);
-  EXPECT_EQ(a.iters[0], 2u);
-  EXPECT_EQ(a.iters[1], 5u);
+  EXPECT_EQ(a.iter, 5u);
   EXPECT_EQ(forest.loop(b.ctx), 41u);
   EXPECT_EQ(forest.parent_iter(b.ctx), 3u);
   // The two sibling entries stay distinct but share the same parent entry.
@@ -245,12 +242,11 @@ TEST(TraceIo, GeneratedNestTraceRoundTripsAttribution) {
       got = forest.parent(got);
     }
     EXPECT_EQ(got, NestForest::kRoot);
-    for (std::size_t d = 0; d < kNestIters; ++d)
-      EXPECT_EQ(back.events[i].iters[d], t.events[i].iters[d]);
+    EXPECT_EQ(back.events[i].iter, t.events[i].iter);
   }
 }
 
-constexpr char kTraceMagic[8] = {'D', 'E', 'P', 'T', 'R', 'C', '0', '3'};
+constexpr char kTraceMagic[8] = {'D', 'E', 'P', 'T', 'R', 'C', '0', '4'};
 
 TEST(TraceIo, RejectsMalformedNestTables) {
   const std::string path = "/tmp/depprof_bad_nest_trace_test.bin";
@@ -277,10 +273,14 @@ TEST(TraceIo, RejectsMalformedNestTables) {
     std::fwrite(&node_count, 1, sizeof(node_count), f);
     const std::uint32_t node[3] = {1, 7, 0};  // parent == own id
     std::fwrite(node, 1, sizeof(node), f);
+    const std::uint64_t var_count = 0;
+    std::fwrite(&var_count, 1, sizeof(var_count), f);
     const std::uint64_t count = 0;
     std::fwrite(&count, 1, sizeof(count), f);
     std::fclose(f);
-    EXPECT_FALSE(read_trace(out, path));
+    std::string error;
+    EXPECT_FALSE(read_trace(out, path, &error));
+    EXPECT_NE(error.find("names a later parent"), std::string::npos) << error;
   }
 
   // An event referencing a context id beyond the declared node table.
@@ -292,65 +292,109 @@ TEST(TraceIo, RejectsMalformedNestTables) {
     std::fwrite(&node_count, 1, sizeof(node_count), f);
     const std::uint32_t node[3] = {0, 7, 0};
     std::fwrite(node, 1, sizeof(node), f);
+    const std::uint64_t var_count = 0;
+    std::fwrite(&var_count, 1, sizeof(var_count), f);
     const std::uint64_t count = 1;
     std::fwrite(&count, 1, sizeof(count), f);
     AccessEvent ev;
     ev.ctx = 2;  // only node 1 was declared
     std::fwrite(&ev, 1, sizeof(ev), f);
     std::fclose(f);
-    EXPECT_FALSE(read_trace(out, path));
+    std::string error;
+    EXPECT_FALSE(read_trace(out, path, &error));
+    EXPECT_NE(error.find("undeclared nest 2"), std::string::npos) << error;
   }
   std::remove(path.c_str());
 }
 
-TEST(TraceIo, RejectsAnEventThatBreaksTheWindowContract) {
-  // Entry 2 began in iteration 3 of entry 1, so an event in entry 2 must
-  // carry 3 at the outer level: the detector reads that counter from the
-  // forest, not from the event.
-  const std::string path = "/tmp/depprof_window_trace_test.bin";
-  const auto write_file = [&](std::uint32_t outer_iter) {
+TEST(TraceIo, VariableNamesSurviveRoundTrip) {
+  // Variable ids are process-local: the file carries the names of the ids
+  // its events use, and the reader re-interns them.
+  const std::uint32_t a = var_registry().intern("trace_test_alpha");
+  const std::uint32_t b = var_registry().intern("trace_test_beta");
+  Trace t;
+  for (const std::uint32_t var : {b, 0u, a, b}) {
+    AccessEvent ev;
+    ev.addr = 0x100 + t.events.size() * 8;
+    ev.var = var;
+    t.events.push_back(ev);
+  }
+  const std::string path = "/tmp/depprof_var_trace_test.bin";
+  ASSERT_TRUE(write_trace(t, path));
+  Trace back;
+  std::string error;
+  ASSERT_TRUE(read_trace(back, path, &error)) << error;
+  std::remove(path.c_str());
+  ASSERT_EQ(back.size(), t.size());
+  for (std::size_t i = 0; i < t.size(); ++i)
+    EXPECT_EQ(var_registry().name(back.events[i].var),
+              var_registry().name(t.events[i].var))
+        << "event " << i;
+  EXPECT_EQ(back.events[1].var, 0u);  // the unnamed variable stays 0
+}
+
+TEST(TraceIo, RejectsMalformedVarTablesAndEvents) {
+  const std::string path = "/tmp/depprof_bad_var_trace_test.bin";
+  // Magic and an empty nest table, then `body`.
+  const auto write_file = [&](const std::string& body) {
     FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fwrite(kTraceMagic, 1, sizeof(kTraceMagic), f);
-    const std::uint64_t node_count = 2;
+    const std::uint64_t node_count = 0;
     std::fwrite(&node_count, 1, sizeof(node_count), f);
-    const std::uint32_t nodes[2][3] = {{0, 7, 0}, {1, 8, 3}};
-    std::fwrite(nodes, 1, sizeof(nodes), f);
-    const std::uint64_t count = 2;
-    std::fwrite(&count, 1, sizeof(count), f);
-    AccessEvent ev;
-    ev.ctx = 2;
-    ev.iters[0] = 3;
-    ev.iters[1] = 4;
-    std::fwrite(&ev, 1, sizeof(ev), f);
-    ev.iters[0] = outer_iter;
-    std::fwrite(&ev, 1, sizeof(ev), f);
+    std::fwrite(body.data(), 1, body.size(), f);
     std::fclose(f);
   };
+  const auto bytes = [](const auto& v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const auto rejects = [&](const std::string& body, const char* why) {
+    write_file(body);
+    Trace out;
+    std::string error;
+    EXPECT_FALSE(read_trace(out, path, &error)) << why;
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+    EXPECT_TRUE(out.events.empty());
+  };
+  const std::string one_var =
+      bytes(std::uint64_t{1}) + bytes(std::uint32_t{1}) + "x";
+
+  // The table claims more names than the file holds.
+  rejects(bytes(std::uint64_t{1'000'000}), "truncated var table");
+  // A name longer than the rest of the file.
+  rejects(bytes(std::uint64_t{1}) + bytes(std::uint32_t{1'000}) + "x",
+          "truncated var table");
+  // An event naming a var id beyond the declared table.
+  AccessEvent ev;
+  ev.var = 2;  // only var 1 was declared
+  rejects(one_var + bytes(std::uint64_t{1}) + bytes(ev),
+          "event 0 names undeclared var 2");
+  // An event whose kind byte is none of the four kinds.
+  ev.var = 1;
+  ev.kind = static_cast<AccessKind>(9);
+  rejects(one_var + bytes(std::uint64_t{1}) + bytes(ev),
+          "event 0 has unknown kind 9");
+
+  // The same file with a valid event reads, its var re-interned.
+  ev.kind = AccessKind::kWrite;
+  write_file(one_var + bytes(std::uint64_t{1}) + bytes(ev));
   Trace out;
   std::string error;
-  write_file(3);
   ASSERT_TRUE(read_trace(out, path, &error)) << error;
-  EXPECT_EQ(nest_forest().parent_iter(out.events[1].ctx), 3u);
-
-  out = Trace{};
-  write_file(2);
-  EXPECT_FALSE(read_trace(out, path, &error));
-  EXPECT_NE(error.find("event 1"), std::string::npos) << error;
-  EXPECT_NE(error.find("does not match its nest context"), std::string::npos)
-      << error;
-  EXPECT_TRUE(out.events.empty());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(var_registry().name(out.events[0].var), "x");
   std::remove(path.c_str());
 }
 
 TEST(TraceIo, RejectsTheOlderFormats) {
-  // A DEPTRC02 nest table has no parent iterations, and a DEPTRC01 file no
-  // table at all: both are refused, not replayed with guessed counters.
+  // A DEPTRC03 file has 64-byte events and no variable names, a DEPTRC02
+  // nest table no parent iterations, and a DEPTRC01 file no table at all:
+  // all are refused, not replayed with guessed counters.
   GenParams p;
   p.accesses = 64;
   const std::string path = "/tmp/depprof_old_trace_test.bin";
   ASSERT_TRUE(write_trace(gen_zipf(p), path));
-  for (const char version : {'1', '2'}) {
+  for (const char version : {'1', '2', '3'}) {
     FILE* f = std::fopen(path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
     std::fseek(f, 7, SEEK_SET);
@@ -359,7 +403,7 @@ TEST(TraceIo, RejectsTheOlderFormats) {
     Trace out;
     std::string error;
     EXPECT_FALSE(read_trace(out, path, &error)) << version;
-    EXPECT_NE(error.find("DEPTRC03"), std::string::npos) << error;
+    EXPECT_NE(error.find("DEPTRC04"), std::string::npos) << error;
   }
   std::remove(path.c_str());
 }

@@ -53,8 +53,8 @@
 //   --format text|csv|dot                                (default text)
 //   --distances          annotate per-level carried-distance buckets
 //                        (text format): each level prints d0|d1|d2p — the
-//                        iteration-local, distance-1, and distance>=2-or-
-//                        unknown instance counts at that nest level
+//                        iteration-local, distance-1, and distance>=2
+//                        instance counts at that nest level
 //   --json               (report) emit the report as JSON
 //   --check              (report) score verdicts against the workload's
 //                        OpenMP ground truth; exit 1 on any mismatch
